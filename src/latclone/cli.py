@@ -27,6 +27,7 @@ from .lattice import (
     join_irreducibles,
 )
 from .operations import (
+    DEFAULT_CENTRALIZER_LIMIT,
     DEFAULT_CLONE_LIMIT,
     OpTable,
     Relation,
@@ -84,7 +85,7 @@ def op_json(op):
     return payload
 
 
-def _default_limit(args):
+def _default_limit(args, default=DEFAULT_CLONE_LIMIT):
     if args.limit is not None:
         return args.limit
     env = os.environ.get("LATCLONE_LIMIT")
@@ -93,7 +94,7 @@ def _default_limit(args):
             return int(env)
         except ValueError:
             raise BadSpec(f"LATCLONE_LIMIT must be an integer, got {env!r}") from None
-    return DEFAULT_CLONE_LIMIT
+    return default
 
 
 def _structure_mode(structure, args):
@@ -171,7 +172,7 @@ def cmd_centralizer(args):
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     ops = centralizer_slice(generators(structure, mode), args.arity,
-                            limit=_default_limit(args))
+                            limit=_default_limit(args, DEFAULT_CENTRALIZER_LIMIT))
     return {"arity": args.arity, "carrier": structure.size,
             "count": len(ops), "operations": [op_json(op) for op in ops]}
 

@@ -42,6 +42,17 @@ def decode_index(idx, size, arity):
     return tuple(reversed(out))
 
 
+def _indices(values, what):
+    """The values as a tuple of ints; only int and numpy integer values are indices."""
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise BadSpec(f"{what} {v!r} is not an integer")
+    return tuple(int(v) for v in values)
+
+
 class OpTable:
     """An operation {0..size-1}^arity -> {0..size-1} as an explicit table."""
 
@@ -52,7 +63,7 @@ class OpTable:
             raise BadSpec("carrier must be nonempty")
         self.arity = arity
         self.size = size
-        self.values = tuple(int(v) for v in values)
+        self.values = _indices(values, "value table entry")
         if len(self.values) != size ** arity:
             raise BadSpec(f"value table must have {size ** arity} entries")
         if any(v < 0 or v >= size for v in self.values):
@@ -101,7 +112,7 @@ class Relation:
         self.size = size
         normalized = set()
         for t in tuples:
-            t = tuple(int(v) for v in t)
+            t = _indices(t, "tuple entry")
             if len(t) != arity:
                 raise BadSpec(f"tuple {t!r} does not have arity {arity}")
             if any(v < 0 or v >= size for v in t):
@@ -417,13 +428,49 @@ class _Stub:
         self.provenance = provenance
 
 
+def _target_tables(generator_ops, size, k):
+    """Per generator: its arity m, how many first positions to visit, two tables.
+
+    The target-cell table maps an m-tuple of cells of A^k to the cell that
+    the generator yields when applied digit by digit, and the value table
+    maps an m-tuple of values to the generator's value. Both are nested
+    lists, m levels deep, so the search indexes them one argument at a time.
+    A symmetric generator gives the same constraint for every order of a
+    tuple, so only tuples with the new cell first need visiting.
+    """
+    ncells = size ** k
+    cols = argument_columns(size, k)
+    # the nested lists hold ncells ** m entries: share one int object per cell
+    cell_ints = np.array(list(range(ncells)), dtype=object)
+    compiled = []
+    for g in generator_ops:
+        m, flat = g.arity, g.array()
+        table = flat.reshape((size,) * m)
+        symmetric = all(np.array_equal(table, np.swapaxes(table, i, i + 1))
+                        for i in range(m - 1))
+        target = 0
+        for col in cols:
+            idx = 0
+            for j in range(m):
+                idx = idx * size + col.reshape([ncells if i == j else 1 for i in range(m)])
+            target = target * size + flat[idx]
+        compiled.append((m, 1 if symmetric else m, cell_ints[target].tolist(),
+                         table.tolist()))
+    return compiled
+
+
 def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     """All k-ary operations commuting with every generator.
 
-    Depth-first search over the value table: whenever all argument cells of
-    a commutation constraint are decided, its target cell is forced, so the
-    search only branches on genuinely free cells. Returns tables sorted by
-    values; raises LimitExceeded past the limit.
+    A k-ary f commutes with an m-ary generator g exactly when f is a
+    homomorphism A^k -> A for g: f(g(c1, ..., cm)) = g(f(c1), ..., f(cm))
+    for all cells c1..cm of A^k, with g applied digitwise on the left. The
+    search branches on the lowest undefined cell, values ascending, and
+    after each choice closes the defined cells under the generators: a
+    tuple of defined cells forces its target cell or clashes with it. Each
+    tuple is checked once, when the last of its cells to be defined is
+    processed. Tables come out in lexicographic order; raises
+    LimitExceeded past the limit.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -435,77 +482,74 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
         raise BadSpec("slice arity must be at least 1")
 
     ncells = size ** k
-    decoded = [decode_index(c, size, k) for c in range(ncells)]
-
-    constraints = []  # (source cells, target cell, generator)
-    for g in generator_ops:
-        m = g.arity
-        for combo in product(range(ncells), repeat=m):
-            target = 0
-            for i in range(k):
-                target = target * size + g(*(decoded[c][i] for c in combo))
-            constraints.append((combo, target, g))
-
-    by_source = [[] for _ in range(ncells)]
-    by_target = [[] for _ in range(ncells)]
-    for cid, (sources, target, _) in enumerate(constraints):
-        for c in sources:
-            by_source[c].append(cid)
-        by_target[target].append(cid)
-
+    compiled = _target_tables(generator_ops, size, k)
     values = [-1] * ncells
-    pending = [len(sources) for sources, _, _ in constraints]
-    trail = []
-    results = []
+    trail = []         # defined cells in definition order; also the propagation queue
+    trail_values = []  # their values, in the same order
 
-    def do_assign(cell, v, queue):
-        values[cell] = v
-        trail.append(cell)
-        for cid in by_source[cell]:
-            pending[cid] -= 1
-            if pending[cid] == 0:
-                queue.append(cid)
-        for cid in by_target[cell]:
-            if pending[cid] == 0:
-                queue.append(cid)
-
-    def run_queue(queue):
-        while queue:
-            cid = queue.pop()
-            sources, target, g = constraints[cid]
-            forced = g(*(values[c] for c in sources))
-            if values[target] == -1:
-                do_assign(target, forced, queue)
-            elif values[target] != forced:
-                return False
+    def close(head):
+        """Check every tuple that trail[head:] completes; False on a clash."""
+        while head < len(trail):
+            new_cell, new_value = trail[head], trail_values[head]
+            cells, vals = trail[:head + 1], trail_values[:head + 1]
+            for m, firsts, targets, table in compiled:
+                # the tuples whose first position holding the new cell is j
+                # take earlier cells before it and any defined cell after it
+                for j in range(firsts):
+                    ts, gs = [targets], [table]
+                    for i in range(m - 1):
+                        if i == j:
+                            ts = [t[new_cell] for t in ts]
+                            gs = [g[new_value] for g in gs]
+                        else:
+                            n = head if i < j else head + 1
+                            ts = [t[c] for t in ts for c in cells[:n]]
+                            gs = [g[v] for g in gs for v in vals[:n]]
+                    last = (cells, vals) if j < m - 1 else ([new_cell], [new_value])
+                    for t, g in zip(ts, gs):
+                        for c, v in zip(*last):
+                            target, forced = t[c], g[v]
+                            have = values[target]
+                            if have < 0:
+                                values[target] = forced
+                                trail.append(target)
+                                trail_values.append(forced)
+                            elif have != forced:
+                                return False
+            head += 1
         return True
 
-    def undo(mark):
-        while len(trail) > mark:
-            cell = trail.pop()
-            values[cell] = -1
-            for cid in by_source[cell]:
-                pending[cid] += 1
-
-    def dfs(pos):
-        while pos < ncells and values[pos] != -1:
-            pos += 1
-        if pos == ncells:
+    results = []
+    stack = []  # [cell, next value to try, trail length before the choice]
+    cell = 0
+    while True:
+        while cell < ncells and values[cell] >= 0:
+            cell += 1
+        if cell == ncells:
             if len(results) >= limit:
                 raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
             results.append(tuple(values))
-            return
-        for v in range(size):
-            mark = len(trail)
-            queue = []
-            do_assign(pos, v, queue)
-            if run_queue(queue):
-                dfs(pos + 1)
-            undo(mark)
-
-    dfs(0)
-    tables = [OpTable(k, size, vals) for vals in sorted(results)]
-    return tables
+        else:
+            stack.append([cell, 0, len(trail)])
+        while stack:
+            frame = stack[-1]
+            cell, v, mark = frame
+            for c in trail[mark:]:
+                values[c] = -1
+            del trail[mark:], trail_values[mark:]
+            if v == size:
+                stack.pop()
+                continue
+            frame[1] = v + 1
+            values[cell] = v
+            trail.append(cell)
+            trail_values.append(v)
+            if close(mark):
+                break
+        if not stack:
+            break
+        cell += 1
+    return [OpTable(k, size, vals) for vals in results]
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:

@@ -22,7 +22,6 @@ from .errors import (
     IsBoolean,
     IsDistributive,
     IsDistributiveSemilattice,
-    LimitExceeded,
     NotDistributive,
 )
 from .formulas import PPFormula, eval_formula, random_formula
@@ -210,9 +209,6 @@ def decide_sdc(structure, mode, verify=25, seed=0, limit=DEFAULT_CLONE_LIMIT) ->
             verdict.qe_samples = verify
             verdict.verified = _verify_positive(structure, mode, verify, seed)
         else:
-            try:
-                verdict.verified, verdict.gap_tuple = _verify_negative(
-                    verdict.witness, structure, mode, limit)
-            except LimitExceeded:
-                verdict.verified = False
+            verdict.verified, verdict.gap_tuple = _verify_negative(
+                verdict.witness, structure, mode, limit)
     return verdict

@@ -8,7 +8,8 @@ are checked against code that shares none of their machinery.
 from itertools import product
 
 from latclone import terms
-from latclone.operations import Relation
+from latclone.errors import LimitExceeded
+from latclone.operations import OpTable, Relation, decode_index
 
 
 def slow_eval_formula(phi, algebra):
@@ -71,3 +72,85 @@ def join_of(lattice, elements):
 
 def interval_elements(lattice, lo, hi):
     return {x for x in range(lattice.size) if lattice.leq(lo, x) and lattice.leq(x, hi)}
+
+
+def slow_centralizer_slice(generator_ops, k, limit):
+    """All k-ary operations commuting with every generator, by constraint propagation.
+
+    Lists every commutation constraint up front, each as the argument cells
+    and the target cell of one generator application, and runs a recursive
+    depth-first search that fires a constraint once all its argument cells
+    are decided. Tables are sorted by values; LimitExceeded past the limit.
+    """
+    generator_ops = list(generator_ops)
+    size = generator_ops[0].size
+    ncells = size ** k
+    decoded = [decode_index(c, size, k) for c in range(ncells)]
+
+    constraints = []  # (source cells, target cell, generator)
+    for g in generator_ops:
+        for combo in product(range(ncells), repeat=g.arity):
+            target = 0
+            for i in range(k):
+                target = target * size + g(*(decoded[c][i] for c in combo))
+            constraints.append((combo, target, g))
+
+    by_source = [[] for _ in range(ncells)]
+    by_target = [[] for _ in range(ncells)]
+    for cid, (sources, target, _) in enumerate(constraints):
+        for c in sources:
+            by_source[c].append(cid)
+        by_target[target].append(cid)
+
+    values = [-1] * ncells
+    pending = [len(sources) for sources, _, _ in constraints]
+    trail = []
+    results = []
+
+    def do_assign(cell, v, queue):
+        values[cell] = v
+        trail.append(cell)
+        for cid in by_source[cell]:
+            pending[cid] -= 1
+            if pending[cid] == 0:
+                queue.append(cid)
+        for cid in by_target[cell]:
+            if pending[cid] == 0:
+                queue.append(cid)
+
+    def run_queue(queue):
+        while queue:
+            cid = queue.pop()
+            sources, target, g = constraints[cid]
+            forced = g(*(values[c] for c in sources))
+            if values[target] == -1:
+                do_assign(target, forced, queue)
+            elif values[target] != forced:
+                return False
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            cell = trail.pop()
+            values[cell] = -1
+            for cid in by_source[cell]:
+                pending[cid] += 1
+
+    def dfs(pos):
+        while pos < ncells and values[pos] != -1:
+            pos += 1
+        if pos == ncells:
+            if len(results) >= limit:
+                raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+            results.append(tuple(values))
+            return
+        for v in range(size):
+            mark = len(trail)
+            queue = []
+            do_assign(pos, v, queue)
+            if run_queue(queue):
+                dfs(pos + 1)
+            undo(mark)
+
+    dfs(0)
+    return [OpTable(k, size, vals) for vals in sorted(results)]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from latclone import cli
 from latclone.cli import main
 from latclone.formulas import eval_formula, parse_formula
 from latclone import catalog
@@ -196,6 +197,29 @@ def test_explicit_limit_beats_env(capsys, files, monkeypatch):
     monkeypatch.setenv("LATCLONE_LIMIT", "10")
     code, out, _ = run(capsys, ["clone", files["n5"], "-n", "3", "--limit", "200"])
     assert code == 0 and json.loads(out)["count"] == 99
+
+
+def test_centralizer_verb_defaults_to_the_centralizer_limit(capsys, files, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_CENTRALIZER_LIMIT", 9)
+    code, _, err = run(capsys, ["centralizer", files["c3"], "-k", "1",
+                                "--mode", "semilattice"])
+    assert code == 2 and "exceeds 9 tables" in err
+    code, out, _ = run(capsys, ["clone", files["n5"], "-n", "3"])
+    assert code == 0 and json.loads(out)["count"] == 99
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+def test_non_integer_indices_are_input_errors(capsys, files, tmp_path, bad):
+    relation = tmp_path / "bad_rel.json"
+    relation.write_text(json.dumps({"arity": 2, "tuples": [[0, 1], [bad, 0]]}),
+                        encoding="utf-8")
+    code, out, err = run(capsys, ["galois", files["b2"], "-T", str(relation)])
+    assert code == 1 and out == "" and "not an integer" in err
+    system = tmp_path / "bad_system.json"
+    system.write_text(json.dumps({"arity": 1, "pairs": [[[0, bad, 0, 0], [0, 1, 2, 3]]]}),
+                      encoding="utf-8")
+    code, out, err = run(capsys, ["solve", files["b2"], "--system", str(system)])
+    assert code == 1 and out == "" and "not an integer" in err
 
 
 def test_pretty_output(capsys, files):

@@ -3,10 +3,11 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from latclone import catalog, terms
-from latclone.errors import ArityMismatch, BadAssignment, BadIndex, LimitExceeded
+from latclone.errors import ArityMismatch, BadAssignment, BadIndex, BadSpec, LimitExceeded
 from latclone.operations import (
     OpTable,
     Relation,
@@ -25,11 +26,22 @@ from latclone.operations import (
     term_to_op,
 )
 
+from helpers import slow_centralizer_slice
+
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
 B2 = catalog.boolean_lattice(2)
 N5 = catalog.pentagon()
 M3 = catalog.diamond()
+
+# Every catalog structure with every mode it supports; B3's k=2 slices take
+# the oracle seconds to minutes, so B3 is cross-checked at k=1 only.
+CATALOG_MODES = [(name, structure, mode)
+                 for name, structure in [("C2", C2), ("C3", C3), ("C4", catalog.chain(4)),
+                                         ("B2", B2), ("B3", catalog.boolean_lattice(3)),
+                                         ("N5", N5), ("M3", M3), ("fence", catalog.fence())]
+                 for mode in ("lattice", "semilattice")
+                 if mode == "semilattice" or structure.kind == "lattice"]
 
 
 def random_op(rng, arity, size):
@@ -281,6 +293,75 @@ def test_centralizer_brute_force_cross_check():
     assert set(centralizer_slice([meet], 2)) == expected
 
 
+def _same_as_oracle(gens, k, limit=100_000):
+    try:
+        expected = [f.values for f in slow_centralizer_slice(gens, k, limit)]
+    except LimitExceeded:
+        with pytest.raises(LimitExceeded):
+            centralizer_slice(gens, k, limit=limit)
+        return
+    assert [f.values for f in centralizer_slice(gens, k, limit=limit)] == expected
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_centralizer_matches_oracle_on_catalog(name, structure, mode):
+    for k in ((1,) if name == "B3" else (1, 2)):
+        _same_as_oracle(generators(structure, mode), k)
+
+
+def test_centralizer_matches_oracle_on_b2_ternary():
+    _same_as_oracle(generators(B2, "lattice"), 3)
+
+
+def test_centralizer_matches_oracle_for_unary_and_ternary_generators():
+    xs = ["x1", "x2", "x3"]
+    x1, x2, x3 = (terms.Var(x) for x in xs)
+    median = term_to_op(terms.Join(terms.Join(terms.Meet(x1, x2), terms.Meet(x1, x3)),
+                                   terms.Meet(x2, x3)), xs, C3)
+    # x1 /\ (x2 \/ x3) is not symmetric, so every position of the new cell is walked
+    lopsided = term_to_op(terms.Meet(x1, terms.Join(x2, x3)), xs, C3)
+    complement = OpTable(1, 4, (3, 2, 1, 0))
+    for gens, k in [([median], 1), ([median], 2), ([lopsided], 2),
+                    ([complement], 1), ([complement], 2), ([complement, meet_op(B2)], 2)]:
+        _same_as_oracle(gens, k)
+
+
+def test_centralizer_matches_oracle_for_non_idempotent_generators():
+    # addition and subtraction mod 3 are not idempotent, so the tuples that
+    # repeat the new cell carry constraints of their own
+    add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
+    sub = OpTable(2, 3, [(x - y) % 3 for x in range(3) for y in range(3)])
+    for gens in ([add], [sub]):
+        for k in (1, 2):
+            _same_as_oracle(gens, k)
+    assert len(centralizer_slice([add], 2)) == 9  # the maps x -> a*x1 + b*x2
+
+
+def test_centralizer_matches_oracle_on_random_generators():
+    rng = random.Random(41)
+    for _ in range(40):
+        size = rng.choice([2, 3])
+        arities = rng.choice([[1], [2], [3], [1, 2], [2, 2], [3, 2]])
+        gens = [random_op(rng, m, size) for m in arities]
+        k = 1 if size == 3 and 3 in arities else rng.choice([1, 2])
+        _same_as_oracle(gens, k, limit=2000)
+
+
+def test_centralizer_limit_boundary():
+    for structure, mode, k in [(C3, "lattice", 2), (N5, "lattice", 2), (M3, "semilattice", 1)]:
+        gens = generators(structure, mode)
+        count = len(centralizer_slice(gens, k))
+        assert len(centralizer_slice(gens, k, limit=count)) == count
+        with pytest.raises(LimitExceeded):
+            centralizer_slice(gens, k, limit=count - 1)
+
+
+def test_centralizer_refuses_c6_ternary_at_limit_ten():
+    with pytest.raises(LimitExceeded, match="exceeds 10 tables"):
+        centralizer_slice(generators(catalog.chain(6), "lattice"), 3, limit=10)
+
+
 def test_closure_under_projections_adds_nothing():
     T = Relation(2, 2, [(0, 1)])
     assert closure_under(T, [projection(2, 1, 2), projection(2, 2, 2)]) == T
@@ -308,3 +389,21 @@ def test_optable_call_and_encoding():
     assert f.index((2, 1)) == 7  # last argument fastest
     with pytest.raises(ArityMismatch):
         f(1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, 1.0, "1"])
+def test_optable_rejects_non_integer_values(bad):
+    with pytest.raises(BadSpec):
+        OpTable(1, 2, (0, bad))
+
+
+@pytest.mark.parametrize("bad", [(False, 0), (0.5, 0), (1.0, 0), ("1", 0), "01"])
+def test_relation_rejects_non_integer_entries(bad):
+    with pytest.raises(BadSpec):
+        Relation(2, 2, [(0, 1), bad])
+
+
+def test_numpy_integers_are_accepted_as_indices():
+    assert OpTable(1, 2, np.array([1, 0])).values == (1, 0)
+    assert Relation(2, 2, np.array([[0, 1]])).tuples == ((0, 1),)
+    assert all(type(v) is int for v in OpTable(1, 2, np.array([1, 0])).values)
