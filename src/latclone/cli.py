@@ -18,6 +18,7 @@ from .equations import EquationSystem, equations_of, solve
 from .errors import BadSpec, LatcloneError, Refusal
 from .formulas import eval_formula, parse_formula
 from .lattice import (
+    as_indices,
     construct,
     cover_pairs,
     forbidden_sublattice,
@@ -71,7 +72,7 @@ def load_relation(path, structure):
     data = _load_json(path)
     if not isinstance(data, dict) or "arity" not in data or "tuples" not in data:
         raise BadSpec(f"{path} must be an object with 'arity' and 'tuples'")
-    return Relation(int(data["arity"]), structure.size, data["tuples"])
+    return Relation(as_indices([data["arity"]], "arity")[0], structure.size, data["tuples"])
 
 
 def relation_json(relation):
@@ -182,10 +183,10 @@ def _system_from_args(structure, args):
         if args.expr is not None or args.file is not None:
             raise BadSpec("give the system as formulas or as raw tables, not both")
         data = _load_json(args.system)
-        pairs = [(OpTable(int(data["arity"]), structure.size, lhs),
-                  OpTable(int(data["arity"]), structure.size, rhs))
+        arity = as_indices([data["arity"]], "arity")[0]
+        pairs = [(OpTable(arity, structure.size, lhs), OpTable(arity, structure.size, rhs))
                  for lhs, rhs in data["pairs"]]
-        return EquationSystem(int(data["arity"]), structure.size, pairs)
+        return EquationSystem(arity, structure.size, pairs)
     mode = _structure_mode(structure, args)
     phi = parse_formula(_read_formula_text(args), mode=mode)
     if phi.bound_vars:

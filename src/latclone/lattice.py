@@ -13,6 +13,7 @@ failure raises instead of repairing silently.
 import warnings
 from functools import reduce
 from itertools import combinations
+from numbers import Integral
 
 from .errors import (
     AxiomViolation,
@@ -38,6 +39,17 @@ def _normalize_names(names):
     return names
 
 
+def as_indices(values, what):
+    """The values as a tuple of ints; only int and numpy integer values are indices."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise BadSpec(f"{what} {v!r} is not an integer")
+    return tuple(int(v) for v in values)
+
+
 def _normalize_table(table, size, what):
     if len(table) != size:
         raise BadSpec(f"{what} table must have {size} rows")
@@ -45,7 +57,7 @@ def _normalize_table(table, size, what):
     for row in table:
         if len(row) != size:
             raise BadSpec(f"{what} table must have {size} columns per row")
-        row = tuple(int(v) for v in row)
+        row = as_indices(row, f"{what} table entry")
         if any(v < 0 or v >= size for v in row):
             raise BadSpec(f"{what} table entry out of range")
         rows.append(row)
@@ -144,9 +156,9 @@ def _order_from_covers(names, covers):
     for pair in covers:
         if len(pair) != 2:
             raise BadSpec(f"cover entry {pair!r} is not a pair")
-        lo, hi = pair
-        lo = lo if isinstance(lo, int) else names.index(str(lo)) if str(lo) in names else -1
-        hi = hi if isinstance(hi, int) else names.index(str(hi)) if str(hi) in names else -1
+        # a string is an element label; anything else must be an index
+        lo, hi = as_indices([names.index(v) if v in names else -1 if isinstance(v, str) else v
+                             for v in pair], "cover entry")
         if not (0 <= lo < size and 0 <= hi < size):
             raise BadSpec(f"cover entry {pair!r} names an unknown element")
         if lo == hi:

@@ -18,6 +18,7 @@ from .errors import (
     BadSpec,
     LimitExceeded,
 )
+from .lattice import as_indices
 
 DEFAULT_CLONE_LIMIT = 100_000
 DEFAULT_CENTRALIZER_LIMIT = 100_000
@@ -42,17 +43,6 @@ def decode_index(idx, size, arity):
     return tuple(reversed(out))
 
 
-def _indices(values, what):
-    """The values as a tuple of ints; only int and numpy integer values are indices."""
-    values = tuple(values)
-    if all(type(v) is int for v in values):
-        return values
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise BadSpec(f"{what} {v!r} is not an integer")
-    return tuple(int(v) for v in values)
-
-
 class OpTable:
     """An operation {0..size-1}^arity -> {0..size-1} as an explicit table."""
 
@@ -63,10 +53,10 @@ class OpTable:
             raise BadSpec("carrier must be nonempty")
         self.arity = arity
         self.size = size
-        self.values = _indices(values, "value table entry")
+        self.values = as_indices(values, "value table entry")
         if len(self.values) != size ** arity:
             raise BadSpec(f"value table must have {size ** arity} entries")
-        if any(v < 0 or v >= size for v in self.values):
+        if min(self.values) < 0 or max(self.values) >= size:
             raise BadSpec("value table entry out of range")
         self.provenance = provenance
         self._array = None
@@ -112,7 +102,7 @@ class Relation:
         self.size = size
         normalized = set()
         for t in tuples:
-            t = _indices(t, "tuple entry")
+            t = as_indices(t, "tuple entry")
             if len(t) != arity:
                 raise BadSpec(f"tuple {t!r} does not have arity {arity}")
             if any(v < 0 or v >= size for v in t):
@@ -218,12 +208,13 @@ def _positional_vars(op):
     return {f"x{i}" for i in range(1, op.arity + 1)}
 
 
-def _composed_provenance(f, gs):
-    if f.provenance is None or any(g.provenance is None for g in gs):
+def _composed_provenance(f, inner):
+    """The term of f applied to the inner terms, or None if any term is missing."""
+    if f.provenance is None or any(p is None for p in inner):
         return None
     if not terms.variables(f.provenance) <= _positional_vars(f):
         return None
-    mapping = {f"x{i + 1}": g.provenance for i, g in enumerate(gs)}
+    mapping = {f"x{i + 1}": p for i, p in enumerate(inner)}
     return terms.substitute(f.provenance, mapping)
 
 
@@ -241,7 +232,8 @@ def compose(f, gs) -> OpTable:
     for g in gs:
         idx = idx * f.size + g.array()
     values = f.array()[idx]
-    return OpTable(k, f.size, values.tolist(), provenance=_composed_provenance(f, gs))
+    return OpTable(k, f.size, values.tolist(),
+                   provenance=_composed_provenance(f, [g.provenance for g in gs]))
 
 
 def pad_and_identify(f, arity, assignment) -> OpTable:
@@ -333,18 +325,31 @@ def preserves(f, relation):
     return True, None
 
 
-def _apply_binary(op_array, size, left_vec, right_rows):
-    return op_array[left_vec[None, :] * size + right_rows]
-
-
 _SLICE_MEMO = {}
+
+
+def _is_symmetric(g):
+    """Does g take the same value on every reordering of its arguments?"""
+    table = g.array().reshape((g.size,) * g.arity)
+    return all(np.array_equal(table, np.swapaxes(table, i, i + 1))
+               for i in range(g.arity - 1))
+
+
+def _tuples_with(pos, m, symmetric):
+    """The m-tuples over 0..pos containing pos, in lexicographic order; for a
+    symmetric generator only the nondecreasing ones, which come first among
+    their reorderings and give the same tables."""
+    if symmetric:
+        return [c + (pos,) for c in combinations_with_replacement(range(pos + 1), m - 1)]
+    return [c for c in product(range(pos + 1), repeat=m) if pos in c]
 
 
 def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The n-ary part of the clone generated by the given operations.
 
-    Closure of the n projections under composition with the generators,
-    iterated to a fixpoint with canonical deduplication by value table.
+    Starts from the n projections; at the table with index pos, each m-ary
+    generator meets the m-tuples of tables 0..pos that contain pos, and each
+    new table is appended with its provenance term, up to a fixpoint.
     Returns tables sorted by values; raises LimitExceeded when the slice
     would grow past the limit. Results are memoised: the computation is a
     pure function of the generator tables.
@@ -363,53 +368,43 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     if cached is not None:
         return list(cached)
 
-    rows = []
+    rows = np.empty((max(n, 16), size ** n), dtype=np.int64)  # doubles when full
     provs = []
-    seen = {}
+    seen = set()
 
-    def add(vec, prov):
+    def add(vec):
+        """Copy vec into rows if it is a new table; True if it was."""
+        nonlocal rows
         key = vec.tobytes()
         if key in seen:
-            return None
-        if len(rows) >= limit:
+            return False
+        count = len(seen)
+        if count >= limit:
             raise LimitExceeded(f"clone slice exceeds {limit} tables")
-        seen[key] = len(rows)
-        rows.append(vec)
-        provs.append(prov)
-        return len(rows) - 1
+        if count == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        rows[count] = vec
+        seen.add(key)
+        return True
 
-    for i in range(n):
-        col = argument_columns(size, n)[i].astype(np.int64)
-        add(col, terms.Var(f"x{i + 1}"))
+    # candidates are compared by their bytes in the narrowest type that holds a value
+    narrow = np.min_scalar_type(size - 1)
+    for i, col in enumerate(np.array(argument_columns(size, n), dtype=narrow)):
+        if add(col):
+            provs.append(terms.Var(f"x{i + 1}"))
 
+    walks = [(g, g.array().astype(narrow), _is_symmetric(g)) for g in generator_ops]
     pos = 0
-    while pos < len(rows):
-        vec = rows[pos]
-        partners = np.stack(rows[:pos + 1])
-        for g in generator_ops:
-            if g.arity == 1:
-                out = g.array()[vec]
-                add(out, _composed_provenance(g, [_Stub(provs[pos])]))
-            elif g.arity == 2:
-                for flip in (False, True):
-                    if flip:
-                        block = _apply_binary(g.array(), size, vec, partners)
-                    else:
-                        block = g.array()[partners * size + vec[None, :]]
-                    for j in range(block.shape[0]):
-                        if flip:
-                            inner = [_Stub(provs[pos]), _Stub(provs[j])]
-                        else:
-                            inner = [_Stub(provs[j]), _Stub(provs[pos])]
-                        add(block[j], _composed_provenance(g, inner))
-            else:
-                for combo in product(range(pos + 1), repeat=g.arity):
-                    if pos not in combo:
-                        continue
-                    idx = np.zeros(size ** n, dtype=np.int64)
-                    for c in combo:
-                        idx = idx * size + rows[c]
-                    add(g.array()[idx], _composed_provenance(g, [_Stub(provs[c]) for c in combo]))
+    while pos < len(provs):
+        for g, values, symmetric in walks:
+            combos = _tuples_with(pos, g.arity, symmetric)
+            idx = rows[[c[0] for c in combos]]
+            for i in range(1, g.arity):
+                idx *= size
+                idx += rows[[c[i] for c in combos]]
+            for combo, vec in zip(combos, values[idx]):
+                if add(vec):
+                    provs.append(_composed_provenance(g, [provs[c] for c in combo]))
         pos += 1
 
     tables = [OpTable(n, size, vec.tolist(), provenance=prov)
@@ -419,13 +414,6 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         _SLICE_MEMO.clear()
     _SLICE_MEMO[memo_key] = tuple(tables)
     return tables
-
-
-class _Stub:
-    """Carries a provenance term through _composed_provenance."""
-
-    def __init__(self, provenance):
-        self.provenance = provenance
 
 
 def _target_tables(generator_ops, size, k):
@@ -446,15 +434,13 @@ def _target_tables(generator_ops, size, k):
     for g in generator_ops:
         m, flat = g.arity, g.array()
         table = flat.reshape((size,) * m)
-        symmetric = all(np.array_equal(table, np.swapaxes(table, i, i + 1))
-                        for i in range(m - 1))
         target = 0
         for col in cols:
             idx = 0
             for j in range(m):
                 idx = idx * size + col.reshape([ncells if i == j else 1 for i in range(m)])
             target = target * size + flat[idx]
-        compiled.append((m, 1 if symmetric else m, cell_ints[target].tolist(),
+        compiled.append((m, 1 if _is_symmetric(g) else m, cell_ints[target].tolist(),
                          table.tolist()))
     return compiled
 

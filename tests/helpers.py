@@ -7,9 +7,11 @@ are checked against code that shares none of their machinery.
 
 from itertools import product
 
+import numpy as np
+
 from latclone import terms
 from latclone.errors import LimitExceeded
-from latclone.operations import OpTable, Relation, decode_index
+from latclone.operations import OpTable, Relation, argument_columns, decode_index
 
 
 def slow_eval_formula(phi, algebra):
@@ -154,3 +156,63 @@ def slow_centralizer_slice(generator_ops, k, limit):
 
     dfs(0)
     return [OpTable(k, size, vals) for vals in sorted(results)]
+
+
+def _applied(g, inner):
+    """The term of g applied to the inner terms, or None if any term is missing."""
+    if g.provenance is None or any(p is None for p in inner):
+        return None
+    if not terms.variables(g.provenance) <= {f"x{i}" for i in range(1, g.arity + 1)}:
+        return None
+    return terms.substitute(g.provenance, {f"x{i + 1}": p for i, p in enumerate(inner)})
+
+
+def slow_clone_slice(generator_ops, n, limit):
+    """The n-ary clone slice by a fixpoint with one code path per generator arity.
+
+    Starts from the n projections; at the table with index pos, applies a
+    unary generator to it, a binary one to (t, pos) and then (pos, t) for
+    every earlier-or-equal table t, and an m-ary one to every m-tuple over
+    0..pos containing pos. A table keeps the provenance of its first
+    discovery. Tables are sorted by values; LimitExceeded past the limit.
+    """
+    generator_ops = list(generator_ops)
+    size = generator_ops[0].size
+    rows, provs, seen = [], [], set()
+
+    def add(vec, prov):
+        key = vec.tobytes()
+        if key in seen:
+            return
+        if len(rows) >= limit:
+            raise LimitExceeded(f"clone slice exceeds {limit} tables")
+        seen.add(key)
+        rows.append(vec)
+        provs.append(prov)
+
+    for i, col in enumerate(argument_columns(size, n)):
+        add(col.astype(np.int64), terms.Var(f"x{i + 1}"))
+
+    pos = 0
+    while pos < len(rows):
+        vec = rows[pos]
+        for g in generator_ops:
+            if g.arity == 1:
+                add(g.array()[vec], _applied(g, [provs[pos]]))
+            elif g.arity == 2:
+                for j in range(pos + 1):
+                    add(g.array()[rows[j] * size + vec], _applied(g, [provs[j], provs[pos]]))
+                for j in range(pos + 1):
+                    add(g.array()[vec * size + rows[j]], _applied(g, [provs[pos], provs[j]]))
+            else:
+                for combo in product(range(pos + 1), repeat=g.arity):
+                    if pos not in combo:
+                        continue
+                    idx = np.zeros(size ** n, dtype=np.int64)
+                    for c in combo:
+                        idx = idx * size + rows[c]
+                    add(g.array()[idx], _applied(g, [provs[c] for c in combo]))
+        pos += 1
+
+    tables = [OpTable(n, size, vec.tolist(), provenance=prov) for vec, prov in zip(rows, provs)]
+    return sorted(tables, key=lambda t: t.values)

@@ -220,6 +220,19 @@ def test_non_integer_indices_are_input_errors(capsys, files, tmp_path, bad):
                       encoding="utf-8")
     code, out, err = run(capsys, ["solve", files["b2"], "--system", str(system)])
     assert code == 1 and out == "" and "not an integer" in err
+    # the arity of a relation or system file, and the entries of a structure file
+    relation.write_text(json.dumps({"arity": bad, "tuples": [[1]]}), encoding="utf-8")
+    code, out, err = run(capsys, ["galois", files["c3"], "-T", str(relation)])
+    assert code == 1 and out == "" and "arity" in err and "not an integer" in err
+    system.write_text(json.dumps({"arity": bad, "pairs": [[[0, 1, 2], [0, 1, 1]]]}),
+                      encoding="utf-8")
+    code, out, err = run(capsys, ["solve", files["c3"], "--system", str(system)])
+    assert code == 1 and out == "" and "arity" in err and "not an integer" in err
+    structure = tmp_path / "bad_structure.json"
+    structure.write_text(json.dumps({"elements": ["0", "1"], "meet": [[0, 0], [0, bad]]}),
+                         encoding="utf-8")
+    code, out, err = run(capsys, ["check", str(structure)])
+    assert code == 1 and out == "" and "not an integer" in err
 
 
 def test_pretty_output(capsys, files):

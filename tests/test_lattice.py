@@ -89,6 +89,26 @@ def test_bad_specs():
         from_covers(["a", "b"], [(0, 5)])
 
 
+@pytest.mark.parametrize("bad", [True, "1", 1.2, 1.0])
+def test_meet_table_entries_must_be_integers(bad):
+    with pytest.raises(BadSpec, match="not an integer"):
+        from_meet_table(["0", "1"], [[0, 0], [0, bad]], kind="semilattice")
+    with pytest.raises(BadSpec, match="not an integer"):
+        construct(["0", "1"], meet=[[0, 0], [0, bad]])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None])
+def test_cover_entries_must_be_labels_or_integers(bad):
+    with pytest.raises(BadSpec, match="not an integer"):
+        from_covers(["0", "1"], [(0, bad)])
+
+
+def test_cover_entries_may_mix_labels_and_indices():
+    assert from_covers(["0", "m", "1"], [("0", 1), (1, "1")]).meet == catalog.chain(3).meet
+    with pytest.raises(BadSpec, match="unknown element"):
+        from_covers(["0", "1"], [("0", "2")])
+
+
 def test_axiom_violations_are_rejected():
     with pytest.raises(AxiomViolation):
         from_meet_table(["0", "1"], [[0, 1], [0, 1]], kind="semilattice")

@@ -26,7 +26,7 @@ from latclone.operations import (
     term_to_op,
 )
 
-from helpers import slow_centralizer_slice
+from helpers import slow_centralizer_slice, slow_clone_slice
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -34,8 +34,8 @@ B2 = catalog.boolean_lattice(2)
 N5 = catalog.pentagon()
 M3 = catalog.diamond()
 
-# Every catalog structure with every mode it supports; B3's k=2 slices take
-# the oracle seconds to minutes, so B3 is cross-checked at k=1 only.
+# Every catalog structure with every mode it supports; B3's k=2 centralizer
+# slices take the oracle seconds to minutes, so B3 is cross-checked at k=1 only.
 CATALOG_MODES = [(name, structure, mode)
                  for name, structure in [("C2", C2), ("C3", C3), ("C4", catalog.chain(4)),
                                          ("B2", B2), ("B3", catalog.boolean_lattice(3)),
@@ -241,6 +241,71 @@ def test_clone_slice_is_closed_under_generators():
     for g in generators(B2, "lattice"):
         for f1, f2 in product(ops, repeat=2):
             assert compose(g, [f1, f2]) in members
+
+
+def _rendered(ops):
+    return [(f.values, None if f.provenance is None else terms.render(f.provenance))
+            for f in ops]
+
+
+def _same_clone_as_oracle(gens, n, limit=100_000):
+    """Same tables, same rendered provenance and same refusal as the seed fixpoint."""
+    try:
+        expected = _rendered(slow_clone_slice(gens, n, limit))
+    except LimitExceeded:
+        with pytest.raises(LimitExceeded, match=f"exceeds {limit} tables"):
+            clone_slice(gens, n, limit=limit)
+        return
+    assert _rendered(clone_slice(gens, n, limit=limit)) == expected
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_clone_slice_matches_oracle_on_catalog(name, structure, mode):
+    for n in (1, 2, 3):
+        _same_clone_as_oracle(generators(structure, mode), n)
+
+
+def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generators():
+    xs = ["x1", "x2", "x3"]
+    x1, x2, x3 = (terms.Var(x) for x in xs)
+    median = term_to_op(terms.Join(terms.Join(terms.Meet(x1, x2), terms.Meet(x1, x3)),
+                                   terms.Meet(x2, x3)), xs, C3)
+    # x1 /\ (x2 \/ x3) is not symmetric, so every tuple containing the new table is walked
+    lopsided = term_to_op(terms.Meet(x1, terms.Join(x2, x3)), xs, C3)
+    complement = OpTable(1, 4, (3, 2, 1, 0))
+    # addition and subtraction mod 3 are not idempotent, and subtraction is not
+    # symmetric; the symmetric ternary sum catches a walk that skips tuples
+    # repeating an earlier table
+    add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
+    sub = OpTable(2, 3, [(x - y) % 3 for x in range(3) for y in range(3)])
+    add3 = OpTable(3, 3, [sum(t) % 3 for t in product(range(3), repeat=3)])
+    for gens in ([median], [lopsided], [median, lopsided], [meet_op(B2), complement],
+                 [add], [sub], [add, sub], [add3]):
+        for n in (1, 2, 3):
+            _same_clone_as_oracle(gens, n)
+    assert len(clone_slice([meet_op(B2), complement], 2)) == 16  # all Boolean functions
+    assert len(clone_slice([add], 2)) == 9  # the maps a*x1 + b*x2
+
+
+def test_clone_slice_matches_oracle_on_random_generators():
+    rng = random.Random(43)
+    for _ in range(40):
+        size = rng.choice([2, 3])
+        arities = rng.choice([[1], [2], [3], [1, 2], [2, 2], [3, 2], [1, 3]])
+        gens = [random_op(rng, m, size) for m in arities]
+        n = rng.choice([1, 2, 3] if size == 2 else [1, 2])
+        _same_clone_as_oracle(gens, n, limit=60)
+
+
+def test_clone_slice_limit_boundary():
+    for structure, mode, n in [(C3, "lattice", 3), (N5, "lattice", 3), (M3, "semilattice", 3),
+                               (B2, "lattice", 2)]:
+        gens = generators(structure, mode)
+        count = len(clone_slice(gens, n))
+        assert len(clone_slice(gens, n, limit=count)) == count
+        with pytest.raises(LimitExceeded, match=f"exceeds {count - 1} tables"):
+            clone_slice(gens, n, limit=count - 1)
 
 
 def test_centralizer_unary_on_two_elements():
