@@ -70,8 +70,8 @@ def load_structure(path):
 
 def load_relation(path, structure):
     data = _load_json(path)
-    if not isinstance(data, dict) or "arity" not in data or "tuples" not in data:
-        raise BadSpec(f"{path} must be an object with 'arity' and 'tuples'")
+    if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("tuples"), list)):
+        raise BadSpec(f"{path} must be an object with 'arity' and a 'tuples' list")
     return Relation(as_indices([data["arity"]], "arity")[0], structure.size, data["tuples"])
 
 
@@ -183,7 +183,11 @@ def _system_from_args(structure, args):
         if args.expr is not None or args.file is not None:
             raise BadSpec("give the system as formulas or as raw tables, not both")
         data = _load_json(args.system)
+        if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("pairs"), list)):
+            raise BadSpec(f"{args.system} must be an object with 'arity' and a 'pairs' list")
         arity = as_indices([data["arity"]], "arity")[0]
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
+            raise BadSpec(f"each entry of 'pairs' in {args.system} must be a pair of tables")
         pairs = [(OpTable(arity, structure.size, lhs), OpTable(arity, structure.size, rhs))
                  for lhs, rhs in data["pairs"]]
         return EquationSystem(arity, structure.size, pairs)

@@ -13,10 +13,9 @@ import numpy as np
 from .errors import ArityMismatch, BadSpec, LimitExceeded
 from .operations import (
     DEFAULT_CLONE_LIMIT,
-    OpTable,
     Relation,
     clone_slice,
-    decode_index,
+    relation_from_mask,
     term_to_op,
 )
 
@@ -54,16 +53,19 @@ class EquationSystem:
         return f"EquationSystem({self.arity}-ary, {len(self.pairs)} equations)"
 
 
+def _solutions(system) -> Relation:
+    """The grid points at which both sides of every equation agree."""
+    mask = np.ones(system.size ** system.arity, dtype=bool)
+    for f, g in system.pairs:
+        mask &= f.array() == g.array()
+    return relation_from_mask(mask, system.arity, system.size)
+
+
 def solve(system, algebra) -> Relation:
     """All tuples satisfying every equation of the system."""
     if algebra.size != system.size:
         raise BadSpec("system and algebra carriers differ")
-    n, size = system.arity, system.size
-    mask = np.ones(size ** n, dtype=bool)
-    for f, g in system.pairs:
-        mask &= f.array() == g.array()
-    hits = np.nonzero(mask)[0]
-    return Relation(n, size, [decode_index(int(i), size, n) for i in hits])
+    return _solutions(system)
 
 
 class EqTheory:
@@ -99,16 +101,7 @@ class EqTheory:
 
     def closure(self) -> Relation:
         """Tuples at which every block is constant: the solution set of the theory."""
-        mask = np.ones(self.size ** self.arity, dtype=bool)
-        for block in self.blocks:
-            if len(block) < 2:
-                continue
-            first = self.ops[block[0]].array()
-            for other in block[1:]:
-                mask &= first == self.ops[other].array()
-        hits = np.nonzero(mask)[0]
-        return Relation(self.arity, self.size,
-                        [decode_index(int(i), self.size, self.arity) for i in hits])
+        return _solutions(self.induced_system())
 
     def __repr__(self):
         sizes = sorted((len(b) for b in self.blocks), reverse=True)

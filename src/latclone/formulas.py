@@ -27,7 +27,7 @@ from .errors import (
     JoinInSemilatticeMode,
     UnknownVariable,
 )
-from .operations import Relation, argument_columns, decode_index
+from .operations import Relation, argument_columns, relation_from_mask, term_evaluator
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>/\\|\\/|<=|=|&|\.|\(|\)))")
@@ -221,47 +221,25 @@ def parse_formula(text, mode="lattice", variables=None) -> PPFormula:
     return PPFormula(free_vars=free, bound_vars=bound, atoms=atoms)
 
 
-def _flat_tables(algebra):
-    flat_meet = np.array(algebra.meet, dtype=np.int64).reshape(-1)
-    flat_join = None
-    if algebra.kind == "lattice":
-        flat_join = np.array(algebra.join, dtype=np.int64).reshape(-1)
-    return flat_meet, flat_join
-
-
-def _term_columns(term, env, flat_meet, flat_join, size):
-    if isinstance(term, terms.Var):
-        return env[term.name]
-    a = _term_columns(term.left, env, flat_meet, flat_join, size)
-    b = _term_columns(term.right, env, flat_meet, flat_join, size)
-    if isinstance(term, terms.Meet):
-        return flat_meet[a * size + b]
-    if flat_join is None:
-        raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
-    return flat_join[a * size + b]
-
-
 def eval_formula(phi, algebra) -> Relation:
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
-    searched existentially over the whole carrier.
+    searched existentially over the whole carrier. Atoms are tabulated and
+    folded into the mask one at a time, so only one atom's columns over the
+    grid are alive at once.
     """
     size = algebra.size
     n = len(phi.free_vars)
     m = len(phi.bound_vars)
-    cols = argument_columns(size, n + m)
-    env = dict(zip(phi.free_vars + phi.bound_vars, cols))
-    flat_meet, flat_join = _flat_tables(algebra)
+    env = dict(zip(phi.free_vars + phi.bound_vars, argument_columns(size, n + m)))
+    ev = term_evaluator(algebra)
     mask = np.ones(size ** (n + m), dtype=bool)
     for lhs, rhs in phi.atoms:
-        left = _term_columns(lhs, env, flat_meet, flat_join, size)
-        right = _term_columns(rhs, env, flat_meet, flat_join, size)
-        mask &= left == right
+        mask &= ev(lhs, env) == ev(rhs, env)
     if m:
         mask = mask.reshape(size ** n, size ** m).any(axis=1)
-    hits = np.nonzero(mask)[0]
-    return Relation(n, size, [decode_index(int(i), size, n) for i in hits])
+    return relation_from_mask(mask, n, size)
 
 
 _FREE_POOL = ("x", "y", "z")

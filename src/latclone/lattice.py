@@ -41,7 +41,10 @@ def _normalize_names(names):
 
 def as_indices(values, what):
     """The values as a tuple of ints; only int and numpy integer values are indices."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise BadSpec(f"expected a list of {what} values, got {values!r}") from None
     if set(map(type, values)) <= {int}:
         return values
     for v in values:
@@ -154,7 +157,7 @@ def _order_from_covers(names, covers):
     size = len(names)
     leq = [[i == j for j in range(size)] for i in range(size)]
     for pair in covers:
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise BadSpec(f"cover entry {pair!r} is not a pair")
         # a string is an element label; anything else must be an index
         lo, hi = as_indices([names.index(v) if v in names else -1 if isinstance(v, str) else v

@@ -16,6 +16,7 @@ from .errors import (
     BadAssignment,
     BadIndex,
     BadSpec,
+    JoinInSemilatticeMode,
     LimitExceeded,
 )
 from .lattice import as_indices
@@ -140,49 +141,55 @@ class Relation:
         return f"Relation({self.arity}-ary on {self.size}, {len(self.tuples)} tuples)"
 
 
+def relation_from_mask(mask, arity, size) -> Relation:
+    """The tuples of the grid {0..size-1}^arity at which the mask holds."""
+    return Relation(arity, size, [decode_index(int(i), size, arity)
+                                  for i in np.nonzero(mask)[0]])
+
+
+def term_evaluator(algebra):
+    """ev(term, env): the term's values over the int arrays env assigns to its variables.
+
+    The flat meet table, and the join table over a lattice, are built once
+    per evaluator; a join over a meet-semilattice raises JoinInSemilatticeMode.
+    """
+    size = algebra.size
+    flat_meet = np.array(algebra.meet, dtype=np.int64).reshape(-1)
+    flat_join = None
+    if algebra.kind == "lattice":
+        flat_join = np.array(algebra.join, dtype=np.int64).reshape(-1)
+
+    def ev(term, env):
+        if isinstance(term, terms.Var):
+            return env[term.name]
+        a, b = ev(term.left, env), ev(term.right, env)
+        if isinstance(term, terms.Meet):
+            return flat_meet[a * size + b]
+        if flat_join is None:
+            raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+        return flat_join[a * size + b]
+
+    return ev
+
+
 def term_to_op(term, var_order, algebra) -> OpTable:
     """Tabulate a term over all assignments to the given variable order."""
     var_order = tuple(var_order)
     missing = terms.variables(term) - set(var_order)
     if missing:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")
-    size = algebra.size
-    cols = argument_columns(size, len(var_order))
-    env = dict(zip(var_order, cols))
-    flat_meet = np.array(algebra.meet, dtype=np.int64).reshape(-1)
-    flat_join = None
-    if algebra.kind == "lattice":
-        flat_join = np.array(algebra.join, dtype=np.int64).reshape(-1)
-
-    def ev(t):
-        if isinstance(t, terms.Var):
-            return env[t.name]
-        a, b = ev(t.left), ev(t.right)
-        if isinstance(t, terms.Meet):
-            return flat_meet[a * size + b]
-        if flat_join is None:
-            raise BadSpec("join term tabulated over a meet-semilattice")
-        return flat_join[a * size + b]
-
-    values = ev(term)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    else:  # a bare variable over a 1-element order still yields an array; guard anyway
-        values = [int(values)] * (size ** len(var_order))
-    return OpTable(len(var_order), size, values, provenance=term)
+    env = dict(zip(var_order, argument_columns(algebra.size, len(var_order))))
+    values = term_evaluator(algebra)(term, env)
+    return OpTable(len(var_order), algebra.size, values.tolist(), provenance=term)
 
 
 def meet_op(algebra) -> OpTable:
     """The meet of the structure as a binary table with term provenance."""
-    size = algebra.size
-    values = [algebra.meet[a][b] for a in range(size) for b in range(size)]
-    return OpTable(2, size, values, provenance=terms.Meet(terms.Var("x1"), terms.Var("x2")))
+    return term_to_op(terms.Meet(terms.Var("x1"), terms.Var("x2")), ("x1", "x2"), algebra)
 
 
 def join_op(lattice) -> OpTable:
-    size = lattice.size
-    values = [lattice.join[a][b] for a in range(size) for b in range(size)]
-    return OpTable(2, size, values, provenance=terms.Join(terms.Var("x1"), terms.Var("x2")))
+    return term_to_op(terms.Join(terms.Var("x1"), terms.Var("x2")), ("x1", "x2"), lattice)
 
 
 def generators(structure, mode) -> list:
@@ -248,16 +255,7 @@ def pad_and_identify(f, arity, assignment) -> OpTable:
         raise BadAssignment(f"assignment must cover all {f.arity} positions")
     if any(z < 1 or z > arity for z in assignment):
         raise BadAssignment(f"assignment targets outside 1..{arity}")
-    cols = argument_columns(f.size, arity)
-    idx = np.zeros(f.size ** arity, dtype=np.int64)
-    for z in assignment:
-        idx = idx * f.size + cols[z - 1]
-    values = f.array()[idx]
-    provenance = None
-    if f.provenance is not None and terms.variables(f.provenance) <= _positional_vars(f):
-        mapping = {f"x{i + 1}": terms.Var(f"x{z}") for i, z in enumerate(assignment)}
-        provenance = terms.substitute(f.provenance, mapping)
-    return OpTable(arity, f.size, values.tolist(), provenance=provenance)
+    return compose(f, [projection(arity, z, f.size) for z in assignment])
 
 
 def graph(f) -> Relation:

@@ -212,7 +212,7 @@ def _eliminate_one_boolean(items, u):
         else:
             intervals.append(Interval(Bound(MEET_COMP, item.meet_vars, item.join_vars - {u}),
                                       Bound(ONE)))
-    return survivors + helly_condition(intervals), intervals
+    return survivors + helly_condition(intervals)
 
 
 def _eliminate_one_semilattice(items, u):
@@ -230,7 +230,7 @@ def _eliminate_one_semilattice(items, u):
                                       Bound(COMP_JOIN, item.meet_vars - {u}, item.join_vars)))
         else:
             survivors.append(item)
-    return survivors + helly_condition(intervals), intervals
+    return survivors + helly_condition(intervals)
 
 
 def _eliminate(phi, mode):
@@ -242,9 +242,9 @@ def _eliminate(phi, mode):
             continue
         items = to_inequalities(atoms, mode).items
         if mode == "lattice":
-            new_items, _ = _eliminate_one_boolean(items, u)
+            new_items = _eliminate_one_boolean(items, u)
         else:
-            new_items, _ = _eliminate_one_semilattice(items, u)
+            new_items = _eliminate_one_semilattice(items, u)
         atoms = _items_to_atoms(new_items, mode)
     return PPFormula(free_vars=phi.free_vars, bound_vars=(), atoms=atoms)
 

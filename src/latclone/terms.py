@@ -8,8 +8,6 @@ DSL, with meet binding tighter than join.
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import JoinInSemilatticeMode
-
 
 @dataclass(frozen=True)
 class Var:
@@ -50,19 +48,6 @@ def substitute(term, mapping):
     if isinstance(term, Var):
         return mapping.get(term.name, term)
     return type(term)(substitute(term.left, mapping), substitute(term.right, mapping))
-
-
-def evaluate(term, env, algebra) -> int:
-    """Value of the term under an assignment env: variable name -> element index."""
-    if isinstance(term, Var):
-        return env[term.name]
-    a = evaluate(term.left, env, algebra)
-    b = evaluate(term.right, env, algebra)
-    if isinstance(term, Meet):
-        return algebra.meet[a][b]
-    if algebra.kind != "lattice":
-        raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
-    return algebra.join[a][b]
 
 
 def meet_all(names):

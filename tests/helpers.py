@@ -10,8 +10,21 @@ from itertools import product
 import numpy as np
 
 from latclone import terms
-from latclone.errors import LimitExceeded
+from latclone.errors import JoinInSemilatticeMode, LimitExceeded
 from latclone.operations import OpTable, Relation, argument_columns, decode_index
+
+
+def evaluate(term, env, algebra) -> int:
+    """Value of the term under an assignment env: variable name -> element index."""
+    if isinstance(term, terms.Var):
+        return env[term.name]
+    a = evaluate(term.left, env, algebra)
+    b = evaluate(term.right, env, algebra)
+    if isinstance(term, terms.Meet):
+        return algebra.meet[a][b]
+    if algebra.kind != "lattice":
+        raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+    return algebra.join[a][b]
 
 
 def slow_eval_formula(phi, algebra):
@@ -23,7 +36,7 @@ def slow_eval_formula(phi, algebra):
         found = False
         for bound in product(range(size), repeat=len(phi.bound_vars)):
             env.update(zip(phi.bound_vars, bound))
-            if all(terms.evaluate(lhs, env, algebra) == terms.evaluate(rhs, env, algebra)
+            if all(evaluate(lhs, env, algebra) == evaluate(rhs, env, algebra)
                    for lhs, rhs in phi.atoms):
                 found = True
                 break

@@ -235,6 +235,36 @@ def test_non_integer_indices_are_input_errors(capsys, files, tmp_path, bad):
     assert code == 1 and out == "" and "not an integer" in err
 
 
+MALFORMED_FILES = [
+    ("solve", {"pairs": [[[0, 1, 2], [0, 1, 1]]]}),
+    ("solve", {"arity": 1}),
+    ("solve", [1, [[0, 1, 2], [0, 1, 1]]]),
+    ("solve", {"arity": 1, "pairs": [[[0, 1, 2]]]}),
+    ("galois", {"arity": 1, "tuples": 5}),
+    ("galois", {"arity": 1, "tuples": [5]}),
+    ("check", {"elements": ["0", "1", "2"], "covers": [[0, 1], 5]}),
+]
+
+
+@pytest.mark.parametrize("verb, payload", MALFORMED_FILES,
+                         ids=["no-arity", "no-pairs", "list-not-object", "one-table-pair",
+                              "tuples-number", "tuple-number", "cover-number"])
+def test_malformed_input_files_are_input_errors(capsys, files, tmp_path, verb, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = {"solve": ["solve", files["c3"], "--system", str(path)],
+            "galois": ["galois", files["c3"], "-T", str(path)],
+            "check": ["check", str(path)]}[verb]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and err.startswith("latclone: error: ")
+
+
+def test_join_over_a_semilattice_is_an_input_error(capsys, files):
+    code, out, err = run(capsys, ["solve", files["fence"], "--mode", "lattice",
+                                  "-e", "x \\/ y = x"])
+    assert code == 1 and out == "" and "meet-semilattice" in err
+
+
 def test_pretty_output(capsys, files):
     code, out, _ = run(capsys, ["check", files["n5"], "--pretty"])
     assert code == 0

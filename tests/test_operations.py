@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from latclone import catalog, terms
-from latclone.errors import ArityMismatch, BadAssignment, BadIndex, BadSpec, LimitExceeded
+from latclone.errors import (
+    ArityMismatch,
+    BadAssignment,
+    BadIndex,
+    BadSpec,
+    JoinInSemilatticeMode,
+    LimitExceeded,
+)
 from latclone.operations import (
     OpTable,
     Relation,
@@ -26,7 +33,7 @@ from latclone.operations import (
     term_to_op,
 )
 
-from helpers import slow_centralizer_slice, slow_clone_slice
+from helpers import evaluate, slow_centralizer_slice, slow_clone_slice
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -113,6 +120,55 @@ def test_graph():
     assert graph(meet_op(C2)).tuples == ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1))
     f = random_op(random.Random(11), 2, 3)
     assert len(graph(f)) == 9
+
+
+def random_term(rng, names, mode, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return terms.Var(rng.choice(names))
+    node = terms.Meet if mode == "semilattice" or rng.random() < 0.5 else terms.Join
+    return node(random_term(rng, names, mode, depth - 1), random_term(rng, names, mode, depth - 1))
+
+
+def assert_matches_scalar_oracle(term, order, algebra):
+    op = term_to_op(term, order, algebra)
+    assert op.arity == len(order) and op.provenance == term
+    for point in product(range(algebra.size), repeat=len(order)):
+        assert op(*point) == evaluate(term, dict(zip(order, point)), algebra)
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_term_to_op_matches_the_scalar_oracle(name, structure, mode):
+    algebra = structure if mode == "lattice" else catalog.meet_reduct(structure)
+    x, y = terms.Var("x"), terms.Var("y")
+    # a bare variable, a repeated variable, and orders with unused names
+    assert_matches_scalar_oracle(x, ("x",), algebra)
+    assert_matches_scalar_oracle(y, ("x", "y", "z"), algebra)
+    assert_matches_scalar_oracle(terms.Meet(x, x), ("x",), algebra)
+    assert_matches_scalar_oracle(terms.Meet(y, terms.Meet(x, y)), ("z", "y", "w", "x"), algebra)
+    rng = random.Random(f"term_to_op:{name}:{mode}")
+    for _ in range(12):
+        order = tuple(rng.sample(["x", "y", "z", "w"], rng.randint(1, 3)))
+        term = random_term(rng, order[:rng.randint(1, len(order))], mode, rng.randint(0, 3))
+        assert_matches_scalar_oracle(term, order, algebra)
+
+
+@pytest.mark.parametrize("structure", [C3, B2, N5, M3, catalog.fence()])
+def test_meet_and_join_ops_are_the_flattened_tables(structure):
+    meet = meet_op(structure)
+    assert meet.values == tuple(v for row in structure.meet for v in row)
+    assert terms.render(meet.provenance) == "x1 /\\ x2"
+    if structure.kind == "lattice":
+        join = join_op(structure)
+        assert join.values == tuple(v for row in structure.join for v in row)
+        assert terms.render(join.provenance) == "x1 \\/ x2"
+
+
+def test_join_term_over_a_semilattice_is_refused():
+    x, y = terms.Var("x"), terms.Var("y")
+    for algebra in (catalog.fence(), catalog.meet_reduct(B2)):
+        with pytest.raises(JoinInSemilatticeMode):
+            term_to_op(terms.Meet(x, terms.Join(x, y)), ("x", "y"), algebra)
 
 
 def test_meet_commutes_with_itself():

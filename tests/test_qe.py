@@ -26,7 +26,7 @@ from latclone.qe import (
     to_inequalities,
 )
 
-from helpers import interval_elements, join_of, meet_of, slow_eval_formula
+from helpers import evaluate, interval_elements, join_of, meet_of, slow_eval_formula
 
 C3 = catalog.chain(3)
 C4 = catalog.chain(4)
@@ -51,7 +51,7 @@ def items_hold(items, env, lattice, mode):
 
 
 def atoms_hold(atoms, env, algebra):
-    return all(terms.evaluate(lhs, env, algebra) == terms.evaluate(rhs, env, algebra)
+    return all(evaluate(lhs, env, algebra) == evaluate(rhs, env, algebra)
                for lhs, rhs in atoms)
 
 
