@@ -27,7 +27,7 @@ from .errors import (
     JoinInSemilatticeMode,
     UnknownVariable,
 )
-from .operations import Relation, argument_columns, relation_from_mask, term_evaluator
+from .operations import Relation, relation_from_mask, term_evaluator
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>/\\|\\/|<=|=|&|\.|\(|\)))")
@@ -225,20 +225,23 @@ def eval_formula(phi, algebra) -> Relation:
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
-    searched existentially over the whole carrier. Atoms are tabulated and
-    folded into the mask one at a time, so only one atom's columns over the
-    grid are alive at once.
+    searched existentially over the whole carrier. Each variable has its own
+    axis of the grid, and its values vary along that axis only, so an atom
+    is tabulated over the axes of its own variables and then folded into
+    the mask of the whole grid.
     """
     size = algebra.size
-    n = len(phi.free_vars)
-    m = len(phi.bound_vars)
-    env = dict(zip(phi.free_vars + phi.bound_vars, argument_columns(size, n + m)))
+    names = phi.free_vars + phi.bound_vars
+    axes = len(names)
+    env = {name: np.arange(size).reshape([size if j == i else 1 for j in range(axes)])
+           for i, name in enumerate(names)}
     ev = term_evaluator(algebra)
-    mask = np.ones(size ** (n + m), dtype=bool)
+    mask = np.ones((size,) * axes, dtype=bool)
     for lhs, rhs in phi.atoms:
         mask &= ev(lhs, env) == ev(rhs, env)
-    if m:
-        mask = mask.reshape(size ** n, size ** m).any(axis=1)
+    n = len(phi.free_vars)
+    if phi.bound_vars:
+        mask = mask.any(axis=tuple(range(n, axes)))
     return relation_from_mask(mask, n, size)
 
 

@@ -287,8 +287,12 @@ def forbidden_sublattice(lattice):
 
     Returns None, or (kind, elements) for the lexicographically least closed
     5-subset isomorphic to N5 or M3. None is returned exactly when the
-    lattice is distributive.
+    lattice is distributive. Once is_distributive has run on the lattice,
+    the shape it found is read back instead of searched again.
     """
+    cached = getattr(lattice, "_distributive_cache", None)
+    if cached is not None:
+        return cached[2]
     meet, join = lattice.meet, lattice.join
     for subset in combinations(range(lattice.size), 5):
         inside = set(subset)
@@ -306,16 +310,17 @@ def is_distributive(lattice):
     """Distributivity verdict plus one violating triple on failure.
 
     The direct law scan is cross-checked against the forbidden-sublattice
-    search; disagreement would be an internal error, not a user error.
+    search; disagreement would be an internal error, not a user error. The
+    verdict, the triple and the shape found are cached on the lattice.
     """
     cached = getattr(lattice, "_distributive_cache", None)
     if cached is not None:
-        return cached
+        return cached[:2]
     verdict, triple = _distributivity_scan(lattice)
     found = forbidden_sublattice(lattice)
     if verdict != (found is None):
         raise RuntimeError("distributivity scan and sublattice search disagree")
-    lattice._distributive_cache = (verdict, triple)
+    lattice._distributive_cache = (verdict, triple, found)
     return verdict, triple
 
 
@@ -473,29 +478,23 @@ def semilattice_to_lattice(semilattice) -> FiniteLattice:
 def is_distributive_semilattice(semilattice) -> bool:
     """Check that a >= b0 /\\ b1 always splits as a = a0 /\\ a1 with ai >= bi.
 
-    When a top exists the verdict is cross-checked against distributivity of
-    the lattice completion; disagreement would be an internal error.
+    Since a0 /\\ a1 >= b0 /\\ b1 for all such ai, this says that the up-set
+    of b0 /\\ b1 is the set of meets of the up-sets of b0 and b1. The
+    verdict is decided once per structure object and cached on it. When a
+    top exists it is cross-checked against distributivity of the lattice
+    completion; disagreement would be an internal error.
     """
+    cached = getattr(semilattice, "_semilattice_distributive_cache", None)
+    if cached is not None:
+        return cached
     meet = semilattice.meet
     size = semilattice.size
-    verdict = True
-    for b0 in range(size):
-        for b1 in range(size):
-            low = meet[b0][b1]
-            for a in range(size):
-                if meet[low][a] != low:
-                    continue  # a is not above b0 /\ b1
-                ok = any(meet[b0][a0] == b0 and meet[b1][a1] == b1 and meet[a0][a1] == a
-                         for a0 in range(size) for a1 in range(size))
-                if not ok:
-                    verdict = False
-                    break
-            if not verdict:
-                break
-        if not verdict:
-            break
+    up = [{a for a in range(size) if meet[b][a] == b} for b in range(size)]
+    verdict = all(up[meet[b0][b1]] <= {meet[a0][a1] for a0 in up[b0] for a1 in up[b1]}
+                  for b0, b1 in combinations(range(size), 2))
     if semilattice.top is not None:
         completion_verdict, _ = is_distributive(semilattice_to_lattice(semilattice))
         if completion_verdict != verdict:
             raise RuntimeError("semilattice distributivity disagrees with its completion")
+    semilattice._semilattice_distributive_cache = verdict
     return verdict

@@ -142,9 +142,15 @@ class Relation:
 
 
 def relation_from_mask(mask, arity, size) -> Relation:
-    """The tuples of the grid {0..size-1}^arity at which the mask holds."""
-    return Relation(arity, size, [decode_index(int(i), size, arity)
-                                  for i in np.nonzero(mask)[0]])
+    """The tuples of the grid {0..size-1}^arity at which the mask holds.
+
+    The mask is flat in lexicographic order or already has one axis per
+    coordinate.
+    """
+    if arity == 0:
+        return Relation(0, size, [()] if np.any(mask) else [])
+    coords = np.nonzero(np.reshape(mask, (size,) * arity))
+    return Relation(arity, size, zip(*(c.tolist() for c in coords)))
 
 
 def term_evaluator(algebra):
@@ -336,10 +342,18 @@ def _is_symmetric(g):
 def _tuples_with(pos, m, symmetric):
     """The m-tuples over 0..pos containing pos, in lexicographic order; for a
     symmetric generator only the nondecreasing ones, which come first among
-    their reorderings and give the same tables."""
+    their reorderings and give the same tables.
+
+    Otherwise a tuple whose first entry is below pos needs pos in its tail,
+    and one that starts with pos takes any tail.
+    """
     if symmetric:
         return [c + (pos,) for c in combinations_with_replacement(range(pos + 1), m - 1)]
-    return [c for c in product(range(pos + 1), repeat=m) if pos in c]
+    if m == 1:
+        return [(pos,)]
+    with_pos = _tuples_with(pos, m - 1, False)
+    return ([(a,) + t for a in range(pos) for t in with_pos]
+            + [(pos,) + t for t in product(range(pos + 1), repeat=m - 1)])
 
 
 def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):

@@ -54,6 +54,22 @@ def brute_distributive(lattice):
     return True
 
 
+def slow_is_distributive_semilattice(semilattice):
+    """Does every a >= b0 /\\ b1 split as a0 /\\ a1 with a0 >= b0 and a1 >= b1?
+
+    A direct scan over all b0, b1, a and candidate pairs a0, a1.
+    """
+    meet = semilattice.meet
+    size = semilattice.size
+    for b0, b1, a in product(range(size), repeat=3):
+        if meet[meet[b0][b1]][a] != meet[b0][b1]:
+            continue  # a is not above b0 /\ b1
+        if not any(meet[b0][a0] == b0 and meet[b1][a1] == b1 and meet[a0][a1] == a
+                   for a0 in range(size) for a1 in range(size)):
+            return False
+    return True
+
+
 def brute_glb(leq, size, a, b):
     lower = [c for c in range(size) if leq[c][a] and leq[c][b]]
     best = [c for c in lower if all(leq[d][c] for d in lower)]

@@ -1,6 +1,7 @@
 """DSL parsing, rendering and formula evaluation."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,6 +150,46 @@ def test_eval_agrees_with_slow_oracle():
         algebra, mode = rng.choice(fixtures)
         phi = random_formula(rng, mode=mode)
         assert eval_formula(phi, algebra) == slow_eval_formula(phi, algebra)
+
+
+@pytest.mark.parametrize("text,variables", [
+    ("x <= y", ("x", "y", "z")),                      # an atom over some of the axes
+    ("exists u . x /\\ u = x", ("x", "y")),          # a free variable no atom uses
+    ("exists u v . x /\\ y = u", ("x", "y")),        # a bound variable no atom uses
+    ("exists u . x /\\ u = y & u <= z", ("x", "y", "z")),
+    ("exists u . u = u", ()),                         # closed, always witnessed
+    ("exists u v . u <= v & v <= u & u \\/ v = u /\\ v", ()),
+])
+@pytest.mark.parametrize("structure", [C3, B2, N5, M3], ids=["C3", "B2", "N5", "M3"])
+def test_eval_on_partial_axes_agrees_with_slow_oracle(text, variables, structure):
+    phi = parse_formula(text, variables=variables)
+    assert eval_formula(phi, structure) == slow_eval_formula(phi, structure)
+
+
+def test_closed_formulas_define_the_empty_tuple_or_nothing():
+    assert eval_formula(parse_formula("exists u . u = u"), C3).tuples == ((),)
+    # over a (semi)lattice a constant assignment satisfies every atom, so a
+    # closed formula without a witness needs a non-idempotent table: x + 1 mod 3
+    successor = SimpleNamespace(size=3, kind="semilattice",
+                                meet=[[(a + 1) % 3] * 3 for a in range(3)])
+    phi = parse_formula("exists u v . u /\\ v = u", mode="semilattice")
+    assert phi.free_vars == ()
+    assert eval_formula(phi, successor).tuples == ()
+    assert slow_eval_formula(phi, successor).tuples == ()
+
+
+def test_eval_agrees_with_slow_oracle_on_every_catalog_structure():
+    rng = random.Random(2718)
+    fixtures = [(lat, mode) for lat in [catalog.chain(2), C3, catalog.chain(4), B2,
+                                        catalog.boolean_lattice(3), N5, M3]
+                for mode in ("lattice", "semilattice")]
+    fixtures.append((catalog.fence(), "semilattice"))
+    for algebra, mode in fixtures:
+        if mode == "semilattice" and algebra.kind == "lattice":
+            algebra = catalog.meet_reduct(algebra)
+        for _ in range(6):
+            phi = random_formula(rng, mode=mode)
+            assert eval_formula(phi, algebra) == slow_eval_formula(phi, algebra)
 
 
 def test_eval_rejects_joins_over_semilattices():

@@ -3,8 +3,10 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from latclone import catalog
+from latclone import catalog, lattice
 from latclone.errors import (
     AxiomViolation,
     BadSpec,
@@ -14,6 +16,7 @@ from latclone.errors import (
 )
 from latclone.lattice import (
     BooleanStructure,
+    FiniteSemilattice,
     NonDistributiveMedian,
     birkhoff_embed,
     construct,
@@ -30,7 +33,13 @@ from latclone.lattice import (
     symdiff3,
 )
 
-from helpers import brute_distributive, brute_glb, brute_lub, order_matrix
+from helpers import (
+    brute_distributive,
+    brute_glb,
+    brute_lub,
+    order_matrix,
+    slow_is_distributive_semilattice,
+)
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -166,6 +175,22 @@ def test_forbidden_sublattice_shapes():
     assert kind == "M3" and elements == (0, 1, 2, 3, 4)
 
 
+def test_forbidden_sublattice_is_read_back_after_is_distributive(monkeypatch):
+    host = from_covers(["0", "p", "q", "r", "s", "1"],
+                       [(0, 1), (1, 2), (2, 5), (0, 4), (4, 3), (3, 5)])
+    searched = [(lat, forbidden_sublattice(lat))
+                for lat in [*(construct(l.names, meet=l.meet) for l in LATTICES), host]]
+    for lat, _ in searched:
+        is_distributive(lat)
+
+    def no_search(*args):
+        raise AssertionError("forbidden_sublattice searched again")
+
+    monkeypatch.setattr(lattice, "_sublattice_shape", no_search)
+    for lat, found in searched:
+        assert forbidden_sublattice(lat) == found
+
+
 def test_forbidden_sublattice_in_larger_host():
     # two glued chains: 0 < p < q < 1 and 0 < s < r < 1
     host = from_covers(["0", "p", "q", "r", "s", "1"],
@@ -285,11 +310,58 @@ def test_semilattice_to_lattice_roundtrip():
 
 
 def test_semilattice_distributivity():
-    assert is_distributive_semilattice(catalog.meet_reduct(C4))
-    assert is_distributive_semilattice(catalog.meet_reduct(B3))
-    assert not is_distributive_semilattice(catalog.meet_reduct(N5))
-    assert not is_distributive_semilattice(catalog.meet_reduct(M3))
-    assert not is_distributive_semilattice(FENCE)
+    for lat in [C3, C4, B2, B3, catalog.boolean_lattice(4)]:
+        assert is_distributive_semilattice(catalog.meet_reduct(lat))
+    for semilattice in [catalog.meet_reduct(N5), catalog.meet_reduct(M3), FENCE]:
+        assert not is_distributive_semilattice(semilattice)
+        assert not slow_is_distributive_semilattice(semilattice)
+
+
+@st.composite
+def intersection_closed_families(draw):
+    """Meet-semilattices of subsets of a set of at most 5 points under intersection.
+
+    Closures with more than 15 members are discarded, so that adding the
+    full set keeps the carrier within 16; adding it gives a top, leaving it
+    out often leaves several maximal members.
+    """
+    full = (1 << draw(st.integers(1, 5))) - 1
+    family = set(draw(st.lists(st.integers(0, full), min_size=2, max_size=6, unique=True)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    assume(len(family) <= 15)
+    if draw(st.booleans()):
+        family.add(full)
+    members = sorted(family)
+    index = {m: i for i, m in enumerate(members)}
+    meet = [[index[a & b] for b in members] for a in members]
+    return FiniteSemilattice([str(m) for m in members], meet)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(intersection_closed_families())
+def test_semilattice_distributivity_matches_the_scan(semilattice):
+    assert is_distributive_semilattice(semilattice) == slow_is_distributive_semilattice(semilattice)
+
+
+def test_semilattice_verdict_is_decided_once_per_object(monkeypatch):
+    completions = []
+    real = lattice.semilattice_to_lattice
+
+    def counted(semilattice):
+        completions.append(semilattice)
+        return real(semilattice)
+
+    monkeypatch.setattr(lattice, "semilattice_to_lattice", counted)
+    for lat, verdict in [(B3, True), (N5, False)]:
+        reduct = catalog.meet_reduct(lat)
+        assert is_distributive_semilattice(reduct) is verdict
+        assert is_distributive_semilattice(reduct) is verdict
+        assert completions == [reduct]
+        completions.clear()
 
 
 def test_fence_shape():

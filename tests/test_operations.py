@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from latclone import catalog, terms
+from latclone import catalog, operations, terms
 from latclone.errors import (
     ArityMismatch,
     BadAssignment,
@@ -30,6 +30,7 @@ from latclone.operations import (
     pad_and_identify,
     preserves,
     projection,
+    relation_from_mask,
     term_to_op,
 )
 
@@ -344,6 +345,20 @@ def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generat
     assert len(clone_slice([add], 2)) == 9  # the maps a*x1 + b*x2
 
 
+def test_tuples_with_lists_the_filtered_product():
+    for pos, m in product(range(7), range(1, 5)):
+        expected = [c for c in product(range(pos + 1), repeat=m) if pos in c]
+        assert operations._tuples_with(pos, m, False) == expected
+
+
+def test_clone_slice_of_ternary_nand_matches_oracle():
+    # nand of the first two arguments, the third fictitious: not symmetric
+    nand = OpTable(3, 2, [1 - (x & y) for x, y, _ in product(range(2), repeat=3)])
+    for n in (1, 2):
+        _same_clone_as_oracle([nand], n)
+    assert len(clone_slice([nand], 2)) == 16  # nand generates every operation
+
+
 def test_clone_slice_matches_oracle_on_random_generators():
     rng = random.Random(43)
     for _ in range(40):
@@ -502,6 +517,18 @@ def test_closure_limit():
     T = Relation(2, 2, [(0, 1), (1, 0)])
     with pytest.raises(LimitExceeded):
         closure_under(T, generators(C2, "lattice"), limit=3)
+
+
+def test_relation_from_mask_decodes_lexicographic_hits():
+    assert relation_from_mask(np.ones(1, dtype=bool), 0, 3).tuples == ((),)
+    assert relation_from_mask(np.ones((), dtype=bool), 0, 3).tuples == ((),)
+    assert relation_from_mask(np.zeros(1, dtype=bool), 0, 3).tuples == ()
+    assert relation_from_mask(np.array([False, True, True]), 1, 3).tuples == ((1,), (2,))
+    rng = random.Random(5)
+    mask = np.array([rng.random() < 0.3 for _ in range(4 ** 3)])
+    expected = [t for i, t in enumerate(product(range(4), repeat=3)) if mask[i]]
+    assert relation_from_mask(mask, 3, 4).tuples == tuple(expected)
+    assert relation_from_mask(mask.reshape(4, 4, 4), 3, 4).tuples == tuple(expected)
 
 
 def test_optable_call_and_encoding():
