@@ -15,6 +15,8 @@ from functools import reduce
 from itertools import combinations
 from numbers import Integral
 
+import numpy as np
+
 from .errors import (
     AxiomViolation,
     BadSpec,
@@ -39,8 +41,23 @@ def _normalize_names(names):
     return names
 
 
+def check_index_dtype(array, what):
+    """Refuse a numpy array whose dtype is not an integer type (bool included)."""
+    if array.dtype.kind not in "iu":
+        first = array.flat[0].item() if array.size else array.dtype
+        raise BadSpec(f"{what} {first!r} is not an integer")
+
+
 def as_indices(values, what):
-    """The values as a tuple of ints; only int and numpy integer values are indices."""
+    """The values as a tuple of ints; only int and numpy integer values are indices.
+
+    A one-dimensional numpy array is checked by its dtype, not value by value.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise BadSpec(f"expected a list of {what} values, got an array of shape {values.shape}")
+        check_index_dtype(values, what)
+        return tuple(values.tolist())
     try:
         values = tuple(values)
     except TypeError:

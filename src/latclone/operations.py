@@ -19,7 +19,8 @@ from .errors import (
     JoinInSemilatticeMode,
     LimitExceeded,
 )
-from .lattice import as_indices
+from .lattice import as_indices, check_index_dtype
+from .symmetry import is_symmetric, orbit_cells
 
 DEFAULT_CLONE_LIMIT = 100_000
 DEFAULT_CENTRALIZER_LIMIT = 100_000
@@ -57,7 +58,11 @@ class OpTable:
         self.values = as_indices(values, "value table entry")
         if len(self.values) != size ** arity:
             raise BadSpec(f"value table must have {size ** arity} entries")
-        if min(self.values) < 0 or max(self.values) >= size:
+        if isinstance(values, np.ndarray):
+            lo, hi = values.min(), values.max()
+        else:
+            lo, hi = min(self.values), max(self.values)
+        if lo < 0 or hi >= size:
             raise BadSpec("value table entry out of range")
         self.provenance = provenance
         self._array = None
@@ -93,6 +98,17 @@ class OpTable:
         return f"OpTable({self.arity}-ary on {self.size}, {list(self.values)})"
 
 
+def _checked_rows(array, arity, size):
+    """The rows of a (rows x arity) integer array as tuples, its range checked in one pass."""
+    check_index_dtype(array, "tuple entry")
+    if array.ndim != 2 or array.shape[1] != arity:
+        raise BadSpec(f"tuple array of shape {array.shape} does not have arity {arity}")
+    if array.size and (array.min() < 0 or array.max() >= size):
+        bad = array[((array < 0) | (array >= size)).any(axis=1)][0]
+        raise BadSpec(f"tuple {tuple(bad.tolist())!r} has an entry out of range")
+    return zip(*array.T.tolist()) if arity else [()] * len(array)
+
+
 class Relation:
     """A set of fixed-arity tuples in canonical sorted, deduplicated form."""
 
@@ -101,14 +117,17 @@ class Relation:
             raise BadSpec("relations must have nonnegative arity")
         self.arity = arity
         self.size = size
-        normalized = set()
-        for t in tuples:
-            t = as_indices(t, "tuple entry")
-            if len(t) != arity:
-                raise BadSpec(f"tuple {t!r} does not have arity {arity}")
-            if any(v < 0 or v >= size for v in t):
-                raise BadSpec(f"tuple {t!r} has an entry out of range")
-            normalized.add(t)
+        if isinstance(tuples, np.ndarray):
+            normalized = set(_checked_rows(tuples, arity, size))
+        else:
+            normalized = set()
+            for t in tuples:
+                t = as_indices(t, "tuple entry")
+                if len(t) != arity:
+                    raise BadSpec(f"tuple {t!r} does not have arity {arity}")
+                if any(v < 0 or v >= size for v in t):
+                    raise BadSpec(f"tuple {t!r} has an entry out of range")
+                normalized.add(t)
         self.tuples = tuple(sorted(normalized))
         self._set = frozenset(self.tuples)
 
@@ -150,7 +169,7 @@ def relation_from_mask(mask, arity, size) -> Relation:
     if arity == 0:
         return Relation(0, size, [()] if np.any(mask) else [])
     coords = np.nonzero(np.reshape(mask, (size,) * arity))
-    return Relation(arity, size, zip(*(c.tolist() for c in coords)))
+    return Relation(arity, size, np.array(coords).T)
 
 
 def term_evaluator(algebra):
@@ -186,7 +205,7 @@ def term_to_op(term, var_order, algebra) -> OpTable:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")
     env = dict(zip(var_order, argument_columns(algebra.size, len(var_order))))
     values = term_evaluator(algebra)(term, env)
-    return OpTable(len(var_order), algebra.size, values.tolist(), provenance=term)
+    return OpTable(len(var_order), algebra.size, values, provenance=term)
 
 
 def meet_op(algebra) -> OpTable:
@@ -214,7 +233,7 @@ def projection(n, i, size) -> OpTable:
     if not 1 <= i <= n:
         raise BadIndex(f"projection index {i} outside 1..{n}")
     col = argument_columns(size, n)[i - 1]
-    return OpTable(n, size, col.tolist(), provenance=terms.Var(f"x{i}"))
+    return OpTable(n, size, col, provenance=terms.Var(f"x{i}"))
 
 
 def _positional_vars(op):
@@ -245,7 +264,7 @@ def compose(f, gs) -> OpTable:
     for g in gs:
         idx = idx * f.size + g.array()
     values = f.array()[idx]
-    return OpTable(k, f.size, values.tolist(),
+    return OpTable(k, f.size, values,
                    provenance=_composed_provenance(f, [g.provenance for g in gs]))
 
 
@@ -332,13 +351,6 @@ def preserves(f, relation):
 _SLICE_MEMO = {}
 
 
-def _is_symmetric(g):
-    """Does g take the same value on every reordering of its arguments?"""
-    table = g.array().reshape((g.size,) * g.arity)
-    return all(np.array_equal(table, np.swapaxes(table, i, i + 1))
-               for i in range(g.arity - 1))
-
-
 def _tuples_with(pos, m, symmetric):
     """The m-tuples over 0..pos containing pos, in lexicographic order; for a
     symmetric generator only the nondecreasing ones, which come first among
@@ -361,7 +373,9 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
 
     Starts from the n projections; at the table with index pos, each m-ary
     generator meets the m-tuples of tables 0..pos that contain pos, and each
-    new table is appended with its provenance term, up to a fixpoint.
+    new table is appended with its provenance term, up to a fixpoint. The
+    walk computes one representative cell per orbit of the generators'
+    automorphisms and rebuilds each full table from those at the end.
     Returns tables sorted by values; raises LimitExceeded when the slice
     would grow past the limit. Results are memoised: the computation is a
     pure function of the generator tables.
@@ -380,7 +394,10 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     if cached is not None:
         return list(cached)
 
-    rows = np.empty((max(n, 16), size ** n), dtype=np.int64)  # doubles when full
+    # candidates are compared by their bytes in the narrowest type that holds a value
+    narrow = np.min_scalar_type(size - 1)
+    reps, rebuild = orbit_cells(generator_ops, n)
+    rows = np.empty((max(n, 16), len(reps)), dtype=np.int64)  # doubles when full
     provs = []
     seen = set()
 
@@ -399,13 +416,11 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         seen.add(key)
         return True
 
-    # candidates are compared by their bytes in the narrowest type that holds a value
-    narrow = np.min_scalar_type(size - 1)
-    for i, col in enumerate(np.array(argument_columns(size, n), dtype=narrow)):
+    for i, col in enumerate(np.array(argument_columns(size, n), dtype=narrow)[:, reps]):
         if add(col):
             provs.append(terms.Var(f"x{i + 1}"))
 
-    walks = [(g, g.array().astype(narrow), _is_symmetric(g)) for g in generator_ops]
+    walks = [(g, g.array().astype(narrow), is_symmetric(g)) for g in generator_ops]
     pos = 0
     while pos < len(provs):
         for g, values, symmetric in walks:
@@ -419,8 +434,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
                     provs.append(_composed_provenance(g, [provs[c] for c in combo]))
         pos += 1
 
-    tables = [OpTable(n, size, vec.tolist(), provenance=prov)
-              for vec, prov in zip(rows, provs)]
+    tables = [OpTable(n, size, rebuild(vec), provenance=prov) for vec, prov in zip(rows, provs)]
     tables.sort(key=lambda t: t.values)
     if len(_SLICE_MEMO) >= 64:
         _SLICE_MEMO.clear()
@@ -429,14 +443,16 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
 
 
 def _target_tables(generator_ops, size, k):
-    """Per generator: its arity m, how many first positions to visit, two tables.
+    """Per generator: its arity m, how many first positions to visit, three tables.
 
     The target-cell table maps an m-tuple of cells of A^k to the cell that
     the generator yields when applied digit by digit, and the value table
     maps an m-tuple of values to the generator's value. Both are nested
     lists, m levels deep, so the search indexes them one argument at a time.
     A symmetric generator gives the same constraint for every order of a
-    tuple, so only tuples with the new cell first need visiting.
+    tuple, so only tuples with the new cell first need visiting. The fit
+    table maps the index of the last m-1 values (last fastest) and a value
+    w to the bitmask of first values v with g(v, ...) = w.
     """
     ncells = size ** k
     cols = argument_columns(size, k)
@@ -452,8 +468,12 @@ def _target_tables(generator_ops, size, k):
             for j in range(m):
                 idx = idx * size + col.reshape([ncells if i == j else 1 for i in range(m)])
             target = target * size + flat[idx]
-        compiled.append((m, 1 if _is_symmetric(g) else m, cell_ints[target].tolist(),
-                         table.tolist()))
+        rest = size ** (m - 1)
+        fits = [[0] * size for _ in range(rest)]
+        for i, w in enumerate(g.values):
+            fits[i % rest][w] |= 1 << (i // rest)
+        compiled.append((m, 1 if is_symmetric(g) else m, cell_ints[target].tolist(),
+                         table.tolist(), fits))
     return compiled
 
 
@@ -467,8 +487,10 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     after each choice closes the defined cells under the generators: a
     tuple of defined cells forces its target cell or clashes with it. Each
     tuple is checked once, when the last of its cells to be defined is
-    processed. Tables come out in lexicographic order; raises
-    LimitExceeded past the limit.
+    processed. Before branching, a value is dropped when a tuple with the
+    cell first and its other cells defined already clashes with it, so the
+    values dropped are exactly tries that the closure would reject. Tables
+    come out in lexicographic order; raises LimitExceeded past the limit.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -490,7 +512,7 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
         while head < len(trail):
             new_cell, new_value = trail[head], trail_values[head]
             cells, vals = trail[:head + 1], trail_values[:head + 1]
-            for m, firsts, targets, table in compiled:
+            for m, firsts, targets, table, _ in compiled:
                 # the tuples whose first position holding the new cell is j
                 # take earlier cells before it and any defined cell after it
                 for j in range(firsts):
@@ -517,8 +539,23 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
             head += 1
         return True
 
+    def candidates(cell):
+        """The values of cell that no tuple with cell first and the other cells
+        defined rules out: such a tuple's target, if defined, fixes g(v, ...)."""
+        allowed = (1 << size) - 1
+        for m, _, targets, _, fits in compiled:
+            ts, rs = [targets[cell]], [0]
+            for _ in range(m - 1):
+                ts = [t[c] for t in ts for c in trail]
+                rs = [r * size + v for r in rs for v in trail_values]
+            for t, r in zip(ts, rs):
+                have = values[t]
+                if have >= 0:
+                    allowed &= fits[r][have]
+        return [v for v in range(size) if allowed >> v & 1]
+
     results = []
-    stack = []  # [cell, next value to try, trail length before the choice]
+    stack = []  # [cell, its untried values, trail length before the choice]
     cell = 0
     while True:
         while cell < ncells and values[cell] >= 0:
@@ -528,17 +565,16 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
                 raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
             results.append(tuple(values))
         else:
-            stack.append([cell, 0, len(trail)])
+            stack.append([cell, iter(candidates(cell)), len(trail)])
         while stack:
-            frame = stack[-1]
-            cell, v, mark = frame
+            cell, untried, mark = stack[-1]
             for c in trail[mark:]:
                 values[c] = -1
             del trail[mark:], trail_values[mark:]
-            if v == size:
+            v = next(untried, None)
+            if v is None:
                 stack.pop()
                 continue
-            frame[1] = v + 1
             values[cell] = v
             trail.append(cell)
             trail_values.append(v)

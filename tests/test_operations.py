@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from latclone import catalog, operations, terms
+from latclone import catalog, operations, symmetry, terms
 from latclone.errors import (
     ArityMismatch,
     BadAssignment,
@@ -34,7 +34,7 @@ from latclone.operations import (
     term_to_op,
 )
 
-from helpers import evaluate, slow_centralizer_slice, slow_clone_slice
+from helpers import brute_automorphisms, evaluate, slow_centralizer_slice, slow_clone_slice
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -323,7 +323,7 @@ def test_clone_slice_matches_oracle_on_catalog(name, structure, mode):
         _same_clone_as_oracle(generators(structure, mode), n)
 
 
-def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generators():
+def _unusual_generator_sets():
     xs = ["x1", "x2", "x3"]
     x1, x2, x3 = (terms.Var(x) for x in xs)
     median = term_to_op(terms.Join(terms.Join(terms.Meet(x1, x2), terms.Meet(x1, x3)),
@@ -337,11 +337,17 @@ def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generat
     add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
     sub = OpTable(2, 3, [(x - y) % 3 for x in range(3) for y in range(3)])
     add3 = OpTable(3, 3, [sum(t) % 3 for t in product(range(3), repeat=3)])
-    for gens in ([median], [lopsided], [median, lopsided], [meet_op(B2), complement],
-                 [add], [sub], [add, sub], [add3]):
+    return ([median], [lopsided], [median, lopsided], [meet_op(B2), complement],
+            [add], [sub], [add, sub], [add3])
+
+
+def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generators():
+    for gens in _unusual_generator_sets():
         for n in (1, 2, 3):
             _same_clone_as_oracle(gens, n)
+    complement = OpTable(1, 4, (3, 2, 1, 0))
     assert len(clone_slice([meet_op(B2), complement], 2)) == 16  # all Boolean functions
+    add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
     assert len(clone_slice([add], 2)) == 9  # the maps a*x1 + b*x2
 
 
@@ -359,13 +365,18 @@ def test_clone_slice_of_ternary_nand_matches_oracle():
     assert len(clone_slice([nand], 2)) == 16  # nand generates every operation
 
 
-def test_clone_slice_matches_oracle_on_random_generators():
-    rng = random.Random(43)
+def _random_generator_sets(seed):
+    """40 seeded (generators, n) pairs on 2 or 3 elements."""
+    rng = random.Random(seed)
     for _ in range(40):
         size = rng.choice([2, 3])
         arities = rng.choice([[1], [2], [3], [1, 2], [2, 2], [3, 2], [1, 3]])
         gens = [random_op(rng, m, size) for m in arities]
-        n = rng.choice([1, 2, 3] if size == 2 else [1, 2])
+        yield gens, rng.choice([1, 2, 3] if size == 2 else [1, 2])
+
+
+def test_clone_slice_matches_oracle_on_random_generators():
+    for gens, n in _random_generator_sets(43):
         _same_clone_as_oracle(gens, n, limit=60)
 
 
@@ -377,6 +388,83 @@ def test_clone_slice_limit_boundary():
         assert len(clone_slice(gens, n, limit=count)) == count
         with pytest.raises(LimitExceeded, match=f"exceeds {count - 1} tables"):
             clone_slice(gens, n, limit=count - 1)
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_automorphisms_match_the_brute_force_search(name, structure, mode):
+    gens = generators(structure, mode)
+    assert symmetry.automorphisms(gens) == brute_automorphisms(gens)
+
+
+def test_automorphisms_of_non_lattice_generators():
+    add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
+    assert symmetry.automorphisms([add]) == [(0, 1, 2), (0, 2, 1)]  # x -> 2x
+    cycle = OpTable(1, 4, (1, 2, 3, 0))
+    assert symmetry.automorphisms([cycle]) == brute_automorphisms([cycle])
+    assert len(symmetry.automorphisms([cycle])) == 4  # the powers of the cycle
+    b4 = catalog.boolean_lattice(4)
+    for mode in ("lattice", "semilattice"):
+        assert len(symmetry.automorphisms(generators(b4, mode))) == 24
+
+
+def test_automorphisms_match_the_brute_force_search_on_random_generators():
+    rng = random.Random(47)
+    nontrivial = 0
+    for _ in range(40):
+        size = rng.choice([2, 3, 4])
+        arities = rng.choice([[1], [2], [3], [1, 2], [2, 2], [1, 1]])
+        gens = [random_op(rng, m, size) for m in arities]
+        expected = brute_automorphisms(gens)
+        assert symmetry.automorphisms(gens) == expected
+        nontrivial += len(expected) > 1
+    assert nontrivial >= 5
+
+
+def test_orbit_cells_on_small_slices_match_oracle(monkeypatch):
+    # small slices skip the orbits; force them to check the rebuild on many generators
+    monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    for name, structure, mode in CATALOG_MODES:
+        for n in (1, 2, 3):
+            _same_clone_as_oracle(generators(structure, mode), n)
+    for gens in _unusual_generator_sets():
+        for n in (1, 2, 3):
+            _same_clone_as_oracle(gens, n)
+    for gens, n in _random_generator_sets(53):
+        _same_clone_as_oracle(gens, n, limit=60)
+        cycle = OpTable(1, gens[0].size, [(x + 1) % gens[0].size for x in range(gens[0].size)])
+        _same_clone_as_oracle(gens + [cycle], n, limit=60)
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_clone_slice_of_b4_matches_oracle(mode):
+    # 24 automorphisms: at n=3 the walk computes 330 of the 4,096 cells in lattice mode
+    for n in (1, 2, 3):
+        _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_truncated_automorphism_lists_give_the_same_slice(monkeypatch, kept):
+    search = symmetry.automorphisms
+    monkeypatch.setattr(symmetry, "automorphisms", lambda gens: search(gens)[:kept])
+    monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    for structure, mode, n in [(catalog.boolean_lattice(3), "lattice", 3),
+                               (catalog.boolean_lattice(3), "semilattice", 4),
+                               (M3, "lattice", 3), (M3, "semilattice", 3),
+                               (catalog.boolean_lattice(4), "lattice", 3)]:
+        _same_clone_as_oracle(generators(structure, mode), n)
+
+
+def test_projection_table_stops_the_automorphism_search_at_its_budget():
+    first = OpTable(2, 7, [x for x in range(7) for _ in range(7)], provenance=terms.Var("x1"))
+    found = symmetry.automorphisms([first])
+    assert 1 < len(found) < 5040  # every permutation of 7 elements commutes with it
+    assert found[0] == tuple(range(7))
+    for n in (1, 2, 3, 4):  # 2,401 cells at n=4, so the walk runs on orbit cells
+        _same_clone_as_oracle([first], n)
+        assert clone_slice([first], n) == [projection(n, i, 7) for i in range(1, n + 1)]
 
 
 def test_centralizer_unary_on_two_elements():
@@ -551,7 +639,32 @@ def test_relation_rejects_non_integer_entries(bad):
         Relation(2, 2, [(0, 1), bad])
 
 
+@pytest.mark.parametrize("bad", [np.array([0, 1], dtype=bool), np.array([0.0, 1.0]),
+                                 np.array([0, 2]), np.array([-1, 0]), np.array([[0, 1]])])
+def test_optable_refuses_bad_arrays(bad):
+    with pytest.raises(BadSpec):
+        OpTable(1, 2, bad)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0, 1], [1, 0]], dtype=bool),
+                                 np.array([[0.0, 1.0]]), np.array([[0, 1], [2, 0]]),
+                                 np.array([[0, -1]]), np.array([[0, 1, 1]]), np.array([0, 1])])
+def test_relation_refuses_bad_arrays(bad):
+    with pytest.raises(BadSpec):
+        Relation(2, 2, bad)
+
+
+def test_bad_arrays_are_refused_with_the_list_wording():
+    with pytest.raises(BadSpec, match="value table entry False is not an integer"):
+        OpTable(1, 2, np.array([False, True]))
+    with pytest.raises(BadSpec, match=r"tuple \(0, 2\) has an entry out of range"):
+        Relation(2, 2, np.array([[0, 1], [0, 2]]))
+
+
 def test_numpy_integers_are_accepted_as_indices():
     assert OpTable(1, 2, np.array([1, 0])).values == (1, 0)
     assert Relation(2, 2, np.array([[0, 1]])).tuples == ((0, 1),)
     assert all(type(v) is int for v in OpTable(1, 2, np.array([1, 0])).values)
+    assert Relation(2, 3, np.array([[2, 1], [0, 1], [2, 1]], dtype=np.uint8)).tuples == \
+        ((0, 1), (2, 1))
+    assert all(type(v) is int for t in Relation(1, 2, np.array([[1]])).tuples for v in t)
