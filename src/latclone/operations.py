@@ -49,6 +49,7 @@ class OpTable:
     """An operation {0..size-1}^arity -> {0..size-1} as an explicit table."""
 
     def __init__(self, arity, size, values, provenance=None):
+        arity, size = as_indices((arity, size), "arity or carrier size")
         if arity < 1:
             raise BadSpec("operations must have arity at least 1")
         if size < 1:
@@ -113,6 +114,7 @@ class Relation:
     """A set of fixed-arity tuples in canonical sorted, deduplicated form."""
 
     def __init__(self, arity, size, tuples):
+        arity, size = as_indices((arity, size), "arity or carrier size")
         if arity < 0:
             raise BadSpec("relations must have nonnegative arity")
         self.arity = arity
@@ -285,9 +287,7 @@ def pad_and_identify(f, arity, assignment) -> OpTable:
 
 def graph(f) -> Relation:
     """The (arity+1)-ary relation of argument-value rows of f."""
-    rows = []
-    for idx, v in enumerate(f.values):
-        rows.append(decode_index(idx, f.size, f.arity) + (v,))
+    rows = np.column_stack(argument_columns(f.size, f.arity) + [f.array()])
     return Relation(f.arity + 1, f.size, rows)
 
 
@@ -386,6 +386,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     size = generator_ops[0].size
     if any(g.size != size for g in generator_ops):
         raise BadSpec("generators must share a carrier")
+    n = as_indices([n], "slice arity")[0]
     if n < 1:
         raise BadSpec("slice arity must be at least 1")
     memo_key = (tuple((g.arity, g.size, g.values, g.provenance) for g in generator_ops),
@@ -442,39 +443,80 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     return tables
 
 
-def _target_tables(generator_ops, size, k):
-    """Per generator: its arity m, how many first positions to visit, three tables.
+BLOCK_CELLS = 1 << 18  # cells one block expansion may touch; one row may exceed it
 
-    The target-cell table maps an m-tuple of cells of A^k to the cell that
-    the generator yields when applied digit by digit, and the value table
-    maps an m-tuple of values to the generator's value. Both are nested
-    lists, m levels deep, so the search indexes them one argument at a time.
-    A symmetric generator gives the same constraint for every order of a
-    tuple, so only tuples with the new cell first need visiting. The fit
-    table maps the index of the last m-1 values (last fastest) and a value
-    w to the bitmask of first values v with g(v, ...) = w.
+
+# The cells defined after branching on x1..xj form the subalgebra of A^k
+# they generate, whatever the values. The next layer branches on the lowest
+# cell outside it, then runs rounds: each meets, per generator, the tuples of
+# defined cells holding a cell the last round defined (for a symmetric
+# generator, only the tuples with such a cell first, since their reorderings
+# give the same constraint). A tuple defines its target cell if that is
+# undefined, else checks it; so every tuple is met once, in the round that
+# defines its last cell.
+def _layer_plan(generator_ops, size, k):
+    """The value-independent plan of the centralizer search at arity k.
+
+    Returns each cell's position (order of definition) and, per layer, its
+    stop position, tuple count and rounds of defining and checking steps
+    (values, m x T argument positions, T target positions).
     """
     ncells = size ** k
-    cols = argument_columns(size, k)
-    # the nested lists hold ncells ** m entries: share one int object per cell
-    cell_ints = np.array(list(range(ncells)), dtype=object)
-    compiled = []
-    for g in generator_ops:
-        m, flat = g.arity, g.array()
-        table = flat.reshape((size,) * m)
-        target = 0
-        for col in cols:
-            idx = 0
-            for j in range(m):
-                idx = idx * size + col.reshape([ncells if i == j else 1 for i in range(m)])
-            target = target * size + flat[idx]
-        rest = size ** (m - 1)
-        fits = [[0] * size for _ in range(rest)]
-        for i, w in enumerate(g.values):
-            fits[i % rest][w] |= 1 << (i // rest)
-        compiled.append((m, 1 if is_symmetric(g) else m, cell_ints[target].tolist(),
-                         table.tolist(), fits))
-    return compiled
+    pos_type = np.min_scalar_type(ncells - 1)
+    digits = np.array(argument_columns(size, k))
+    position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
+    walks = [(g.arity, g.array(), g.array().astype(np.min_scalar_type(size - 1)),
+              1 if is_symmetric(g) else g.arity) for g in generator_ops]
+    layers = []
+    filled = branch = 0
+    while filled < ncells:
+        while position[branch] >= 0:
+            branch += 1
+        position[branch], cells[filled] = filled, branch
+        lo, filled = filled, filled + 1
+        rounds, tuples = [], 0
+        while lo < filled:
+            hi, defines, checks = filled, [], []
+            for m, table, values, firsts in walks:
+                # j positions defined before the last round, then one defined in it
+                ranges = [[(0, lo)] * j + [(lo, hi)] + [(0, hi)] * (m - 1 - j)
+                          for j in range(firsts)]
+                args = np.concatenate([np.array([grid.ravel() for grid in np.meshgrid(
+                    *(np.arange(*r) for r in rs), indexing="ij")]) for rs in ranges], axis=1)
+                tuples += args.shape[1]
+                arg_cells, target = cells[args], 0
+                for col in digits:
+                    idx = 0
+                    for a in arg_cells:
+                        idx = idx * size + col[a]
+                    target = target * size + table[idx]
+                owner = np.full(ncells, -1)
+                owner[target] = np.arange(len(target))
+                new = np.flatnonzero((owner >= 0) & (position < 0))
+                if len(new):
+                    position[new] = np.arange(filled, filled + len(new))
+                    cells[filled:filled + len(new)] = new
+                    filled += len(new)
+                    defines.append((values, args[:, owner[new]].astype(pos_type),
+                                    position[new].astype(pos_type)))
+                    args = np.delete(args, owner[new], axis=1)
+                    target = np.delete(target, owner[new])
+                checks.append((values, args.astype(pos_type), position[target].astype(pos_type)))
+            rounds.append((defines, checks))
+            lo = hi
+        layers.append((filled, tuples, rounds))
+    return position, layers
+
+
+def _forced(values, rows, args, size):
+    """Values of the generator at the argument positions of each row."""
+    idx = rows[args[0]]
+    if len(args) > 1:
+        idx = idx.astype(np.min_scalar_type(len(values) - 1))
+        for a in args[1:]:
+            idx *= size
+            idx += rows[a]
+    return values[idx]
 
 
 def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
@@ -483,14 +525,13 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     A k-ary f commutes with an m-ary generator g exactly when f is a
     homomorphism A^k -> A for g: f(g(c1, ..., cm)) = g(f(c1), ..., f(cm))
     for all cells c1..cm of A^k, with g applied digitwise on the left. The
-    search branches on the lowest undefined cell, values ascending, and
-    after each choice closes the defined cells under the generators: a
-    tuple of defined cells forces its target cell or clashes with it. Each
-    tuple is checked once, when the last of its cells to be defined is
-    processed. Before branching, a value is dropped when a tuple with the
-    cell first and its other cells defined already clashes with it, so the
-    values dropped are exactly tries that the closure would reject. Tables
-    come out in lexicographic order; raises LimitExceeded past the limit.
+    search runs the layer plan depth first over blocks of partial tables
+    (columns of a position x row array): a block is expanded by every value
+    of the branch cell, each round fills its cells and drops the rows a
+    check contradicts, and the survivors are pushed. An expansion or a
+    chunk of checks touches at most BLOCK_CELLS cells unless one row needs
+    more. Cells below a branch cell are defined before it, so tables come
+    out in lexicographic order; raises LimitExceeded past the limit.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -498,92 +539,46 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     size = generator_ops[0].size
     if any(g.size != size for g in generator_ops):
         raise BadSpec("generators must share a carrier")
+    k = as_indices([k], "slice arity")[0]
     if k < 1:
         raise BadSpec("slice arity must be at least 1")
 
-    ncells = size ** k
-    compiled = _target_tables(generator_ops, size, k)
-    values = [-1] * ncells
-    trail = []         # defined cells in definition order; also the propagation queue
-    trail_values = []  # their values, in the same order
-
-    def close(head):
-        """Check every tuple that trail[head:] completes; False on a clash."""
-        while head < len(trail):
-            new_cell, new_value = trail[head], trail_values[head]
-            cells, vals = trail[:head + 1], trail_values[:head + 1]
-            for m, firsts, targets, table, _ in compiled:
-                # the tuples whose first position holding the new cell is j
-                # take earlier cells before it and any defined cell after it
-                for j in range(firsts):
-                    ts, gs = [targets], [table]
-                    for i in range(m - 1):
-                        if i == j:
-                            ts = [t[new_cell] for t in ts]
-                            gs = [g[new_value] for g in gs]
-                        else:
-                            n = head if i < j else head + 1
-                            ts = [t[c] for t in ts for c in cells[:n]]
-                            gs = [g[v] for g in gs for v in vals[:n]]
-                    last = (cells, vals) if j < m - 1 else ([new_cell], [new_value])
-                    for t, g in zip(ts, gs):
-                        for c, v in zip(*last):
-                            target, forced = t[c], g[v]
-                            have = values[target]
-                            if have < 0:
-                                values[target] = forced
-                                trail.append(target)
-                                trail_values.append(forced)
-                            elif have != forced:
-                                return False
-            head += 1
-        return True
-
-    def candidates(cell):
-        """The values of cell that no tuple with cell first and the other cells
-        defined rules out: such a tuple's target, if defined, fixes g(v, ...)."""
-        allowed = (1 << size) - 1
-        for m, _, targets, _, fits in compiled:
-            ts, rs = [targets[cell]], [0]
-            for _ in range(m - 1):
-                ts = [t[c] for t in ts for c in trail]
-                rs = [r * size + v for r in rs for v in trail_values]
-            for t, r in zip(ts, rs):
-                have = values[t]
-                if have >= 0:
-                    allowed &= fits[r][have]
-        return [v for v in range(size) if allowed >> v & 1]
-
-    results = []
-    stack = []  # [cell, its untried values, trail length before the choice]
-    cell = 0
-    while True:
-        while cell < ncells and values[cell] >= 0:
-            cell += 1
-        if cell == ncells:
-            if len(results) >= limit:
-                raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
-            results.append(tuple(values))
-        else:
-            stack.append([cell, iter(candidates(cell)), len(trail)])
-        while stack:
-            cell, untried, mark = stack[-1]
-            for c in trail[mark:]:
-                values[c] = -1
-            del trail[mark:], trail_values[mark:]
-            v = next(untried, None)
-            if v is None:
-                stack.pop()
-                continue
-            values[cell] = v
-            trail.append(cell)
-            trail_values.append(v)
-            if close(mark):
+    position, layers = _layer_plan(generator_ops, size, k)
+    narrow = np.min_scalar_type(size - 1)
+    found, count = [], 0
+    stack = [(0, np.empty((0, 1), dtype=narrow))]  # (layer to expand, its block)
+    while stack:
+        j, block = stack.pop()
+        stop, tuples, rounds = layers[j]
+        take = max(1, BLOCK_CELLS // (size * (stop + tuples)))
+        if block.shape[1] > take:
+            stack.append((j, block[:, take:]))
+            block = block[:, :take]
+        rows = np.empty((stop, block.shape[1] * size), dtype=narrow)
+        rows[:len(block)] = np.repeat(block, size, axis=1)
+        rows[len(block)] = np.tile(np.arange(size), block.shape[1])
+        for defines, checks in rounds:
+            if not rows.shape[1]:
                 break
-        if not stack:
-            break
-        cell += 1
-    return [OpTable(k, size, vals) for vals in results]
+            for values, args, targets in defines:
+                rows[targets] = _forced(values, rows, args, size)
+            ok = np.ones(rows.shape[1], dtype=bool)
+            chunk = max(1, BLOCK_CELLS // rows.shape[1])
+            for values, args, targets in checks:
+                for c in range(0, len(targets), chunk):
+                    ok &= (_forced(values, rows, args[:, c:c + chunk], size)
+                           == rows[targets[c:c + chunk]]).all(axis=0)
+            if not ok.all():
+                rows = rows[:, ok]
+        if j + 1 < len(layers):
+            if rows.shape[1]:
+                stack.append((j + 1, rows))
+            continue
+        count += rows.shape[1]
+        if count > limit:
+            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+        found.append(rows[position])
+    return [OpTable(k, size, vals) for block in found for vals in block.T.tolist()]
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:

@@ -23,6 +23,7 @@ from latclone.operations import (
     closure_under,
     commute,
     compose,
+    decode_index,
     generators,
     graph,
     join_op,
@@ -119,8 +120,10 @@ def test_pad_and_identify():
 def test_graph():
     assert graph(projection(1, 1, 2)).tuples == ((0, 0), (1, 1))
     assert graph(meet_op(C2)).tuples == ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1))
-    f = random_op(random.Random(11), 2, 3)
-    assert len(graph(f)) == 9
+    rng = random.Random(11)
+    for arity in (1, 2, 3):
+        f = random_op(rng, arity, 3)
+        assert graph(f).tuples == tuple(t + (f(*t),) for t in product(range(3), repeat=arity))
 
 
 def random_term(rng, names, mode, depth):
@@ -517,21 +520,28 @@ def test_centralizer_brute_force_cross_check():
     assert set(centralizer_slice([meet], 2)) == expected
 
 
-def _same_as_oracle(gens, k, limit=100_000):
+def _same_as_oracle(gens, k, limit=100_000, monkeypatch=None):
+    """Same tables and refusal as the oracle; given monkeypatch, also with the block
+    cap at 1 (one row per block, one tuple per check chunk) and at 2**40 (no split)."""
     try:
         expected = [f.values for f in slow_centralizer_slice(gens, k, limit)]
     except LimitExceeded:
-        with pytest.raises(LimitExceeded):
-            centralizer_slice(gens, k, limit=limit)
-        return
-    assert [f.values for f in centralizer_slice(gens, k, limit=limit)] == expected
+        expected = None
+    for cap in [operations.BLOCK_CELLS] + ([1, 1 << 40] if monkeypatch else []):
+        if monkeypatch:
+            monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
+        if expected is None:
+            with pytest.raises(LimitExceeded, match=f"exceeds {limit} tables"):
+                centralizer_slice(gens, k, limit=limit)
+        else:
+            assert [f.values for f in centralizer_slice(gens, k, limit=limit)] == expected
 
 
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
-def test_centralizer_matches_oracle_on_catalog(name, structure, mode):
+def test_centralizer_matches_oracle_on_catalog(name, structure, mode, monkeypatch):
     for k in ((1,) if name == "B3" else (1, 2)):
-        _same_as_oracle(generators(structure, mode), k)
+        _same_as_oracle(generators(structure, mode), k, monkeypatch=monkeypatch)
 
 
 def test_centralizer_matches_oracle_on_b2_ternary():
@@ -572,13 +582,93 @@ def test_centralizer_matches_oracle_on_random_generators():
         _same_as_oracle(gens, k, limit=2000)
 
 
+def test_centralizer_matches_oracle_on_unusual_generators_at_every_block_cap(monkeypatch):
+    for gens in _unusual_generator_sets():
+        for k in (1, 2):
+            _same_as_oracle(gens, k, monkeypatch=monkeypatch)
+
+
+def test_centralizer_matches_oracle_on_random_generators_at_every_block_cap(monkeypatch):
+    for gens, k in _random_generator_sets(47):
+        _same_as_oracle(gens, min(k, 2), limit=60, monkeypatch=monkeypatch)
+
+
+def _plan_steps(gens, k):
+    """The layer plan's layers as (first position, stop, branch cell) and its steps
+    as (generator, argument cells, target cell, defines?), in cell numbers."""
+    size = gens[0].size
+    position, layers = operations._layer_plan(gens, size, k)
+    cells = [0] * size ** k
+    for cell, pos in enumerate(position.tolist()):
+        cells[pos] = cell
+    by_values = {g.values: g for g in gens}
+    spans, steps, start = [], [], 0
+    for stop, tuples, rounds in layers:
+        spans.append((start, stop, cells[start]))
+        met = 0
+        for defines, checks in rounds:
+            for defining, group in ((True, defines), (False, checks)):
+                for values, args, targets in group:
+                    met += len(targets)
+                    for t, target in zip(args.T.tolist(), targets.tolist()):
+                        steps.append((by_values[tuple(values.tolist())],
+                                      tuple(cells[p] for p in t), cells[target], defining))
+        assert met == tuples
+        start = stop
+    return position, spans, steps
+
+
+def _digitwise(g, cells, size, k):
+    digits = [decode_index(c, size, k) for c in cells]
+    out = 0
+    for i in range(k):
+        out = out * size + g(*(d[i] for d in digits))
+    return out
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_layer_plan_defines_every_cell_exactly_once(name, structure, mode):
+    gens = generators(structure, mode)
+    for k in (1, 2):
+        ncells = structure.size ** k
+        position, spans, steps = _plan_steps(gens, k)
+        assert sorted(position.tolist()) == list(range(ncells))
+        assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
+        assert spans[-1][1] == ncells
+        for start, stop, branch in spans:
+            assert start < stop
+            # the branch cell is the lowest cell the earlier layers leave undefined
+            assert all(position[c] < start for c in range(branch))
+        defined = [target for _, _, target, defining in steps if defining]
+        assert sorted(defined + [branch for _, _, branch in spans]) == list(range(ncells))
+
+
+def test_layer_plan_meets_every_tuple_once_with_its_target():
+    for gens in _unusual_generator_sets():
+        size = gens[0].size
+        for k in (1, 2):
+            _, _, steps = _plan_steps(gens, k)
+            assert all(target == _digitwise(g, t, size, k) for g, t, target, _ in steps)
+            for g in gens:
+                met = [t for h, t, _, _ in steps if h is g]
+                if symmetry.is_symmetric(g):
+                    assert {tuple(sorted(t)) for t in met} == \
+                        {tuple(sorted(t)) for t in product(range(size ** k), repeat=g.arity)}
+                else:
+                    assert sorted(met) == list(product(range(size ** k), repeat=g.arity))
+
+
 def test_centralizer_limit_boundary():
+    # one expansion yields all tables of these slices, so every limit below
+    # the count falls inside that leaf block
     for structure, mode, k in [(C3, "lattice", 2), (N5, "lattice", 2), (M3, "semilattice", 1)]:
         gens = generators(structure, mode)
         count = len(centralizer_slice(gens, k))
         assert len(centralizer_slice(gens, k, limit=count)) == count
-        with pytest.raises(LimitExceeded):
-            centralizer_slice(gens, k, limit=count - 1)
+        for limit in range(count):
+            with pytest.raises(LimitExceeded, match=f"centralizer slice exceeds {limit} tables"):
+                centralizer_slice(gens, k, limit=limit)
 
 
 def test_centralizer_refuses_c6_ternary_at_limit_ten():
@@ -627,6 +717,16 @@ def test_optable_call_and_encoding():
         f(1)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_arities_and_carrier_sizes_must_be_integers(bad):
+    gens = generators(C3, "lattice")
+    for make in (lambda: OpTable(bad, 2, [0, 0, 0, 1]), lambda: OpTable(1, bad, [0, 1]),
+                 lambda: Relation(bad, 2, [(0,)]), lambda: Relation(1, bad, [(0,)]),
+                 lambda: clone_slice(gens, bad), lambda: centralizer_slice(gens, bad)):
+        with pytest.raises(BadSpec, match=f"{bad!r} is not an integer"):
+            make()
+
+
 @pytest.mark.parametrize("bad", [True, 1.7, 1.0, "1"])
 def test_optable_rejects_non_integer_values(bad):
     with pytest.raises(BadSpec):
@@ -668,3 +768,6 @@ def test_numpy_integers_are_accepted_as_indices():
     assert Relation(2, 3, np.array([[2, 1], [0, 1], [2, 1]], dtype=np.uint8)).tuples == \
         ((0, 1), (2, 1))
     assert all(type(v) is int for t in Relation(1, 2, np.array([[1]])).tuples for v in t)
+    f = OpTable(np.int64(1), np.uint8(2), [1, 0])
+    assert (type(f.arity), type(f.size)) == (int, int)
+    assert len(centralizer_slice([meet_op(C2)], np.int64(1))) == 3
