@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import terms
-from .equations import EquationSystem, equations_of, solve
+from .equations import EquationSystem, equations_of, galois_closure, gap_tuple, solve
 from .errors import BadSpec, LatcloneError, Refusal
 from .formulas import eval_formula, parse_formula
 from .lattice import (
@@ -86,13 +86,19 @@ def op_json(op):
     return payload
 
 
+def _nonnegative(value, what):
+    if value < 0:
+        raise BadSpec(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def _default_limit(args, default=DEFAULT_CLONE_LIMIT):
     if args.limit is not None:
-        return args.limit
+        return _nonnegative(args.limit, "--limit")
     env = os.environ.get("LATCLONE_LIMIT")
     if env is not None:
         try:
-            return int(env)
+            return _nonnegative(int(env), "LATCLONE_LIMIT")
         except ValueError:
             raise BadSpec(f"LATCLONE_LIMIT must be an integer, got {env!r}") from None
     return default
@@ -222,15 +228,10 @@ def cmd_galois(args):
     structure = load_structure(args.structure)
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
-    gens = generators(structure, mode)
-    theory = equations_of(relation, gens, limit=_default_limit(args))
-    closure = theory.closure()
-    solved = closure == relation
-    return {
-        "closure": relation_json(closure),
-        "isSolutionSet": solved,
-        "gapTuple": None if solved else list(next(t for t in closure if t not in relation)),
-    }
+    closure = galois_closure(relation, generators(structure, mode), limit=_default_limit(args))
+    gap = gap_tuple(closure, relation)
+    return {"closure": relation_json(closure), "isSolutionSet": gap is None,
+            "gapTuple": None if gap is None else list(gap)}
 
 
 def cmd_eval(args):
@@ -254,8 +255,8 @@ def cmd_qe(args):
 def cmd_sdc(args):
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
-    verdict = decide_sdc(structure, mode, verify=args.verify, seed=args.seed,
-                         limit=_default_limit(args))
+    verdict = decide_sdc(structure, mode, verify=_nonnegative(args.verify, "--verify"),
+                         seed=args.seed, limit=_default_limit(args))
     return verdict.to_json()
 
 

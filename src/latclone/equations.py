@@ -132,6 +132,11 @@ def galois_closure(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> Relati
     return equations_of(relation, generator_ops, limit=limit).closure()
 
 
+def gap_tuple(closure, relation):
+    """The first tuple of the closure outside the relation, or None if there is none."""
+    return next((t for t in closure if t not in relation), None)
+
+
 def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
     """Decide whether the tuple set is the solution set of some system.
 
@@ -143,8 +148,5 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
         theory = equations_of(relation, generator_ops, limit=limit)
     except LimitExceeded:
         return None, None
-    closure = theory.closure()
-    if closure == relation:
-        return True, theory.induced_system()
-    gap = next(t for t in closure if t not in relation)
-    return False, gap
+    gap = gap_tuple(theory.closure(), relation)
+    return (True, theory.induced_system()) if gap is None else (False, gap)

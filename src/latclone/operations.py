@@ -25,6 +25,7 @@ from .symmetry import is_symmetric, orbit_cells
 DEFAULT_CLONE_LIMIT = 100_000
 DEFAULT_CENTRALIZER_LIMIT = 100_000
 DEFAULT_CLOSURE_LIMIT = 1_000_000
+BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 
 
 def argument_columns(size, arity):
@@ -238,17 +239,13 @@ def projection(n, i, size) -> OpTable:
     return OpTable(n, size, col, provenance=terms.Var(f"x{i}"))
 
 
-def _positional_vars(op):
-    return {f"x{i}" for i in range(1, op.arity + 1)}
-
-
 def _composed_provenance(f, inner):
     """The term of f applied to the inner terms, or None if any term is missing."""
     if f.provenance is None or any(p is None for p in inner):
         return None
-    if not terms.variables(f.provenance) <= _positional_vars(f):
+    mapping = {f"x{i + 1}": p for i, p in enumerate(inner)}  # f's positional variables
+    if not terms.variables(f.provenance) <= mapping.keys():
         return None
-    mapping = {f"x{i + 1}": p for i, p in enumerate(inner)}
     return terms.substitute(f.provenance, mapping)
 
 
@@ -291,60 +288,69 @@ def graph(f) -> Relation:
     return Relation(f.arity + 1, f.size, rows)
 
 
+def _row_keys(rows, size):
+    """One exact key per row of entries below size: its bytes in the narrowest
+    dtype, read as one unsigned integer if they fit in eight, else as a void."""
+    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(size - 1))
+    width = rows.dtype.itemsize * rows.shape[1]
+    key = np.dtype(f"u{width}") if width in (1, 2, 4, 8) else np.dtype((np.void, width))
+    return rows.view(key).ravel()
+
+
+def _images(f, rows):
+    """Blocks (first, image) of f applied componentwise to every f.arity-tuple of
+    the rows of an int64 array.
+
+    Choices run in lexicographic order, the first row slowest; a block holds
+    the choices of consecutive first rows from `first` on, with image of
+    shape (first rows, rows, ..., rows, columns). A block touches at most
+    BLOCK_CELLS cells unless one first row needs more.
+    """
+    size, m = f.size, f.arity
+    rest = np.zeros(rows.shape[1], dtype=np.int64)  # codes of arguments 2..m
+    for _ in range(m - 1):
+        rest = rest[..., None, :] * size + rows
+    step = max(1, BLOCK_CELLS // rest.size)
+    for first in range(0, len(rows), step):
+        firsts = np.expand_dims(rows[first:first + step], tuple(range(1, m)))
+        yield first, f.array()[firsts * size ** (m - 1) + rest]
+
+
 def commute(f, g):
     """Do f and g commute? On failure also return one witness matrix.
 
     The witness is an f.arity x g.arity matrix Q such that applying g to the
     rows and then f to the column differs from applying f to the columns and
-    then g to the row.
+    then g to the row. f commutes with g exactly when it preserves the graph
+    of g, whose rows sort in argument order, so the witness is the
+    lexicographically first such matrix.
     """
     if f.size != g.size:
         raise ArityMismatch("commutation across different carriers")
-    n, m, size = f.arity, g.arity, f.size
-    for flat in product(range(size), repeat=n * m):
-        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(n))
-        left = f(*(g(*row) for row in matrix))
-        right = g(*(f(*(matrix[i][j] for i in range(n))) for j in range(m)))
-        if left != right:
-            return False, matrix
-    return True, None
+    verdict, witness = preserves(f, graph(g))
+    return (True, None) if verdict else (False, tuple(row[:-1] for row in witness[0]))
 
 
 def preserves(f, relation):
     """Is the relation closed under componentwise application of f?
 
-    On failure returns (rows, image): arity-many relation members whose
-    componentwise image escapes the relation.
+    On failure returns (rows, image): the lexicographically first arity-many
+    relation members whose componentwise image escapes the relation.
     """
     if f.size != relation.size:
         raise ArityMismatch("preservation across different carriers")
-    rows = relation.tuples
-    if not rows:
+    if not len(relation) or not relation.arity:
         return True, None
-    arr = np.array(rows, dtype=np.int64)
-    if relation.arity == 0:
-        return True, None
-    powers = relation.size ** np.arange(relation.arity - 1, -1, -1, dtype=np.int64)
-    member = np.sort(arr @ powers)
-    if f.arity <= 2:
-        if f.arity == 1:
-            image = f.array()[arr]
-            choices = [(i,) for i in range(len(rows))]
-        else:
-            idx = arr[:, None, :] * relation.size + arr[None, :, :]
-            image = f.array()[idx].reshape(-1, relation.arity)
-            choices = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
-        codes = image.reshape(-1, relation.arity) @ powers
-        ok = np.isin(codes, member)
-        if ok.all():
-            return True, None
-        bad = int(np.argmax(~ok))
-        picked = tuple(rows[i] for i in choices[bad])
-        return False, (picked, tuple(int(v) for v in image.reshape(-1, relation.arity)[bad]))
-    for picked in product(rows, repeat=f.arity):
-        image = tuple(f(*(t[c] for t in picked)) for c in range(relation.arity))
-        if image not in relation:
-            return False, (picked, image)
+    arr = np.array(relation.tuples, dtype=np.int64)
+    member = _row_keys(arr, f.size)
+    for first, image in _images(f, arr):
+        flat = image.reshape(-1, relation.arity)
+        ok = np.isin(_row_keys(flat, f.size), member)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            first_row, *others = np.unravel_index(bad, image.shape[:-1])
+            picked = tuple(relation.tuples[i] for i in (first + first_row, *others))
+            return False, (picked, tuple(flat[bad].tolist()))
     return True, None
 
 
@@ -441,9 +447,6 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         _SLICE_MEMO.clear()
     _SLICE_MEMO[memo_key] = tuple(tables)
     return tables
-
-
-BLOCK_CELLS = 1 << 18  # cells one block expansion may touch; one row may exceed it
 
 
 # The cells defined after branching on x1..xj form the subalgebra of A^k
@@ -582,35 +585,26 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
-    """Least superset of the relation closed under every given operation."""
+    """Least superset of the relation closed under every given operation; raises
+    LimitExceeded once a tuple is added past the limit."""
     ops = list(ops)
     if any(op.size != relation.size for op in ops):
         raise ArityMismatch("closure across different carriers")
     size, h = relation.size, relation.arity
-    current = set(relation.tuples)
-    changed = True
-    while changed:
-        changed = False
-        rows = sorted(current)
-        if not rows or h == 0:
-            break
-        arr = np.array(rows, dtype=np.int64)
+    if not len(relation) or not h:
+        return relation
+    narrow = np.min_scalar_type(size - 1)  # the dtype whose bytes _row_keys reads
+    known = _row_keys(np.array(relation.tuples), size)
+    grown = True
+    while grown:
+        grown = False
+        rows = known.view(narrow).reshape(-1, h).astype(np.int64)
         for op in ops:
-            if op.arity == 1:
-                image = op.array()[arr]
-            elif op.arity == 2:
-                idx = arr[:, None, :] * size + arr[None, :, :]
-                image = op.array()[idx].reshape(-1, h)
-            else:
-                image = []
-                for combo in product(rows, repeat=op.arity):
-                    image.append([op(*(t[c] for t in combo)) for c in range(h)])
-                image = np.array(image, dtype=np.int64).reshape(-1, h)
-            for row in image:
-                t = tuple(int(v) for v in row)
-                if t not in current:
-                    current.add(t)
-                    changed = True
-                    if len(current) > limit:
+            for _, image in _images(op, rows):
+                found = np.unique(_row_keys(image.reshape(-1, h), size))
+                new = found[~np.isin(found, known, assume_unique=True)]
+                if len(new):
+                    known, grown = np.union1d(known, new), True
+                    if len(known) > limit:
                         raise LimitExceeded(f"closure exceeds {limit} tuples")
-    return Relation(h, size, current)
+    return Relation(h, size, known.view(narrow).reshape(-1, h))

@@ -257,3 +257,47 @@ def brute_automorphisms(generator_ops):
                for g in generator_ops for args in product(range(size), repeat=g.arity)):
             found.append(s)
     return found
+
+
+def slow_commute(f, g):
+    """Do f and g commute? A Python loop over every f.arity x g.arity matrix in
+    lexicographic order; on failure also returns the first witness matrix."""
+    n, m, size = f.arity, g.arity, f.size
+    for flat in product(range(size), repeat=n * m):
+        matrix = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+        left = f(*(g(*row) for row in matrix))
+        right = g(*(f(*(matrix[i][j] for i in range(n))) for j in range(m)))
+        if left != right:
+            return False, matrix
+    return True, None
+
+
+def slow_preserves(f, relation):
+    """Is the relation closed under f? A Python loop over every f.arity-tuple of
+    members in lexicographic order; on failure also returns the first escaping
+    choice as (rows, image)."""
+    for picked in product(relation.tuples, repeat=f.arity):
+        image = tuple(f(*(t[c] for t in picked)) for c in range(relation.arity))
+        if image not in relation:
+            return False, (picked, image)
+    return True, None
+
+
+def slow_closure_under(relation, ops, limit):
+    """Least closed superset by rounds of Python loops over every tuple of known
+    members; LimitExceeded as soon as a tuple is added past the limit."""
+    size, h = relation.size, relation.arity
+    current = set(relation.tuples)
+    changed = True
+    while changed:
+        changed = False
+        rows = sorted(current)
+        for op in ops:
+            for combo in product(rows, repeat=op.arity):
+                t = tuple(op(*(r[c] for r in combo)) for c in range(h))
+                if t not in current:
+                    current.add(t)
+                    changed = True
+                    if len(current) > limit:
+                        raise LimitExceeded(f"closure exceeds {limit} tuples")
+    return Relation(h, size, current)

@@ -199,6 +199,31 @@ def test_explicit_limit_beats_env(capsys, files, monkeypatch):
     assert code == 0 and json.loads(out)["count"] == 99
 
 
+def test_negative_limit_flag_is_an_input_error(capsys, files):
+    code, out, err = run(capsys, ["galois", files["n5"], "-T", files["rel"], "--limit", "-1"])
+    assert code == 1 and out == ""
+    assert err == "latclone: error: --limit must be nonnegative, got -1\n"
+
+
+def test_negative_limit_env_var_is_an_input_error(capsys, files, monkeypatch):
+    monkeypatch.setenv("LATCLONE_LIMIT", "-5")
+    code, out, err = run(capsys, ["clone", files["n5"], "-n", "2"])
+    assert code == 1 and out == ""
+    assert err == "latclone: error: LATCLONE_LIMIT must be nonnegative, got -5\n"
+
+
+def test_negative_verify_is_an_input_error(capsys, files):
+    code, out, err = run(capsys, ["sdc", files["n5"], "--verify", "-1"])
+    assert code == 1 and out == ""
+    assert err == "latclone: error: --verify must be nonnegative, got -1\n"
+
+
+def test_zero_limit_is_still_a_refusal(capsys, files):
+    code, out, err = run(capsys, ["galois", files["n5"], "-T", files["rel"], "--limit", "0"])
+    assert code == 2 and out == ""
+    assert err == "latclone: refused: clone slice exceeds 0 tables\n"
+
+
 def test_centralizer_verb_defaults_to_the_centralizer_limit(capsys, files, monkeypatch):
     monkeypatch.setattr(cli, "DEFAULT_CENTRALIZER_LIMIT", 9)
     code, _, err = run(capsys, ["centralizer", files["c3"], "-k", "1",

@@ -35,7 +35,15 @@ from latclone.operations import (
     term_to_op,
 )
 
-from helpers import brute_automorphisms, evaluate, slow_centralizer_slice, slow_clone_slice
+from helpers import (
+    brute_automorphisms,
+    evaluate,
+    slow_centralizer_slice,
+    slow_clone_slice,
+    slow_closure_under,
+    slow_commute,
+    slow_preserves,
+)
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -241,6 +249,60 @@ def test_commute_iff_preserves_graph_exhaustively_on_c2():
         assert preserves(f, graph(g))[0] == expected
         assert preserves(g, graph(f))[0] == expected
         assert commute(g, f)[0] == expected
+
+
+def test_rows_are_compared_exactly_past_int64_codes():
+    # as base-2 codes, (1,)*65 and its neighbour (0,)+(1,)*64 differ by 2**64,
+    # so int64 codes would make the image look like a member
+    R = Relation(65, 2, [(0,) * 65, (0,) + (1,) * 64])
+    f = OpTable(1, 2, (1, 0))
+    assert preserves(f, R) == (False, (((0,) * 65,), (1,) * 65))
+    assert len(closure_under(R, [f])) == 4
+
+
+def _closure_or_refusal(close, relation, ops, limit):
+    try:
+        return close(relation, ops, limit)
+    except LimitExceeded as exc:
+        return str(exc)
+
+
+def test_componentwise_kernel_matches_the_loops(monkeypatch):
+    """Verdicts, witnesses, closures and refusals equal the Python loops', at the
+    default block cap, at 1 (one first row per block) and at 2**40 (one block)."""
+    rng = random.Random(83)
+    seen, cases = set(), 0
+    while cases < 300:
+        size, m, h = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 4)
+        if size ** (h * m) > 4096:  # keeps the loops' closure rounds short
+            continue
+        cases += 1
+        grid = list(product(range(size), repeat=h))
+        count = 0 if cases % 10 == 0 else rng.randint(0, len(grid))
+        relation = Relation(h, size, rng.sample(grid, count))
+        f = random_op(rng, m, size)
+        ops = [f, random_op(rng, rng.randint(1, m), size)][:rng.randint(1, 2)]
+        full = len(slow_closure_under(relation, ops, 10 ** 6))
+        limit = rng.choice([0, 1, len(relation), full - 1, full, 10 ** 6])
+        g = random_op(rng, rng.randint(1, 2), size)
+        small = size ** (m * g.arity) <= 1024  # keeps the commutation loop short
+        expected = (slow_preserves(f, relation),
+                    _closure_or_refusal(slow_closure_under, relation, ops, limit),
+                    slow_commute(f, g) if small else None)
+        for cap in (operations.BLOCK_CELLS, 1, 1 << 40):
+            monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
+            got = (preserves(f, relation),
+                   _closure_or_refusal(closure_under, relation, ops, limit),
+                   commute(f, g) if small else None)
+            assert got == expected, (f, relation, ops, limit, g, cap)
+        monkeypatch.undo()
+        seen |= {("size", size), ("op arity", m), ("arity", h), ("empty", not count),
+                 ("preserved", expected[0][0]), ("refused", isinstance(expected[1], str)),
+                 ("commute", expected[2] and expected[2][0])}
+    assert seen == ({("size", s) for s in range(1, 5)} | {("op arity", a) for a in (1, 2, 3)}
+                    | {("arity", a) for a in range(5)} | {("commute", None)}
+                    | {(key, b) for key in ("empty", "preserved", "refused", "commute")
+                       for b in (True, False)})
 
 
 def test_clone_slice_binary_on_two_elements():
