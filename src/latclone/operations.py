@@ -20,7 +20,7 @@ from .errors import (
     LimitExceeded,
 )
 from .lattice import as_indices, check_index_dtype
-from .symmetry import is_symmetric, orbit_cells
+from .symmetry import is_symmetric, representative_cells
 
 DEFAULT_CLONE_LIMIT = 100_000
 DEFAULT_CENTRALIZER_LIMIT = 100_000
@@ -69,6 +69,13 @@ class OpTable:
         self.provenance = provenance
         self._array = None
 
+    @classmethod
+    def _trusted(cls, arity, size, values, provenance=None):
+        """A table whose values are already a checked tuple of ints in range."""
+        op = cls.__new__(cls)
+        op.arity, op.size, op.values, op.provenance, op._array = arity, size, values, provenance, None
+        return op
+
     def index(self, args) -> int:
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
@@ -98,6 +105,18 @@ class OpTable:
         if self.provenance is not None:
             return f"OpTable({self.arity}-ary, {terms.render(self.provenance)})"
         return f"OpTable({self.arity}-ary on {self.size}, {list(self.values)})"
+
+
+def _checked_tables(block, arity, size, provenances):
+    """Tables from the rows of a (tables x size^arity) integer array, whose
+    dtype, shape and range are checked once for the whole block."""
+    check_index_dtype(block, "value table entry")
+    if block.ndim != 2 or block.shape[1] != size ** arity:
+        raise BadSpec(f"table block of shape {block.shape} does not have {size ** arity} columns")
+    if block.size and (block.min() < 0 or block.max() >= size):
+        raise BadSpec("value table entry out of range")
+    return [OpTable._trusted(arity, size, tuple(values.tolist()), prov)
+            for values, prov in zip(block, provenances)]
 
 
 def _checked_rows(array, arity, size):
@@ -298,22 +317,36 @@ def _row_keys(rows, size):
 
 
 def _images(f, rows):
-    """Blocks (first, image) of f applied componentwise to every f.arity-tuple of
-    the rows of an int64 array.
+    """Blocks (start, image) of f applied componentwise to every f.arity-tuple of
+    the rows of an integer array.
 
-    Choices run in lexicographic order, the first row slowest; a block holds
-    the choices of consecutive first rows from `first` on, with image of
-    shape (first rows, rows, ..., rows, columns). A block touches at most
-    BLOCK_CELLS cells unless one first row needs more.
+    Choices run in lexicographic order, the first row slowest: choice i
+    picks the rows decode_index(i, len(rows), f.arity), and a block holds
+    one image row (of the narrowest value dtype) for each of the
+    consecutive choices from `start` on. The codes of the last k arguments
+    are built once for every tuple of rows, k as large as BLOCK_CELLS
+    allows, and a block pairs them with consecutive choices of the first
+    arity - k rows; it touches at most BLOCK_CELLS cells unless one choice
+    needs more.
     """
-    size, m = f.size, f.arity
-    rest = np.zeros(rows.shape[1], dtype=np.int64)  # codes of arguments 2..m
-    for _ in range(m - 1):
-        rest = rest[..., None, :] * size + rows
+    size, m, (r, cols) = f.size, f.arity, rows.shape
+    values = f.array().astype(np.min_scalar_type(size - 1))
+    code_type = np.min_scalar_type(size ** m - 1)
+    rest, k = np.zeros((1, cols), dtype=code_type), 0  # codes of the last k arguments
+    while k < m and len(rest) * r * cols <= BLOCK_CELLS:
+        rest = (rows[:, None, :].astype(code_type) * size ** k + rest).reshape(-1, cols)
+        k += 1
     step = max(1, BLOCK_CELLS // rest.size)
-    for first in range(0, len(rows), step):
-        firsts = np.expand_dims(rows[first:first + step], tuple(range(1, m)))
-        yield first, f.array()[firsts * size ** (m - 1) + rest]
+    for first in range(0, r ** (m - k), step):
+        # the codes of the first m - k rows of choices first, first + 1, ...:
+        # their digits, last first, come from adding first's digits with carries
+        carry = np.arange(min(step, r ** (m - k) - first))
+        code = np.zeros((len(carry), cols), dtype=code_type)
+        for i, digit in enumerate(reversed(decode_index(first, r, m - k))):
+            carry += digit
+            code += rows[carry % r].astype(code_type) * size ** (k + i)
+            carry //= r
+        yield first * len(rest), values[(code[:, None, :] + rest).reshape(-1, cols)]
 
 
 def commute(f, g):
@@ -341,16 +374,14 @@ def preserves(f, relation):
         raise ArityMismatch("preservation across different carriers")
     if not len(relation) or not relation.arity:
         return True, None
-    arr = np.array(relation.tuples, dtype=np.int64)
+    arr = np.array(relation.tuples, dtype=np.min_scalar_type(f.size - 1))
     member = _row_keys(arr, f.size)
-    for first, image in _images(f, arr):
-        flat = image.reshape(-1, relation.arity)
-        ok = np.isin(_row_keys(flat, f.size), member)
+    for start, image in _images(f, arr):
+        ok = np.isin(_row_keys(image, f.size), member)
         if not ok.all():
             bad = int(np.argmin(ok))
-            first_row, *others = np.unravel_index(bad, image.shape[:-1])
-            picked = tuple(relation.tuples[i] for i in (first + first_row, *others))
-            return False, (picked, tuple(flat[bad].tolist()))
+            picked = tuple(relation.tuples[i] for i in decode_index(start + bad, len(arr), f.arity))
+            return False, (picked, tuple(image[bad].tolist()))
     return True, None
 
 
@@ -380,8 +411,11 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     Starts from the n projections; at the table with index pos, each m-ary
     generator meets the m-tuples of tables 0..pos that contain pos, and each
     new table is appended with its provenance term, up to a fixpoint. The
-    walk computes one representative cell per orbit of the generators'
-    automorphisms and rebuilds each full table from those at the end.
+    walk computes only the cells symmetry.representative_cells picks (the
+    2^n cells {p, q}^n when two-valued homomorphisms separate the carrier,
+    else one cell per automorphism orbit) and rebuilds each full table
+    from those at the end. A block of candidates is compared by exact
+    byte keys, each new key taken at its first index in the block.
     Returns tables sorted by values; raises LimitExceeded when the slice
     would grow past the limit. Results are memoised: the computation is a
     pure function of the generator tables.
@@ -403,17 +437,14 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
 
     # candidates are compared by their bytes in the narrowest type that holds a value
     narrow = np.min_scalar_type(size - 1)
-    reps, rebuild = orbit_cells(generator_ops, n)
-    rows = np.empty((max(n, 16), len(reps)), dtype=np.int64)  # doubles when full
+    reps, rebuild = representative_cells(generator_ops, n)
+    rows = np.empty((max(n, 16), len(reps)), dtype=narrow)  # doubles when full
     provs = []
     seen = set()
 
-    def add(vec):
-        """Copy vec into rows if it is a new table; True if it was."""
+    def add(key, vec, prov):
+        """Append vec, a table not seen before whose bytes are key, with its provenance."""
         nonlocal rows
-        key = vec.tobytes()
-        if key in seen:
-            return False
         count = len(seen)
         if count >= limit:
             raise LimitExceeded(f"clone slice exceeds {limit} tables")
@@ -421,27 +452,48 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
             rows = np.concatenate((rows, np.empty_like(rows)))
         rows[count] = vec
         seen.add(key)
-        return True
+        provs.append(prov)
 
-    for i, col in enumerate(np.array(argument_columns(size, n), dtype=narrow)[:, reps]):
-        if add(col):
-            provs.append(terms.Var(f"x{i + 1}"))
+    for i in range(n):
+        col = (reps // size ** (n - 1 - i) % size).astype(narrow)
+        if col.tobytes() not in seen:
+            add(col.tobytes(), col, terms.Var(f"x{i + 1}"))
 
-    walks = [(g, g.array().astype(narrow), is_symmetric(g)) for g in generator_ops]
+    walks = [(g, g.array().astype(narrow), is_symmetric(g), np.min_scalar_type(size ** g.arity - 1))
+             for g in generator_ops]
     pos = 0
     while pos < len(provs):
-        for g, values, symmetric in walks:
-            combos = _tuples_with(pos, g.arity, symmetric)
-            idx = rows[[c[0] for c in combos]]
-            for i in range(1, g.arity):
+        for g, values, symmetric, idx_type in walks:
+            if g.arity == 2:  # (c, pos) for c < heads, then (pos, c) for c <= pos unless symmetric
+                heads, combos = (pos + 1 if symmetric else pos), None
+                idx = rows[:heads].astype(idx_type)
                 idx *= size
-                idx += rows[[c[i] for c in combos]]
-            for combo, vec in zip(combos, values[idx]):
-                if add(vec):
-                    provs.append(_composed_provenance(g, [provs[c] for c in combo]))
+                idx += rows[pos]
+                if not symmetric:
+                    idx = np.concatenate((idx, rows[pos].astype(idx_type) * size + rows[:pos + 1]))
+            else:
+                combos = _tuples_with(pos, g.arity, symmetric)
+                idx = rows[[c[0] for c in combos]].astype(idx_type)
+                for i in range(1, g.arity):
+                    idx *= size
+                    idx += rows[[c[i] for c in combos]]
+            found = values[idx]
+            keys = found.view(np.dtype((np.void, found.shape[1] * found.itemsize))).ravel().tolist()
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first index
+            for j in sorted(first[key] for key in first.keys() - seen):
+                if combos is None:
+                    combo = (j, pos) if j < heads else (pos, j - heads)
+                else:
+                    combo = combos[j]
+                add(keys[j], found[j], _composed_provenance(g, [provs[c] for c in combo]))
         pos += 1
 
-    tables = [OpTable(n, size, rebuild(vec), provenance=prov) for vec, prov in zip(rows, provs)]
+    # the tables in blocks of at most BLOCK_CELLS cells, each checked once
+    step = max(1, BLOCK_CELLS // size ** n)
+    tables = []
+    for start in range(0, len(provs), step):
+        block = rebuild(rows[start:min(start + step, len(provs))])
+        tables += _checked_tables(block, n, size, provs[start:start + step])
     tables.sort(key=lambda t: t.values)
     if len(_SLICE_MEMO) >= 64:
         _SLICE_MEMO.clear()
@@ -581,7 +633,7 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
         if count > limit:
             raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
         found.append(rows[position])
-    return [OpTable(k, size, vals) for block in found for vals in block.T.tolist()]
+    return [op for block in found for op in _checked_tables(block.T, k, size, [None] * block.shape[1])]
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
@@ -598,10 +650,10 @@ def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
     grown = True
     while grown:
         grown = False
-        rows = known.view(narrow).reshape(-1, h).astype(np.int64)
+        rows = known.view(narrow).reshape(-1, h)
         for op in ops:
             for _, image in _images(op, rows):
-                found = np.unique(_row_keys(image.reshape(-1, h), size))
+                found = np.unique(_row_keys(image, size))
                 new = found[~np.isin(found, known, assume_unique=True)]
                 if len(new):
                     known, grown = np.union1d(known, new), True

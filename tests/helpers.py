@@ -8,9 +8,12 @@ are checked against code that shares none of their machinery.
 from itertools import permutations, product
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from latclone import terms
 from latclone.errors import JoinInSemilatticeMode, LimitExceeded
+from latclone.lattice import FiniteLattice, FiniteSemilattice
 from latclone.operations import OpTable, Relation, argument_columns, decode_index
 
 
@@ -301,3 +304,49 @@ def slow_closure_under(relation, ops, limit):
                     if len(current) > limit:
                         raise LimitExceeded(f"closure exceeds {limit} tuples")
     return Relation(h, size, current)
+
+
+@st.composite
+def intersection_closed_families(draw):
+    """Meet-semilattices of subsets of a set of at most 5 points under intersection.
+
+    Closures with more than 15 members are discarded, so that adding the
+    full set keeps the carrier within 16; adding it gives a top, leaving it
+    out often leaves several maximal members.
+    """
+    full = (1 << draw(st.integers(1, 5))) - 1
+    family = set(draw(st.lists(st.integers(0, full), min_size=2, max_size=6, unique=True)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    assume(len(family) <= 15)
+    if draw(st.booleans()):
+        family.add(full)
+    members = sorted(family)
+    index = {m: i for i, m in enumerate(members)}
+    meet = [[index[a & b] for b in members] for a in members]
+    return FiniteSemilattice([str(m) for m in members], meet)
+
+
+@st.composite
+def down_set_lattices(draw):
+    """The distributive lattice of down-sets of a random poset on at most 4 points.
+
+    Point j may lie above any earlier point i; the order is the transitive
+    closure of the drawn pairs. Down-sets are bitmasks under & and |, listed
+    in increasing order, so the empty set is the bottom element 0.
+    """
+    points = draw(st.integers(1, 4))
+    below = [0] * points  # below[j]: bitmask of the points strictly below j
+    for j in range(points):
+        for i in range(j):
+            if draw(st.booleans()):
+                below[j] |= 1 << i | below[i]
+    members = [d for d in range(1 << points)
+               if all(below[j] & ~d == 0 for j in range(points) if d >> j & 1)]
+    index = {m: i for i, m in enumerate(members)}
+    meet = [[index[a & b] for b in members] for a in members]
+    join = [[index[a | b] for b in members] for a in members]
+    return FiniteLattice([str(m) for m in members], meet, join)

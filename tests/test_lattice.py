@@ -3,8 +3,7 @@
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from latclone import catalog, lattice
 from latclone.errors import (
@@ -16,7 +15,6 @@ from latclone.errors import (
 )
 from latclone.lattice import (
     BooleanStructure,
-    FiniteSemilattice,
     NonDistributiveMedian,
     birkhoff_embed,
     construct,
@@ -37,6 +35,7 @@ from helpers import (
     brute_distributive,
     brute_glb,
     brute_lub,
+    intersection_closed_families,
     order_matrix,
     slow_is_distributive_semilattice,
 )
@@ -315,30 +314,6 @@ def test_semilattice_distributivity():
     for semilattice in [catalog.meet_reduct(N5), catalog.meet_reduct(M3), FENCE]:
         assert not is_distributive_semilattice(semilattice)
         assert not slow_is_distributive_semilattice(semilattice)
-
-
-@st.composite
-def intersection_closed_families(draw):
-    """Meet-semilattices of subsets of a set of at most 5 points under intersection.
-
-    Closures with more than 15 members are discarded, so that adding the
-    full set keeps the carrier within 16; adding it gives a top, leaving it
-    out often leaves several maximal members.
-    """
-    full = (1 << draw(st.integers(1, 5))) - 1
-    family = set(draw(st.lists(st.integers(0, full), min_size=2, max_size=6, unique=True)))
-    while True:
-        closed = family | {a & b for a in family for b in family}
-        if closed == family:
-            break
-        family = closed
-    assume(len(family) <= 15)
-    if draw(st.booleans()):
-        family.add(full)
-    members = sorted(family)
-    index = {m: i for i, m in enumerate(members)}
-    meet = [[index[a & b] for b in members] for a in members]
-    return FiniteSemilattice([str(m) for m in members], meet)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -1,10 +1,12 @@
 """Operation tables, composition, commutation, clones and closures."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from latclone import catalog, operations, symmetry, terms
 from latclone.errors import (
@@ -35,9 +37,13 @@ from latclone.operations import (
     term_to_op,
 )
 
+from latclone.lattice import is_distributive, semilattice_to_lattice
+
 from helpers import (
     brute_automorphisms,
+    down_set_lattices,
     evaluate,
+    intersection_closed_families,
     slow_centralizer_slice,
     slow_clone_slice,
     slow_closure_under,
@@ -260,6 +266,26 @@ def test_rows_are_compared_exactly_past_int64_codes():
     assert len(closure_under(R, [f])) == 4
 
 
+def test_an_early_escape_stays_within_a_block():
+    # 997 rows: the codes of the last argument are built for every row, those
+    # of the first two for one block of choices, and the first block escapes
+    b4 = catalog.boolean_lattice(4)
+    xs = ["x1", "x2", "x3"]
+    meet3 = term_to_op(terms.Meet(terms.Meet(terms.Var("x1"), terms.Var("x2")), terms.Var("x3")),
+                       xs, b4)
+    rng = random.Random(7)
+    relation = Relation(4, 16, [decode_index(c, 16, 4) for c in rng.sample(range(16 ** 4), 997)])
+    tracemalloc.start()
+    try:
+        got = preserves(meet3, relation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == slow_preserves(meet3, relation)
+    assert not got[0]
+    assert peak < 16 << 20
+
+
 def _closure_or_refusal(close, relation, ops, limit):
     try:
         return close(relation, ops, limit)
@@ -269,7 +295,8 @@ def _closure_or_refusal(close, relation, ops, limit):
 
 def test_componentwise_kernel_matches_the_loops(monkeypatch):
     """Verdicts, witnesses, closures and refusals equal the Python loops', at the
-    default block cap, at 1 (one first row per block) and at 2**40 (one block)."""
+    default block cap, at 1 (one choice per block), at 64 (codes built for the
+    last argument only, as a rule) and at 2**40 (one block)."""
     rng = random.Random(83)
     seen, cases = set(), 0
     while cases < 300:
@@ -289,7 +316,7 @@ def test_componentwise_kernel_matches_the_loops(monkeypatch):
         expected = (slow_preserves(f, relation),
                     _closure_or_refusal(slow_closure_under, relation, ops, limit),
                     slow_commute(f, g) if small else None)
-        for cap in (operations.BLOCK_CELLS, 1, 1 << 40):
+        for cap in (operations.BLOCK_CELLS, 1, 64, 1 << 40):
             monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
             got = (preserves(f, relation),
                    _closure_or_refusal(closure_under, relation, ops, limit),
@@ -486,27 +513,39 @@ def test_automorphisms_match_the_brute_force_search_on_random_generators():
     assert nontrivial >= 5
 
 
+def _with_and_without_family(monkeypatch):
+    """Run a check as given, then again with no separating family, so that
+    every slice goes through the automorphism orbits."""
+    yield
+    monkeypatch.setattr(symmetry, "separating_family", lambda gens: None)
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    yield
+
+
 def test_orbit_cells_on_small_slices_match_oracle(monkeypatch):
-    # small slices skip the orbits; force them to check the rebuild on many generators
+    # small slices skip the reductions; force them to check the rebuilds on many generators
     monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
-    for name, structure, mode in CATALOG_MODES:
-        for n in (1, 2, 3):
-            _same_clone_as_oracle(generators(structure, mode), n)
-    for gens in _unusual_generator_sets():
-        for n in (1, 2, 3):
-            _same_clone_as_oracle(gens, n)
-    for gens, n in _random_generator_sets(53):
-        _same_clone_as_oracle(gens, n, limit=60)
-        cycle = OpTable(1, gens[0].size, [(x + 1) % gens[0].size for x in range(gens[0].size)])
-        _same_clone_as_oracle(gens + [cycle], n, limit=60)
+    for _ in _with_and_without_family(monkeypatch):
+        for name, structure, mode in CATALOG_MODES:
+            for n in (1, 2, 3):
+                _same_clone_as_oracle(generators(structure, mode), n)
+        for gens in _unusual_generator_sets():
+            for n in (1, 2, 3):
+                _same_clone_as_oracle(gens, n)
+        for gens, n in _random_generator_sets(53):
+            _same_clone_as_oracle(gens, n, limit=60)
+            cycle = OpTable(1, gens[0].size, [(x + 1) % gens[0].size for x in range(gens[0].size)])
+            _same_clone_as_oracle(gens + [cycle], n, limit=60)
 
 
 @pytest.mark.parametrize("mode", ["lattice", "semilattice"])
-def test_clone_slice_of_b4_matches_oracle(mode):
-    # 24 automorphisms: at n=3 the walk computes 330 of the 4,096 cells in lattice mode
-    for n in (1, 2, 3):
-        _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
+def test_clone_slice_of_b4_matches_oracle(mode, monkeypatch):
+    # at n=3 the walk computes 8 of the 4,096 cells; with the 24 automorphisms
+    # instead, 330 in lattice mode
+    for _ in _with_and_without_family(monkeypatch):
+        for n in (1, 2, 3):
+            _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
 
 
 @pytest.mark.parametrize("kept", [1, 2, 3])
@@ -515,11 +554,123 @@ def test_truncated_automorphism_lists_give_the_same_slice(monkeypatch, kept):
     monkeypatch.setattr(symmetry, "automorphisms", lambda gens: search(gens)[:kept])
     monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
-    for structure, mode, n in [(catalog.boolean_lattice(3), "lattice", 3),
-                               (catalog.boolean_lattice(3), "semilattice", 4),
-                               (M3, "lattice", 3), (M3, "semilattice", 3),
-                               (catalog.boolean_lattice(4), "lattice", 3)]:
-        _same_clone_as_oracle(generators(structure, mode), n)
+    for _ in _with_and_without_family(monkeypatch):
+        for structure, mode, n in [(catalog.boolean_lattice(3), "lattice", 3),
+                                   (catalog.boolean_lattice(3), "semilattice", 4),
+                                   (M3, "lattice", 3), (M3, "semilattice", 3),
+                                   (catalog.boolean_lattice(4), "lattice", 3)]:
+            _same_clone_as_oracle(generators(structure, mode), n)
+
+
+def _check_family(gens, family):
+    """Every map is a homomorphism of every generator into {p, q}, and the
+    weighted codes tell the elements apart; checked by plain loops."""
+    p, q, maps, weights = family
+    size = gens[0].size
+    assert len(maps) == len(weights) and min(weights) > 0
+    for h in maps.tolist():
+        assert set(h) == {p, q}
+        for g in gens:
+            for args in product(range(size), repeat=g.arity):
+                assert h[g(*args)] == g(*(h[a] for a in args))
+    codes = [sum(w for w, h in zip(weights, maps.tolist()) if h[x] == q) for x in range(size)]
+    assert len(set(codes)) == size
+
+
+def _family_expected(structure, mode):
+    """Two-valued homomorphisms separate exactly the distributive lattices
+    (Birkhoff) and every meet-semilattice, given two elements to separate."""
+    if structure.size < 2:
+        return False
+    return mode == "semilattice" or is_distributive(structure)[0]
+
+
+def test_separating_family_exists_iff_distributive_on_the_catalog():
+    fixtures = CATALOG_MODES + [("C1", catalog.chain(1), mode) for mode in ("lattice", "semilattice")]
+    for name, structure, mode in fixtures:
+        gens = generators(structure, mode)
+        family = symmetry.separating_family(gens)
+        assert (family is not None) == _family_expected(structure, mode), (name, mode)
+        if family is not None:
+            _check_family(gens, family)
+    for gens in _unusual_generator_sets():
+        family = symmetry.separating_family(gens)
+        if family is not None:
+            _check_family(gens, family)
+    b4 = generators(catalog.boolean_lattice(4), "lattice")
+    assert len(symmetry.separating_family(b4)[3]) == 4  # the filters of the four atoms
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(intersection_closed_families())
+def test_separating_family_exists_iff_distributive_on_closure_systems(semilattice):
+    structures = [(semilattice, "semilattice")]
+    if semilattice.top is not None:  # a closure system with a top is a lattice
+        structures.append((semilattice_to_lattice(semilattice), "lattice"))
+    for structure, mode in structures:
+        gens = generators(structure, mode)
+        family = symmetry.separating_family(gens)
+        assert (family is not None) == _family_expected(structure, mode)
+        if family is not None:
+            _check_family(gens, family)
+
+
+def _same_slices_and_refusal_as_oracle(gens, n):
+    """Same tables, provenance and order as the seed fixpoint, and the same
+    refusal one table short of the full slice."""
+    expected = _rendered(slow_clone_slice(gens, n, 100_000))
+    assert _rendered(clone_slice(gens, n)) == expected
+    with pytest.raises(LimitExceeded, match=f"exceeds {len(expected) - 1} tables"):
+        clone_slice(gens, n, limit=len(expected) - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(down_set_lattices())
+def test_two_valued_cells_match_oracle_on_distributive_lattices(lat):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "MIN_CELLS", 1)
+        mp.setattr(operations, "_SLICE_MEMO", {})
+        # join alone: the family's pair is (top, bottom), ordered by the join
+        for gens in (generators(lat, "lattice"), generators(lat, "semilattice"), [join_op(lat)]):
+            family = symmetry.separating_family(gens)
+            _check_family(gens, family)
+            for n in (1, 2, 3):
+                assert len(symmetry.representative_cells(gens, n)[0]) == 2 ** n
+                _same_slices_and_refusal_as_oracle(gens, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(intersection_closed_families())
+def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "MIN_CELLS", 1)
+        mp.setattr(operations, "_SLICE_MEMO", {})
+        gens = generators(semilattice, "semilattice")
+        for n in (1, 2, 3):
+            assert len(symmetry.representative_cells(gens, n)[0]) == 2 ** n
+            _same_slices_and_refusal_as_oracle(gens, n)
+
+
+def test_free_distributive_lattice_on_four_generators():
+    # Dedekind number 168 minus the two constants; B3 walks 16 of 4,096 cells
+    b3 = generators(catalog.boolean_lattice(3), "lattice")
+    assert len(symmetry.representative_cells(b3, 4)[0]) == 16
+    assert len(clone_slice(b3, 4)) == 166
+    assert len(clone_slice(generators(catalog.chain(4), "lattice"), 4)) == 166
+    # N5 has no separating family and no automorphism but the identity
+    assert len(symmetry.representative_cells(generators(N5, "lattice"), 4)[0]) == 625
+
+
+def test_clone_refusal_on_n5_stays_small():
+    # the refusal holds at most 1,000 narrow rows of 625 cells and their candidates
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 1000 tables"):
+            clone_slice(generators(N5, "lattice"), 4, limit=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_projection_table_stops_the_automorphism_search_at_its_budget():
@@ -821,6 +972,16 @@ def test_bad_arrays_are_refused_with_the_list_wording():
         OpTable(1, 2, np.array([False, True]))
     with pytest.raises(BadSpec, match=r"tuple \(0, 2\) has an entry out of range"):
         Relation(2, 2, np.array([[0, 1], [0, 2]]))
+
+
+def test_slice_tables_are_checked_once_per_block():
+    tables = operations._checked_tables(np.array([[0, 1, 1, 0]], dtype=np.uint8), 2, 2, [None])
+    assert tables == [OpTable(2, 2, (0, 1, 1, 0))]
+    assert type(tables[0].values[0]) is int
+    for bad in (np.array([[0, 1, 1, 2]]), np.array([[0, -1, 1, 0]]), np.array([[0, 1, 1]]),
+                np.array([0, 1, 1, 0]), np.array([[0.0, 1.0, 1.0, 0.0]])):
+        with pytest.raises(BadSpec):
+            operations._checked_tables(bad, 2, 2, [None])
 
 
 def test_numpy_integers_are_accepted_as_indices():
