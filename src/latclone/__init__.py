@@ -1,96 +1,41 @@
 """Exact computations with equations, clones and quantifier elimination
-over finite lattices and semilattices."""
+over finite lattices and semilattices.
 
-from .equations import EquationSystem, EqTheory, equations_of, galois_closure, is_solution_set, solve
-from .formulas import PPFormula, eval_formula, parse_formula, random_formula
-from .lattice import (
-    BooleanStructure,
-    Embedding,
-    FiniteLattice,
-    FiniteSemilattice,
-    birkhoff_embed,
-    construct,
-    forbidden_sublattice,
-    is_boolean,
-    is_distributive,
-    is_distributive_semilattice,
-    median,
-    semilattice_to_lattice,
-    symdiff3,
-)
-from .operations import (
-    OpTable,
-    Relation,
-    centralizer_slice,
-    clone_slice,
-    closure_under,
-    commute,
-    compose,
-    graph,
-    pad_and_identify,
-    preserves,
-    projection,
-)
-from .qe import (
-    IneqItem,
-    IneqSystem,
-    Interval,
-    eliminate_boolean,
-    eliminate_semilattice,
-    helly_condition,
-    residuate,
-    to_inequalities,
-)
-from .sdc import SdcVerdict, decide_sdc, witness_boolean_gap, witness_lattice_pair, witness_semilattice
+The public names load their home module on first access (PEP 562), so a
+process that needs only the lattice layer never imports numpy. Nothing is
+cached in this namespace: each access reads the home module's attribute.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BooleanStructure",
-    "Embedding",
-    "EqTheory",
-    "EquationSystem",
-    "FiniteLattice",
-    "FiniteSemilattice",
-    "IneqItem",
-    "IneqSystem",
-    "Interval",
-    "OpTable",
-    "PPFormula",
-    "Relation",
-    "SdcVerdict",
-    "birkhoff_embed",
-    "centralizer_slice",
-    "clone_slice",
-    "closure_under",
-    "commute",
-    "compose",
-    "construct",
-    "decide_sdc",
-    "eliminate_boolean",
-    "eliminate_semilattice",
-    "equations_of",
-    "eval_formula",
-    "forbidden_sublattice",
-    "galois_closure",
-    "graph",
-    "helly_condition",
-    "is_boolean",
-    "is_distributive",
-    "is_distributive_semilattice",
-    "is_solution_set",
-    "median",
-    "pad_and_identify",
-    "parse_formula",
-    "preserves",
-    "projection",
-    "random_formula",
-    "residuate",
-    "semilattice_to_lattice",
-    "solve",
-    "symdiff3",
-    "to_inequalities",
-    "witness_boolean_gap",
-    "witness_lattice_pair",
-    "witness_semilattice",
-]
+_HOMES = {
+    "equations": ("EquationSystem", "EqTheory", "equations_of", "galois_closure",
+                  "is_solution_set", "solve"),
+    "formulas": ("PPFormula", "eval_formula", "parse_formula", "random_formula"),
+    "lattice": ("BooleanStructure", "Embedding", "FiniteLattice", "FiniteSemilattice",
+                "birkhoff_embed", "construct", "forbidden_sublattice", "is_boolean",
+                "is_distributive", "is_distributive_semilattice", "median",
+                "semilattice_to_lattice", "symdiff3"),
+    "operations": ("OpTable", "Relation", "centralizer_slice", "clone_slice", "closure_under",
+                   "commute", "compose", "graph", "pad_and_identify", "preserves", "projection"),
+    "qe": ("IneqItem", "IneqSystem", "Interval", "eliminate_boolean", "eliminate_semilattice",
+           "helly_condition", "residuate", "to_inequalities"),
+    "sdc": ("SdcVerdict", "decide_sdc", "witness_boolean_gap", "witness_lattice_pair",
+            "witness_semilattice"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -42,5 +42,12 @@ def fence() -> FiniteSemilattice:
 
 
 def meet_reduct(lattice: FiniteLattice) -> FiniteSemilattice:
-    """Forget the join of a lattice."""
-    return FiniteSemilattice(lattice.names, lattice.meet)
+    """Forget the join of a lattice.
+
+    Structures are immutable, so the reduct is built once per lattice object
+    and kept on it; the verdicts cached on the reduct then outlive the call.
+    """
+    reduct = getattr(lattice, "_meet_reduct", None)
+    if reduct is None:
+        reduct = lattice._meet_reduct = FiniteSemilattice(lattice.names, lattice.meet)
+    return reduct

@@ -12,11 +12,9 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import terms
-from .equations import EquationSystem, equations_of, galois_closure, gap_tuple, solve
-from .errors import BadSpec, LatcloneError, Refusal
-from .formulas import eval_formula, parse_formula
+from .errors import DEFAULT_CENTRALIZER_LIMIT, DEFAULT_CLONE_LIMIT, BadSpec, LatcloneError, Refusal
 from .lattice import (
     as_indices,
     construct,
@@ -27,17 +25,20 @@ from .lattice import (
     is_distributive_semilattice,
     join_irreducibles,
 )
-from .operations import (
-    DEFAULT_CENTRALIZER_LIMIT,
-    DEFAULT_CLONE_LIMIT,
-    OpTable,
-    Relation,
-    centralizer_slice,
-    clone_slice,
-    generators,
-)
-from .qe import eliminate_boolean, eliminate_semilattice
-from .sdc import decide_sdc
+
+# Each command imports the engines it runs when it runs, so a process pays
+# only for its own verb: check and props stay on the lattice layer, and
+# neither they nor qe load numpy. These engine functions stay readable as
+# attributes of this module, as they were when it imported them up front;
+# each read returns the engine module's current binding.
+_ENGINES = {"clone_slice": "operations", "eval_formula": "formulas"}
+
+
+def __getattr__(name):
+    module = _ENGINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +70,8 @@ def load_structure(path):
 
 
 def load_relation(path, structure):
+    from .operations import Relation
+
     data = _load_json(path)
     if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("tuples"), list)):
         raise BadSpec(f"{path} must be an object with 'arity' and a 'tuples' list")
@@ -80,6 +83,8 @@ def relation_json(relation):
 
 
 def op_json(op):
+    from . import terms
+
     payload = {"arity": op.arity, "values": list(op.values)}
     if op.provenance is not None:
         payload["term"] = terms.render(op.provenance)
@@ -168,6 +173,8 @@ def cmd_props(args):
 
 
 def cmd_clone(args):
+    from .operations import clone_slice, generators
+
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     ops = clone_slice(generators(structure, mode), args.arity, limit=_default_limit(args))
@@ -176,6 +183,8 @@ def cmd_clone(args):
 
 
 def cmd_centralizer(args):
+    from .operations import centralizer_slice, generators
+
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     ops = centralizer_slice(generators(structure, mode), args.arity,
@@ -185,6 +194,10 @@ def cmd_centralizer(args):
 
 
 def _system_from_args(structure, args):
+    from .equations import EquationSystem
+    from .formulas import parse_formula
+    from .operations import OpTable
+
     if args.system is not None:
         if args.expr is not None or args.file is not None:
             raise BadSpec("give the system as formulas or as raw tables, not both")
@@ -205,12 +218,18 @@ def _system_from_args(structure, args):
 
 
 def cmd_solve(args):
+    from .equations import solve
+
     structure = load_structure(args.structure)
     system = _system_from_args(structure, args)
     return relation_json(solve(system, structure))
 
 
 def cmd_eq(args):
+    from . import terms
+    from .equations import equations_of
+    from .operations import generators
+
     structure = load_structure(args.structure)
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
@@ -225,6 +244,9 @@ def cmd_eq(args):
 
 
 def cmd_galois(args):
+    from .equations import galois_closure, gap_tuple
+    from .operations import generators
+
     structure = load_structure(args.structure)
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
@@ -235,6 +257,8 @@ def cmd_galois(args):
 
 
 def cmd_eval(args):
+    from .formulas import eval_formula, parse_formula
+
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     phi = parse_formula(_read_formula_text(args), mode=mode)
@@ -242,6 +266,9 @@ def cmd_eval(args):
 
 
 def cmd_qe(args):
+    from .formulas import parse_formula
+    from .qe import eliminate_boolean, eliminate_semilattice
+
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     phi = parse_formula(_read_formula_text(args), mode=mode)
@@ -253,6 +280,8 @@ def cmd_qe(args):
 
 
 def cmd_sdc(args):
+    from .sdc import decide_sdc
+
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     verdict = decide_sdc(structure, mode, verify=_nonnegative(args.verify, "--verify"),

@@ -85,3 +85,9 @@ class IsDistributiveSemilattice(Refusal):
 
 class LimitExceeded(Refusal):
     """An enumeration grew past its configured limit before reaching a fixpoint."""
+
+
+# Default limits of the enumerations that raise LimitExceeded.
+DEFAULT_CLONE_LIMIT = 100_000
+DEFAULT_CENTRALIZER_LIMIT = 100_000
+DEFAULT_CLOSURE_LIMIT = 1_000_000

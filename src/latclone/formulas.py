@@ -17,8 +17,7 @@ coordinate order of the relation a formula defines.
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import terms
 from .errors import (
@@ -27,7 +26,9 @@ from .errors import (
     JoinInSemilatticeMode,
     UnknownVariable,
 )
-from .operations import Relation, relation_from_mask, term_evaluator
+
+if TYPE_CHECKING:
+    from .operations import Relation
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>/\\|\\/|<=|=|&|\.|\(|\)))")
@@ -221,15 +222,20 @@ def parse_formula(text, mode="lattice", variables=None) -> PPFormula:
     return PPFormula(free_vars=free, bound_vars=bound, atoms=atoms)
 
 
-def eval_formula(phi, algebra) -> Relation:
+def eval_formula(phi, algebra) -> "Relation":
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
     searched existentially over the whole carrier. Each variable has its own
     axis of the grid, and its values vary along that axis only, so an atom
     is tabulated over the axes of its own variables and then folded into
-    the mask of the whole grid.
+    the mask of the whole grid. Only evaluation needs numpy, so it is
+    imported here: parsing and quantifier elimination run without it.
     """
+    import numpy as np
+
+    from .operations import relation_from_mask, term_evaluator
+
     size = algebra.size
     names = phi.free_vars + phi.bound_vars
     axes = len(names)

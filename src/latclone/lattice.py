@@ -10,12 +10,11 @@ lower / least upper bounds of the reflexive-transitive order; any validation
 failure raises instead of repairing silently.
 """
 
+import sys
 import warnings
 from functools import reduce
 from itertools import combinations
 from numbers import Integral
-
-import numpy as np
 
 from .errors import (
     AxiomViolation,
@@ -52,8 +51,11 @@ def as_indices(values, what):
     """The values as a tuple of ints; only int and numpy integer values are indices.
 
     A one-dimensional numpy array is checked by its dtype, not value by value.
+    No value can be an array while numpy is not loaded, and this module does
+    not load it.
     """
-    if isinstance(values, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise BadSpec(f"expected a list of {what} values, got an array of shape {values.shape}")
         check_index_dtype(values, what)

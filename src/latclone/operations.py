@@ -12,6 +12,9 @@ import numpy as np
 
 from . import terms
 from .errors import (
+    DEFAULT_CENTRALIZER_LIMIT,
+    DEFAULT_CLONE_LIMIT,
+    DEFAULT_CLOSURE_LIMIT,
     ArityMismatch,
     BadAssignment,
     BadIndex,
@@ -22,9 +25,6 @@ from .errors import (
 from .lattice import as_indices, check_index_dtype
 from .symmetry import is_symmetric, representative_cells
 
-DEFAULT_CLONE_LIMIT = 100_000
-DEFAULT_CENTRALIZER_LIMIT = 100_000
-DEFAULT_CLOSURE_LIMIT = 1_000_000
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 
 
@@ -154,6 +154,15 @@ class Relation:
         self._set = frozenset(self.tuples)
 
     @classmethod
+    def _trusted(cls, arity, size, tuples):
+        """A relation whose tuples are already a sorted, duplicate-free tuple
+        of int tuples in range."""
+        relation = cls.__new__(cls)
+        relation.arity, relation.size, relation.tuples = arity, size, tuples
+        relation._set = frozenset(tuples)
+        return relation
+
+    @classmethod
     def full(cls, arity, size):
         return cls(arity, size, product(range(size), repeat=arity))
 
@@ -186,12 +195,13 @@ def relation_from_mask(mask, arity, size) -> Relation:
     """The tuples of the grid {0..size-1}^arity at which the mask holds.
 
     The mask is flat in lexicographic order or already has one axis per
-    coordinate.
+    coordinate. np.nonzero lists the cells in row-major, that is
+    lexicographic, order, so its rows need no sorting or deduplication.
     """
     if arity == 0:
-        return Relation(0, size, [()] if np.any(mask) else [])
+        return Relation._trusted(0, size, ((),) if np.any(mask) else ())
     coords = np.nonzero(np.reshape(mask, (size,) * arity))
-    return Relation(arity, size, np.array(coords).T)
+    return Relation._trusted(arity, size, tuple(zip(*[c.tolist() for c in coords])))
 
 
 def term_evaluator(algebra):

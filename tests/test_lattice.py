@@ -331,7 +331,8 @@ def test_semilattice_verdict_is_decided_once_per_object(monkeypatch):
         return real(semilattice)
 
     monkeypatch.setattr(lattice, "semilattice_to_lattice", counted)
-    for lat, verdict in [(B3, True), (N5, False)]:
+    # fresh lattices: meet_reduct keeps one reduct, verdict cached, per lattice object
+    for lat, verdict in [(catalog.boolean_lattice(3), True), (catalog.pentagon(), False)]:
         reduct = catalog.meet_reduct(lat)
         assert is_distributive_semilattice(reduct) is verdict
         assert is_distributive_semilattice(reduct) is verdict

@@ -922,6 +922,20 @@ def test_relation_from_mask_decodes_lexicographic_hits():
     assert relation_from_mask(mask.reshape(4, 4, 4), 3, 4).tuples == tuple(expected)
 
 
+def test_relation_from_mask_equals_the_checked_constructor():
+    rng = np.random.default_rng(11)
+    for arity, size in ((0, 3), (1, 4), (2, 3), (3, 4), (4, 5)):
+        shape = (size,) * arity
+        for mask in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool),
+                     rng.random(shape) < 0.3, rng.random(shape) < 0.8):
+            rows = np.argwhere(mask)
+            expected = Relation(arity, size, rows if arity else [()] * len(rows))
+            got = relation_from_mask(mask, arity, size)
+            assert got == expected and hash(got) == hash(expected)
+            assert all(t in got for t in expected) and got.issubset(expected)
+            assert all(type(v) is int for t in got for v in t)
+
+
 def test_optable_call_and_encoding():
     f = meet_op(C3)
     assert f(2, 1) == 1

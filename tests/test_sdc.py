@@ -13,7 +13,7 @@ from latclone.errors import (
     IsDistributiveSemilattice,
     NotDistributive,
 )
-from latclone.lattice import birkhoff_embed, forbidden_sublattice
+from latclone.lattice import birkhoff_embed, forbidden_sublattice, semilattice_to_lattice
 from latclone.operations import (
     Relation,
     centralizer_slice,
@@ -297,6 +297,21 @@ def test_decide_sdc_semilattice_verdicts():
 def test_decide_sdc_accepts_lattices_in_semilattice_mode():
     verdict = decide_sdc(C3, "semilattice")
     assert verdict.holds and verdict.route == "distributive-semilattice"
+
+
+def test_semilattice_mode_builds_the_completion_once_per_lattice(monkeypatch):
+    completions = []
+
+    def counted(semilattice):
+        completions.append(semilattice)
+        return semilattice_to_lattice(semilattice)
+
+    monkeypatch.setattr("latclone.lattice.semilattice_to_lattice", counted)
+    for fresh, holds in ((catalog.boolean_lattice(3), True), (catalog.pentagon(), False)):
+        for _ in range(2):
+            assert decide_sdc(fresh, "semilattice", verify=0).holds is holds
+        assert completions == [catalog.meet_reduct(fresh)]
+        completions.clear()
 
 
 def test_verdict_json_is_stable():
