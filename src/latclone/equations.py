@@ -81,10 +81,19 @@ class EqTheory:
             raise BadSpec("blocks must partition the slice")
 
     def satisfies(self, f, g) -> bool:
-        """Is f = g an equation of the theory (same block)?"""
-        fi = self.ops.index(f)
-        gi = self.ops.index(g)
+        """Is f = g an equation of the theory (same block)? Raises ArityMismatch
+        for a table of another arity or carrier, BadSpec for one outside the slice."""
+        fi, gi = self._position(f), self._position(g)
         return any(fi in block and gi in block for block in self.blocks)
+
+    def _position(self, op):
+        if op.arity != self.arity or op.size != self.size:
+            raise ArityMismatch(f"{op.arity}-ary table on {op.size} elements in a theory of "
+                                f"{self.arity}-ary tables on {self.size}")
+        try:
+            return self.ops.index(op)
+        except ValueError:
+            raise BadSpec(f"{op!r} is not in the theory's slice") from None
 
     def induced_system(self) -> EquationSystem:
         """One representative equation per non-representative block member.

@@ -7,10 +7,11 @@ generated tables is display metadata and takes no part in comparisons.
 """
 
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import numpy as np
 
-from . import terms
+from . import symmetry, terms
 from .errors import (
     DEFAULT_CENTRALIZER_LIMIT,
     DEFAULT_CLONE_LIMIT,
@@ -23,7 +24,6 @@ from .errors import (
     LimitExceeded,
 )
 from .lattice import as_indices, check_index_dtype
-from .symmetry import is_symmetric, representative_cells
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 
@@ -447,7 +447,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
 
     # candidates are compared by their bytes in the narrowest type that holds a value
     narrow = np.min_scalar_type(size - 1)
-    reps, rebuild = representative_cells(generator_ops, n)
+    reps, rebuild = symmetry.representative_cells(generator_ops, n)
     rows = np.empty((max(n, 16), len(reps)), dtype=narrow)  # doubles when full
     provs = []
     seen = set()
@@ -469,7 +469,8 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         if col.tobytes() not in seen:
             add(col.tobytes(), col, terms.Var(f"x{i + 1}"))
 
-    walks = [(g, g.array().astype(narrow), is_symmetric(g), np.min_scalar_type(size ** g.arity - 1))
+    walks = [(g, g.array().astype(narrow), symmetry.is_symmetric(g),
+              np.min_scalar_type(size ** g.arity - 1))
              for g in generator_ops]
     pos = 0
     while pos < len(provs):
@@ -511,6 +512,14 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     return tables
 
 
+def _grid(bounds):
+    """The len(bounds) x T array of the T tuples whose i-th entry lies in
+    range(*bounds[i]), in lexicographic order."""
+    lengths = [hi - lo for lo, hi in bounds]
+    grid = np.unravel_index(np.arange(prod(lengths)), lengths)
+    return np.array(grid) + np.array([lo for lo, _ in bounds])[:, None]
+
+
 # The cells defined after branching on x1..xj form the subalgebra of A^k
 # they generate, whatever the values. The next layer branches on the lowest
 # cell outside it, then runs rounds: each meets, per generator, the tuples of
@@ -531,7 +540,7 @@ def _layer_plan(generator_ops, size, k):
     digits = np.array(argument_columns(size, k))
     position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
     walks = [(g.arity, g.array(), g.array().astype(np.min_scalar_type(size - 1)),
-              1 if is_symmetric(g) else g.arity) for g in generator_ops]
+              1 if symmetry.is_symmetric(g) else g.arity) for g in generator_ops]
     layers = []
     filled = branch = 0
     while filled < ncells:
@@ -544,10 +553,8 @@ def _layer_plan(generator_ops, size, k):
             hi, defines, checks = filled, [], []
             for m, table, values, firsts in walks:
                 # j positions defined before the last round, then one defined in it
-                ranges = [[(0, lo)] * j + [(lo, hi)] + [(0, hi)] * (m - 1 - j)
-                          for j in range(firsts)]
-                args = np.concatenate([np.array([grid.ravel() for grid in np.meshgrid(
-                    *(np.arange(*r) for r in rs), indexing="ij")]) for rs in ranges], axis=1)
+                args = np.concatenate([_grid([(0, lo)] * j + [(lo, hi)] + [(0, hi)] * (m - 1 - j))
+                                       for j in range(firsts)], axis=1)
                 tuples += args.shape[1]
                 arg_cells, target = cells[args], 0
                 for col in digits:
@@ -555,18 +562,21 @@ def _layer_plan(generator_ops, size, k):
                     for a in arg_cells:
                         idx = idx * size + col[a]
                     target = target * size + table[idx]
-                owner = np.full(ncells, -1)
-                owner[target] = np.arange(len(target))
-                new = np.flatnonzero((owner >= 0) & (position < 0))
-                if len(new):
+                if (position[target] < 0).any():
+                    owner = np.full(ncells, -1)
+                    owner[target] = np.arange(len(target))
+                    new = np.flatnonzero((owner >= 0) & (position < 0))
                     position[new] = np.arange(filled, filled + len(new))
                     cells[filled:filled + len(new)] = new
                     filled += len(new)
-                    defines.append((values, args[:, owner[new]].astype(pos_type),
+                    defining = owner[new]
+                    defines.append((values, args[:, defining].astype(pos_type),
                                     position[new].astype(pos_type)))
-                    args = np.delete(args, owner[new], axis=1)
-                    target = np.delete(target, owner[new])
-                checks.append((values, args.astype(pos_type), position[target].astype(pos_type)))
+                    kept = np.ones(len(target), dtype=bool)
+                    kept[defining] = False
+                    args, target = args[:, kept], target[kept]
+                if len(target):
+                    checks.append((values, args.astype(pos_type), position[target].astype(pos_type)))
             rounds.append((defines, checks))
             lo = hi
         layers.append((filled, tuples, rounds))
@@ -584,19 +594,123 @@ def _forced(values, rows, args, size):
     return values[idx]
 
 
+def _plan_search(position, layers, size, values):
+    """Blocks (cells x tables) of the tables the layer plan admits whose branch
+    cells take the given values, ascending if the values are.
+
+    The plan runs depth first over blocks of partial tables (columns of a
+    position x row array): a block is expanded by every value of the
+    branch cell, each round fills its cells and drops the rows a check
+    contradicts, and the survivors are pushed. An expansion or a chunk of
+    checks touches at most BLOCK_CELLS cells unless one row needs more.
+    Cells below a branch cell are defined before it, so with ascending
+    values the tables come out in lexicographic order.
+    """
+    narrow = np.min_scalar_type(size - 1)
+    values = np.array(values, dtype=narrow)
+    fan = len(values)
+    stack = [(0, np.empty((0, 1), dtype=narrow))]  # (layer to expand, its block)
+    while stack:
+        j, block = stack.pop()
+        stop, tuples, rounds = layers[j]
+        take = max(1, BLOCK_CELLS // (fan * (stop + tuples)))
+        if block.shape[1] > take:
+            stack.append((j, block[:, take:]))
+            block = block[:, :take]
+        rows = np.empty((stop, block.shape[1] * fan), dtype=narrow)
+        rows[:len(block)].reshape(len(block), block.shape[1], fan)[...] = block[:, :, None]
+        rows[len(block)].reshape(-1, fan)[...] = values
+        for defines, checks in rounds:
+            if not rows.shape[1]:
+                break
+            for table, args, targets in defines:
+                rows[targets] = _forced(table, rows, args, size)
+            ok = np.ones(rows.shape[1], dtype=bool)
+            chunk = max(1, BLOCK_CELLS // rows.shape[1])
+            for table, args, targets in checks:
+                for c in range(0, len(targets), chunk):
+                    ok &= (_forced(table, rows, args[:, c:c + chunk], size)
+                           == rows[targets[c:c + chunk]]).all(axis=0)
+            if not ok.all():
+                rows = rows[:, ok]
+        if j + 1 < len(layers):
+            if rows.shape[1]:
+                stack.append((j + 1, rows))
+        elif rows.shape[1]:
+            yield rows[position]
+
+
+def _prefix_steps(high):
+    """Transitions between the prefixes of the elements' bit vectors.
+
+    high is the r x size array of the bits (h_i(x) == q). A prefix is
+    named by the lowest element whose bit vector starts with it; entry
+    [i, b, s] of the result is the name of prefix s of length i extended by
+    bit b, or size if no element's bit vector starts that way. The maps
+    separate the carrier, so the name of a full bit vector is its element.
+    """
+    r, size = high.shape
+    same = np.logical_and.accumulate(high[:, :, None] == high[:, None, :])  # same prefix up to i
+    name = same.argmax(axis=2)
+    before = np.vstack((np.zeros((1, size), dtype=name.dtype), name[:-1]))
+    steps = np.full((r, 2, size), size, dtype=np.min_scalar_type(size))
+    steps[np.arange(r)[:, None], high.astype(np.intp), before] = name
+    return steps
+
+
+def _combine(homs, steps, limit):
+    """The tables f (columns of a cells x tables array) with h_i o f = u_i
+    for an r-tuple u_1..u_r of the homomorphisms homs (bits, cells x homs):
+    one per tuple whose bit vector at every cell is an element's. Raises
+    LimitExceeded once more than limit are found.
+
+    The tuples grow depth first in blocks. At depth i a partial tuple
+    names a prefix at every cell; it fails with a homomorphism when some
+    cell has no extension by that homomorphism's bit, which one boolean
+    matrix product finds for every pair of the block, and only the pairs
+    that pass are built. A block touches at most BLOCK_CELLS cells unless
+    one row needs more.
+    """
+    ncells, size = len(homs), steps.shape[2]  # size names no prefix
+    take = max(1, BLOCK_CELLS // max(1, homs.size))
+    found, count = [], 0
+    stack = [(0, np.zeros((ncells, 1), dtype=steps.dtype))]
+    while stack:
+        i, block = stack.pop()
+        if block.shape[1] > take:
+            stack.append((i, block[:, take:]))
+            block = block[:, :take]
+        by_p, by_q = steps[i][:, block]  # each cell's prefix extended by either bit
+        stuck = ((by_p == size).T @ ~homs) | ((by_q == size).T @ homs)  # block x homs
+        part, hom = np.nonzero(~stuck)
+        cols = np.where(homs[:, hom], by_q[:, part], by_p[:, part])
+        if i + 1 < len(steps):
+            if cols.shape[1]:
+                stack.append((i + 1, cols))
+            continue
+        count += cols.shape[1]
+        if count > limit:
+            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+        found.append(cols)
+    return np.concatenate(found, axis=1) if found else np.empty((ncells, 0), dtype=steps.dtype)
+
+
 def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
-    """All k-ary operations commuting with every generator.
+    """All k-ary operations commuting with every generator, in lexicographic order.
 
     A k-ary f commutes with an m-ary generator g exactly when f is a
     homomorphism A^k -> A for g: f(g(c1, ..., cm)) = g(f(c1), ..., f(cm))
-    for all cells c1..cm of A^k, with g applied digitwise on the left. The
-    search runs the layer plan depth first over blocks of partial tables
-    (columns of a position x row array): a block is expanded by every value
-    of the branch cell, each round fills its cells and drops the rows a
-    check contradicts, and the survivors are pushed. An expansion or a
-    chunk of checks touches at most BLOCK_CELLS cells unless one row needs
-    more. Cells below a branch cell are defined before it, so tables come
-    out in lexicographic order; raises LimitExceeded past the limit.
+    for all cells c1..cm of A^k, with g applied digitwise on the left.
+    Without a separating family, _plan_search lists them with every value
+    at every branch cell. With two-valued homomorphisms h_1..h_r: A ->
+    {p, q} that separate the carrier, f is one exactly when every h_i o f
+    is a homomorphism A^k -> {p, q} and the bits of (h_i o f(c))_i are an
+    element's at every cell: the search lists those homomorphisms H with
+    the values p and q alone ({p, q} is closed under every generator), and
+    _combine pairs r of them. Each u in H is itself a member, with values
+    in {p, q}, so at least |H| tables exist, and at most |H|^r: while H is
+    being found, the tuples over it are counted each time it doubles once
+    that bound passes the limit. Raises LimitExceeded past the limit.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -609,41 +723,30 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
         raise BadSpec("slice arity must be at least 1")
 
     position, layers = _layer_plan(generator_ops, size, k)
-    narrow = np.min_scalar_type(size - 1)
-    found, count = [], 0
-    stack = [(0, np.empty((0, 1), dtype=narrow))]  # (layer to expand, its block)
-    while stack:
-        j, block = stack.pop()
-        stop, tuples, rounds = layers[j]
-        take = max(1, BLOCK_CELLS // (size * (stop + tuples)))
-        if block.shape[1] > take:
-            stack.append((j, block[:, take:]))
-            block = block[:, :take]
-        rows = np.empty((stop, block.shape[1] * size), dtype=narrow)
-        rows[:len(block)] = np.repeat(block, size, axis=1)
-        rows[len(block)] = np.tile(np.arange(size), block.shape[1])
-        for defines, checks in rounds:
-            if not rows.shape[1]:
-                break
-            for values, args, targets in defines:
-                rows[targets] = _forced(values, rows, args, size)
-            ok = np.ones(rows.shape[1], dtype=bool)
-            chunk = max(1, BLOCK_CELLS // rows.shape[1])
-            for values, args, targets in checks:
-                for c in range(0, len(targets), chunk):
-                    ok &= (_forced(values, rows, args[:, c:c + chunk], size)
-                           == rows[targets[c:c + chunk]]).all(axis=0)
-            if not ok.all():
-                rows = rows[:, ok]
-        if j + 1 < len(layers):
-            if rows.shape[1]:
-                stack.append((j + 1, rows))
-            continue
-        count += rows.shape[1]
-        if count > limit:
-            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
-        found.append(rows[position])
-    return [op for block in found for op in _checked_tables(block.T, k, size, [None] * block.shape[1])]
+    family = symmetry.separating_family(generator_ops)
+    if family is None:
+        found, count = [], 0
+        for block in _plan_search(position, layers, size, range(size)):
+            count += block.shape[1]
+            if count > limit:
+                raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+            found.append(block.T)
+    else:
+        p, q, maps, _ = family
+        steps = _prefix_steps(maps == q)
+        homs = [np.empty((size ** k, 0), dtype=bool)]  # the bits of those found so far
+        count = counted = 0
+        cols = None
+        for block in _plan_search(position, layers, size, (p, q)):
+            homs.append(block == q)
+            count += block.shape[1]
+            if count >= 2 * counted and count ** len(steps) > limit:
+                cols, counted = _combine(np.concatenate(homs, axis=1), steps, limit), count
+        if cols is None or counted < count:
+            cols = _combine(np.concatenate(homs, axis=1), steps, limit)
+        found = [cols.T[np.lexsort(cols[::-1])]]
+        del cols, homs  # only the sorted tables stay while they are built
+    return [op for block in found for op in _checked_tables(block, k, size, [None] * len(block))]
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:

@@ -1,11 +1,15 @@
-"""Symmetries of operation tables: argument symmetry, automorphisms, and the
-cells of A^n that determine every term operation.
+"""Symmetries of operation tables: argument symmetry, automorphisms, the
+two-valued homomorphisms that separate the carrier, and the cells of A^n
+that determine every term operation.
 
 A map h: A -> A with h(g(x, ...)) = g(h(x), ...) for every generator g
 commutes with every term operation t, h applied cellwise: h(t(c)) = t(h(c)).
 So the clone walk needs one cell of A^n per automorphism orbit. And if such
 maps h1..hr into a pair {p, q} separate the points of A, t(c) is the element
 whose hi-images are t(hi(c)): t is fixed by its values on the cells {p, q}^n.
+The same family serves the centralizer slice: f: A^k -> A is a homomorphism
+exactly when every hi o f is one into {p, q} and, at every cell, the bits
+(hi o f(c))i are an element's.
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ from latclone.equations import (
     is_solution_set,
     solve,
 )
-from latclone.errors import LimitExceeded
+from latclone.errors import ArityMismatch, BadSpec, LimitExceeded
 from latclone.formulas import parse_formula, eval_formula
 from latclone.operations import (
     OpTable,
@@ -89,6 +89,20 @@ def test_theory_satisfies_reflects_blocks():
     separated = equations_of(Relation.full(2, 2), generators(C2, "lattice"))
     assert all(separated.satisfies(f, g) == (f == g)
                for f in separated.ops for g in separated.ops)
+
+
+def test_theory_satisfies_refuses_tables_outside_the_slice():
+    theory = equations_of(Relation(2, 3, [(0, 1), (1, 2)]), generators(C3, "lattice"))
+    inside = theory.ops[0]
+    outside = OpTable(2, 3, [2] * 9)  # a constant: same shape, not a lattice term
+    for f, g in [(outside, inside), (inside, outside)]:
+        with pytest.raises(BadSpec, match="not in the theory's slice"):
+            theory.satisfies(f, g)
+    for other in (OpTable(1, 3, [0, 1, 2]), OpTable(2, 2, [0, 0, 0, 1])):
+        with pytest.raises(ArityMismatch):
+            theory.satisfies(inside, other)
+        with pytest.raises(ArityMismatch):
+            theory.satisfies(other, inside)
 
 
 def test_pair_witness_theory_on_pentagon_is_trivial():

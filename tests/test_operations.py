@@ -733,13 +733,19 @@ def test_centralizer_brute_force_cross_check():
     assert set(centralizer_slice([meet], 2)) == expected
 
 
+_ORACLE_SLICES = {}  # the oracle's answers, so that a check run on both searches pays once
+
+
 def _same_as_oracle(gens, k, limit=100_000, monkeypatch=None):
     """Same tables and refusal as the oracle; given monkeypatch, also with the block
     cap at 1 (one row per block, one tuple per check chunk) and at 2**40 (no split)."""
-    try:
-        expected = [f.values for f in slow_centralizer_slice(gens, k, limit)]
-    except LimitExceeded:
-        expected = None
+    key = (tuple((g.arity, g.values) for g in gens), k, limit)
+    if key not in _ORACLE_SLICES:
+        try:
+            _ORACLE_SLICES[key] = [f.values for f in slow_centralizer_slice(gens, k, limit)]
+        except LimitExceeded:
+            _ORACLE_SLICES[key] = None
+    expected = _ORACLE_SLICES[key]
     for cap in [operations.BLOCK_CELLS] + ([1, 1 << 40] if monkeypatch else []):
         if monkeypatch:
             monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
@@ -753,8 +759,83 @@ def _same_as_oracle(gens, k, limit=100_000, monkeypatch=None):
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_centralizer_matches_oracle_on_catalog(name, structure, mode, monkeypatch):
-    for k in ((1,) if name == "B3" else (1, 2)):
-        _same_as_oracle(generators(structure, mode), k, monkeypatch=monkeypatch)
+    # again without a separating family, so distributive fixtures also take the plan search
+    for _ in _with_and_without_family(monkeypatch):
+        for k in ((1,) if name == "B3" else (1, 2)):
+            _same_as_oracle(generators(structure, mode), k, monkeypatch=monkeypatch)
+
+
+def _same_as_oracle_on_two_valued_homomorphisms(gens, ks):
+    """The separating family exists, and the slices at each arity match the
+    oracle at every block cap, or refuse with it past 300 tables."""
+    assert symmetry.separating_family(gens) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        for k in ks:
+            _same_as_oracle(gens, k, limit=300, monkeypatch=mp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(down_set_lattices())
+def test_centralizer_matches_oracle_on_distributive_lattices(lat):
+    ks = (1, 2) if lat.size <= 4 else (1,)
+    for mode in ("lattice", "semilattice"):
+        _same_as_oracle_on_two_valued_homomorphisms(generators(lat, mode), ks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(intersection_closed_families())
+def test_centralizer_matches_oracle_on_meet_semilattices(semilattice):
+    ks = (1, 2) if semilattice.size <= 4 else (1,)
+    _same_as_oracle_on_two_valued_homomorphisms(generators(semilattice, "semilattice"), ks)
+
+
+# Closed forms that share no code with either search. B_n^k is B_nk, whose
+# lattice homomorphisms into 2 are the two constants and the nk prime
+# filters, and whose meet homomorphisms into 2 are the 2^nk principal
+# filters and the constant bottom; a map into B_n = 2^n is n such maps.
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_centralizer_of_boolean_lattice_in_lattice_mode_has_closed_form_size(n, k):
+    gens = generators(catalog.boolean_lattice(n), "lattice")
+    assert len(centralizer_slice(gens, k)) == (2 + k * n) ** n  # B4 at k=2: 10,000
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+def test_centralizer_of_boolean_lattice_in_semilattice_mode_has_closed_form_size(n, k):
+    gens = generators(catalog.boolean_lattice(n), "semilattice")
+    assert len(centralizer_slice(gens, k)) == (2 ** (n * k) + 1) ** n  # B4 at k=1: 83,521
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 40])
+def test_centralizer_limit_boundary_on_two_valued_homomorphisms(cap, monkeypatch):
+    # at cap 1 the homomorphisms come a few per block, so the counts taken
+    # while they are found refuse the small limits
+    monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
+    for structure, mode, k in [(C3, "lattice", 2), (B2, "lattice", 2), (M3, "semilattice", 1),
+                               (catalog.chain(4), "semilattice", 1), (catalog.fence(), "semilattice", 1)]:
+        gens = generators(structure, mode)
+        assert symmetry.separating_family(gens) is not None
+        expected = [f.values for f in slow_centralizer_slice(gens, k, 100_000)]
+        assert [f.values for f in centralizer_slice(gens, k, limit=len(expected))] == expected
+        for limit in range(len(expected)):
+            with pytest.raises(LimitExceeded, match=f"centralizer slice exceeds {limit} tables"):
+                centralizer_slice(gens, k, limit=limit)
+
+
+def test_small_limit_refuses_before_every_homomorphism_is_found(monkeypatch):
+    # C6 at k=3 has 17 homomorphisms into {p, q}; handed over one at a
+    # time, a limit of 10 is passed by the count over the first few
+    search, handed = operations._plan_search, []
+
+    def one_at_a_time(*args):
+        for block in search(*args):
+            for j in range(block.shape[1]):
+                handed.append(j)
+                yield block[:, j:j + 1]
+
+    monkeypatch.setattr(operations, "_plan_search", one_at_a_time)
+    with pytest.raises(LimitExceeded, match="exceeds 10 tables"):
+        centralizer_slice(generators(catalog.chain(6), "lattice"), 3, limit=10)
+    assert 0 < len(handed) < 17
 
 
 def test_centralizer_matches_oracle_on_b2_ternary():
