@@ -29,8 +29,9 @@ from .lattice import (
 # Each command imports the engines it runs when it runs, so a process pays
 # only for its own verb: check and props stay on the lattice layer, and
 # neither they nor qe load numpy. These engine functions stay readable as
-# attributes of this module, as they were when it imported them up front;
-# each read returns the engine module's current binding.
+# attributes of this module, as they were when it imported them up front
+# (bench/test_bench.py checks them as binding sites of the tracer); each
+# read returns the engine module's current binding.
 _ENGINES = {"clone_slice": "operations", "eval_formula": "formulas"}
 
 

@@ -348,7 +348,7 @@ class BooleanStructure:
 
     def __init__(self, host, complement):
         self.host = host
-        self.complement = tuple(int(c) for c in complement)
+        self.complement = as_indices(complement, "complement map entry")
         size = host.size
         if len(self.complement) != size:
             raise BadSpec("complement map has the wrong length")

@@ -79,9 +79,12 @@ class OpTable:
     def index(self, args) -> int:
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
+        size = self.size
         idx = 0
         for a in args:
-            idx = idx * self.size + a
+            if not 0 <= a < size:
+                raise BadIndex(f"argument {a!r} outside 0..{size - 1}")
+            idx = idx * size + a
         return idx
 
     def __call__(self, *args) -> int:
@@ -262,6 +265,7 @@ def generators(structure, mode) -> list:
 
 def projection(n, i, size) -> OpTable:
     """The projection onto the i-th of n coordinates (i is 1-based)."""
+    n, i, size = as_indices((n, i, size), "projection arity, index or carrier size")
     if not 1 <= i <= n:
         raise BadIndex(f"projection index {i} outside 1..{n}")
     col = argument_columns(size, n)[i - 1]
@@ -303,7 +307,8 @@ def pad_and_identify(f, arity, assignment) -> OpTable:
     so identity padding to arity n+1 adds a fictitious last variable and a
     constant assignment identifies variables.
     """
-    assignment = tuple(int(z) for z in assignment)
+    arity = as_indices([arity], "arity")[0]
+    assignment = as_indices(assignment, "assignment target")
     if len(assignment) != f.arity:
         raise BadAssignment(f"assignment must cover all {f.arity} positions")
     if any(z < 1 or z > arity for z in assignment):
@@ -422,10 +427,11 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     generator meets the m-tuples of tables 0..pos that contain pos, and each
     new table is appended with its provenance term, up to a fixpoint. The
     walk computes only the cells symmetry.representative_cells picks (the
-    2^n cells {p, q}^n when two-valued homomorphisms separate the carrier,
-    else one cell per automorphism orbit) and rebuilds each full table
-    from those at the end. A block of candidates is compared by exact
-    byte keys, each new key taken at its first index in the block.
+    2^n cells {p, q}^n when two-valued homomorphisms separate the carrier
+    and A^n has at least symmetry.MIN_CELLS cells, else every cell) and
+    rebuilds each full table from those at the end. A block of candidates
+    is compared by exact byte keys, each new key taken at its first index
+    in the block.
     Returns tables sorted by values; raises LimitExceeded when the slice
     would grow past the limit. Results are memoised: the computation is a
     pure function of the generator tables.

@@ -5,7 +5,7 @@ itertools, straight from the definitions, so the library's vectorised paths
 are checked against code that shares none of their machinery.
 """
 
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 from hypothesis import assume
@@ -248,18 +248,6 @@ def slow_clone_slice(generator_ops, n, limit):
 
     tables = [OpTable(n, size, vec.tolist(), provenance=prov) for vec, prov in zip(rows, provs)]
     return sorted(tables, key=lambda t: t.values)
-
-
-def brute_automorphisms(generator_ops):
-    """Every permutation s of the carrier with s(g(x, ...)) = g(s(x), ...) for
-    every generator, in lexicographic order of the image tuples."""
-    size = generator_ops[0].size
-    found = []
-    for s in permutations(range(size)):
-        if all(s[g(*args)] == g(*(s[a] for a in args))
-               for g in generator_ops for args in product(range(size), repeat=g.arity)):
-            found.append(s)
-    return found
 
 
 def slow_commute(f, g):

@@ -103,6 +103,8 @@ def test_meet_table_entries_must_be_integers(bad):
         from_meet_table(["0", "1"], [[0, 0], [0, bad]], kind="semilattice")
     with pytest.raises(BadSpec, match="not an integer"):
         construct(["0", "1"], meet=[[0, 0], [0, bad]])
+    with pytest.raises(BadSpec, match="not an integer"):
+        BooleanStructure(B2, (3, 2, 1, bad))  # a complement map is a table of elements too
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, None])
@@ -217,6 +219,8 @@ def test_boolean_structure_validation():
         BooleanStructure(B2, (0, 1, 2, 3))  # identity is not a complement map
     with pytest.raises(AxiomViolation):
         BooleanStructure(B2, (3, 2, 0, 1))  # not an involution
+    with pytest.raises(BadSpec, match="3.9 is not an integer"):
+        BooleanStructure(B2, [3.9, 2.2, 1.5, 0.1])  # not truncated to (3, 2, 1, 0)
 
 
 def test_median_majority_absorption():

@@ -40,7 +40,6 @@ from latclone.operations import (
 from latclone.lattice import is_distributive, semilattice_to_lattice
 
 from helpers import (
-    brute_automorphisms,
     down_set_lattices,
     evaluate,
     intersection_closed_families,
@@ -129,6 +128,8 @@ def test_pad_and_identify():
         pad_and_identify(meet_op(C3), 2, (1,))
     with pytest.raises(BadAssignment):
         pad_and_identify(meet_op(C3), 2, (1, 3))
+    with pytest.raises(BadSpec, match="1.7 is not an integer"):
+        pad_and_identify(meet_op(C3), 2, (1.7, True))
 
 
 def test_graph():
@@ -482,54 +483,24 @@ def test_clone_slice_limit_boundary():
             clone_slice(gens, n, limit=count - 1)
 
 
-@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
-                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
-def test_automorphisms_match_the_brute_force_search(name, structure, mode):
-    gens = generators(structure, mode)
-    assert symmetry.automorphisms(gens) == brute_automorphisms(gens)
-
-
-def test_automorphisms_of_non_lattice_generators():
-    add = OpTable(2, 3, [(x + y) % 3 for x in range(3) for y in range(3)])
-    assert symmetry.automorphisms([add]) == [(0, 1, 2), (0, 2, 1)]  # x -> 2x
-    cycle = OpTable(1, 4, (1, 2, 3, 0))
-    assert symmetry.automorphisms([cycle]) == brute_automorphisms([cycle])
-    assert len(symmetry.automorphisms([cycle])) == 4  # the powers of the cycle
-    b4 = catalog.boolean_lattice(4)
-    for mode in ("lattice", "semilattice"):
-        assert len(symmetry.automorphisms(generators(b4, mode))) == 24
-
-
-def test_automorphisms_match_the_brute_force_search_on_random_generators():
-    rng = random.Random(47)
-    nontrivial = 0
-    for _ in range(40):
-        size = rng.choice([2, 3, 4])
-        arities = rng.choice([[1], [2], [3], [1, 2], [2, 2], [1, 1]])
-        gens = [random_op(rng, m, size) for m in arities]
-        expected = brute_automorphisms(gens)
-        assert symmetry.automorphisms(gens) == expected
-        nontrivial += len(expected) > 1
-    assert nontrivial >= 5
-
-
 def _with_and_without_family(monkeypatch):
     """Run a check as given, then again with no separating family, so that
-    every slice goes through the automorphism orbits."""
+    every slice walks every cell."""
     yield
     monkeypatch.setattr(symmetry, "separating_family", lambda gens: None)
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
     yield
 
 
-def test_orbit_cells_on_small_slices_match_oracle(monkeypatch):
-    # small slices skip the reductions; force them to check the rebuilds on many generators
+def test_small_slices_match_oracle_on_two_valued_and_on_all_cells(monkeypatch):
+    # small slices skip the two-valued cells; force them to check the rebuild on many generators
     monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
     for _ in _with_and_without_family(monkeypatch):
         for name, structure, mode in CATALOG_MODES:
             for n in (1, 2, 3):
                 _same_clone_as_oracle(generators(structure, mode), n)
+        _same_clone_as_oracle(generators(catalog.boolean_lattice(3), "semilattice"), 4)
         for gens in _unusual_generator_sets():
             for n in (1, 2, 3):
                 _same_clone_as_oracle(gens, n)
@@ -541,25 +512,10 @@ def test_orbit_cells_on_small_slices_match_oracle(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["lattice", "semilattice"])
 def test_clone_slice_of_b4_matches_oracle(mode, monkeypatch):
-    # at n=3 the walk computes 8 of the 4,096 cells; with the 24 automorphisms
-    # instead, 330 in lattice mode
+    # at n=3 the walk computes 8 of the 4,096 cells; without the family, all of them
     for _ in _with_and_without_family(monkeypatch):
         for n in (1, 2, 3):
             _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
-
-
-@pytest.mark.parametrize("kept", [1, 2, 3])
-def test_truncated_automorphism_lists_give_the_same_slice(monkeypatch, kept):
-    search = symmetry.automorphisms
-    monkeypatch.setattr(symmetry, "automorphisms", lambda gens: search(gens)[:kept])
-    monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
-    for _ in _with_and_without_family(monkeypatch):
-        for structure, mode, n in [(catalog.boolean_lattice(3), "lattice", 3),
-                                   (catalog.boolean_lattice(3), "semilattice", 4),
-                                   (M3, "lattice", 3), (M3, "semilattice", 3),
-                                   (catalog.boolean_lattice(4), "lattice", 3)]:
-            _same_clone_as_oracle(generators(structure, mode), n)
 
 
 def _check_family(gens, family):
@@ -657,8 +613,9 @@ def test_free_distributive_lattice_on_four_generators():
     assert len(symmetry.representative_cells(b3, 4)[0]) == 16
     assert len(clone_slice(b3, 4)) == 166
     assert len(clone_slice(generators(catalog.chain(4), "lattice"), 4)) == 166
-    # N5 has no separating family and no automorphism but the identity
+    # N5 and M3 have no separating family, so their walks run on every cell
     assert len(symmetry.representative_cells(generators(N5, "lattice"), 4)[0]) == 625
+    assert len(symmetry.representative_cells(generators(M3, "lattice"), 4)[0]) == 625
 
 
 def test_clone_refusal_on_n5_stays_small():
@@ -673,12 +630,10 @@ def test_clone_refusal_on_n5_stays_small():
     assert peak < 4 << 20
 
 
-def test_projection_table_stops_the_automorphism_search_at_its_budget():
+def test_projection_generator_on_seven_elements_matches_oracle():
     first = OpTable(2, 7, [x for x in range(7) for _ in range(7)], provenance=terms.Var("x1"))
-    found = symmetry.automorphisms([first])
-    assert 1 < len(found) < 5040  # every permutation of 7 elements commutes with it
-    assert found[0] == tuple(range(7))
-    for n in (1, 2, 3, 4):  # 2,401 cells at n=4, so the walk runs on orbit cells
+    assert symmetry.separating_family([first]) is None
+    for n in (1, 2, 3, 4):  # 2,401 cells at n=4, every one of them walked
         _same_clone_as_oracle([first], n)
         assert clone_slice([first], n) == [projection(n, i, 7) for i in range(1, n + 1)]
 
@@ -1025,12 +980,25 @@ def test_optable_call_and_encoding():
         f(1)
 
 
+@pytest.mark.parametrize("args", [(0, 5), (0, -1), (3, 0), (-3, 2), (np.int64(3), 0)])
+def test_optable_refuses_arguments_outside_the_carrier(args):
+    f = meet_op(C3)
+    with pytest.raises(BadIndex, match="outside 0..2"):
+        f(*args)
+    with pytest.raises(BadIndex, match="outside 0..2"):
+        f.index(args)
+
+
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
 def test_arities_and_carrier_sizes_must_be_integers(bad):
     gens = generators(C3, "lattice")
+    f = meet_op(B2)
     for make in (lambda: OpTable(bad, 2, [0, 0, 0, 1]), lambda: OpTable(1, bad, [0, 1]),
                  lambda: Relation(bad, 2, [(0,)]), lambda: Relation(1, bad, [(0,)]),
-                 lambda: clone_slice(gens, bad), lambda: centralizer_slice(gens, bad)):
+                 lambda: clone_slice(gens, bad), lambda: centralizer_slice(gens, bad),
+                 lambda: pad_and_identify(f, bad, (1, 1)), lambda: pad_and_identify(f, 2, (1, bad)),
+                 lambda: projection(bad, 1, 3), lambda: projection(2, bad, 3),
+                 lambda: projection(2, 1, bad)):
         with pytest.raises(BadSpec, match=f"{bad!r} is not an integer"):
             make()
 
