@@ -20,7 +20,7 @@ _HOMES = {
                 "semilattice_to_lattice", "symdiff3"),
     "operations": ("OpTable", "Relation", "centralizer_slice", "clone_slice", "closure_under",
                    "commute", "compose", "graph", "pad_and_identify", "preserves", "projection"),
-    "qe": ("IneqItem", "IneqSystem", "Interval", "eliminate_boolean", "eliminate_semilattice",
+    "qe": ("IneqItem", "IneqSystem", "eliminate_boolean", "eliminate_semilattice",
            "helly_condition", "residuate", "to_inequalities"),
     "sdc": ("SdcVerdict", "decide_sdc", "witness_boolean_gap", "witness_lattice_pair",
             "witness_semilattice"),

@@ -82,6 +82,8 @@ class OpTable:
         size = self.size
         idx = 0
         for a in args:
+            if type(a) is not int:
+                (a,) = as_indices((a,), "argument")
             if not 0 <= a < size:
                 raise BadIndex(f"argument {a!r} outside 0..{size - 1}")
             idx = idx * size + a

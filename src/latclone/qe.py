@@ -4,30 +4,27 @@ The matrix of a formula is first normalised to inequalities: in lattice mode
 each equation splits into two inequalities whose sides are expanded to
 disjunctive/conjunctive normal form, leaving items "meet of variables <=
 join of variables"; in semilattice mode both sides are meets and the right
-side is split per variable. Eliminating a bound variable u then classifies
-each item by where u occurs: items without u pass through, items with u on
-both sides always hold, and the remaining items confine u to an interval.
-The intersection of intervals is nonempty exactly when every lower bound
-lies below every upper bound, and each such comparison is rewritten without
-complements, using that a /\\ b' <= c' \\/ d iff a /\\ c <= b \\/ d.
+side is split per variable. The bound variables are then eliminated
+innermost first on that one item list. Eliminating u classifies each item
+by where u occurs: items without u pass through, items with u on both
+sides always hold, and the remaining items confine u to an interval. Its
+lower bounds have the form /\\a /\\ (\\/b)' and its upper bounds
+(/\\a)' \\/ \\/b, each kept as the variable-set pair (a, b). The interval
+is nonempty exactly when every lower bound lies below every upper bound,
+and each such comparison is rewritten without complements by residuation
+rule iii: a /\\ b' <= c' \\/ d iff a /\\ c <= b \\/ d.
 
 Empty variable sets follow the conventions: an empty meet denotes the top
 element and an empty join the bottom element. They arise only inside
 interval bounds; output atoms always have nonempty sides.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import terms
 from .errors import BadSpec, JoinInSemilatticeMode, NotBoolean, NotDistributive
 from .formulas import PPFormula
 from .lattice import is_boolean, is_distributive, is_distributive_semilattice
-
-ZERO = "zero"
-ONE = "one"
-MEET = "meet"            # /\ a_vars
-MEET_COMP = "meet_comp"  # /\ a_vars  /\  (\/ b_vars)'
-COMP_JOIN = "comp_join"  # (/\ a_vars)'  \/  \/ b_vars
 
 
 @dataclass(frozen=True)
@@ -55,37 +52,16 @@ class IneqSystem:
     mode: str
 
 
-@dataclass(frozen=True)
-class Bound:
-    """A symbolic interval endpoint over free-variable meets and joins."""
-
-    kind: str
-    a_vars: frozenset = field(default_factory=frozenset)
-    b_vars: frozenset = field(default_factory=frozenset)
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Bound
-    hi: Bound
-
-
-def _dnf(term):
-    """Set of meet-clauses (variable sets) whose join is equivalent to the term."""
+def _clauses(term, split):
+    """Clauses (variable sets) of the term's normal form whose connective is
+    `split`: terms.Join gives the meet-clauses of the disjunctive normal form,
+    terms.Meet the join-clauses of the conjunctive one."""
     if isinstance(term, terms.Var):
         return frozenset({frozenset({term.name})})
-    if isinstance(term, terms.Join):
-        return _dnf(term.left) | _dnf(term.right)
-    return frozenset({a | b for a in _dnf(term.left) for b in _dnf(term.right)})
-
-
-def _cnf(term):
-    """Set of join-clauses (variable sets) whose meet is equivalent to the term."""
-    if isinstance(term, terms.Var):
-        return frozenset({frozenset({term.name})})
-    if isinstance(term, terms.Meet):
-        return _cnf(term.left) | _cnf(term.right)
-    return frozenset({a | b for a in _cnf(term.left) for b in _cnf(term.right)})
+    left, right = _clauses(term.left, split), _clauses(term.right, split)
+    if isinstance(term, split):
+        return left | right
+    return frozenset({a | b for a in left for b in right})
 
 
 def to_inequalities(atoms, mode) -> IneqSystem:
@@ -106,8 +82,8 @@ def to_inequalities(atoms, mode) -> IneqSystem:
             raise JoinInSemilatticeMode("inequality normalisation in semilattice mode")
         for s, t in ((lhs, rhs), (rhs, lhs)):
             if mode == "lattice":
-                for m in _dnf(s):
-                    for j in _cnf(t):
+                for m in _clauses(s, terms.Join):
+                    for j in _clauses(t, terms.Meet):
                         items.add(IneqItem(m, j))
             else:
                 m = frozenset(terms.variables(s))
@@ -137,68 +113,40 @@ def residuate(kind, boolean, *operands):
     raise BadSpec(f"unknown residuation kind {kind!r}")
 
 
-def _pairwise_condition(lo, hi):
-    """The complement-free inequality equivalent to lo <= hi, or None if trivial."""
-    if lo.kind == ZERO or hi.kind == ONE:
-        return None
-    if lo.kind == MEET_COMP and hi.kind == COMP_JOIN:
-        return IneqItem(lo.a_vars | hi.a_vars, lo.b_vars | hi.b_vars)
-    if lo.kind == MEET and hi.kind == COMP_JOIN:
-        return IneqItem(lo.a_vars | hi.a_vars, hi.b_vars)
-    raise RuntimeError(f"unexpected bound combination {lo.kind}/{hi.kind}")
+def helly_condition(intervals, algebra):
+    """Whether intervals, given as (lo, hi) element pairs, have a common element.
 
-
-def helly_condition(intervals, algebra=None):
-    """Nonempty intersection of intervals via pairwise bound comparisons.
-
-    Concrete intervals, given as (lo, hi) element pairs with an algebra,
-    yield a verdict: the intersection is nonempty iff every lower endpoint
-    is below every upper endpoint. Symbolic Interval values yield the
-    equivalent quantifier-free conditions as inequality items, with trivial
-    comparisons dropped.
+    The intersection is nonempty iff every lower endpoint is below every
+    upper endpoint.
     """
     intervals = list(intervals)
-    if all(isinstance(iv, Interval) for iv in intervals):
-        out = set()
-        for i in intervals:
-            for j in intervals:
-                cond = _pairwise_condition(i.lo, j.hi)
-                if cond is not None:
-                    out.add(cond)
-        return sorted(out, key=IneqItem.sort_key)
-    if algebra is None:
-        raise BadSpec("concrete intervals need an algebra")
     return all(algebra.leq(ci, dj)
                for ci, _ in intervals
                for _, dj in intervals)
 
 
-def _occurs(name, atoms) -> bool:
-    return any(name in terms.variables(lhs) | terms.variables(rhs) for lhs, rhs in atoms)
+def _pairings(lower, upper):
+    """The complement-free conditions lo <= hi for every lower bound
+    /\\la /\\ (\\/lb)' and upper bound (/\\ha)' \\/ \\/hb, given as
+    (la, lb) and (ha, hb) variable-set pairs (residuation rule iii)."""
+    return [IneqItem(la | ha, lb | hb) for la, lb in lower for ha, hb in upper]
 
 
-def _items_to_atoms(items, mode):
-    """Canonical atoms for the surviving inequalities: sorted, deduplicated,
-    trivial items dropped, each item rendered as the equation s = s /\\ t."""
+def _items_to_atoms(items):
+    """Canonical atoms for a set of nontrivial inequalities, in sorted order,
+    each item rendered as the equation s = s /\\ t (a semilattice item's
+    join side is one variable)."""
     atoms = []
-    for item in sorted(set(items), key=IneqItem.sort_key):
-        if item.trivial():
-            continue
+    for item in sorted(items, key=IneqItem.sort_key):
         if not item.meet_vars or not item.join_vars:
             raise RuntimeError("eliminator produced an empty inequality side")
         lhs = terms.meet_all(sorted(item.meet_vars))
-        if mode == "lattice":
-            rhs = terms.join_all(sorted(item.join_vars)) if len(item.join_vars) > 1 \
-                else terms.Var(next(iter(item.join_vars)))
-        else:
-            rhs = terms.Var(next(iter(item.join_vars)))
-        atoms.append((lhs, terms.Meet(lhs, rhs)))
+        atoms.append((lhs, terms.Meet(lhs, terms.join_all(sorted(item.join_vars)))))
     return tuple(atoms)
 
 
 def _eliminate_one_boolean(items, u):
-    survivors = []
-    intervals = []
+    survivors, lower, upper = [], [], []
     for item in items:
         in_meet = u in item.meet_vars
         in_join = u in item.join_vars
@@ -207,54 +155,51 @@ def _eliminate_one_boolean(items, u):
         elif in_meet and in_join:
             pass  # a /\ u <= b \/ u always holds
         elif in_meet:
-            intervals.append(Interval(Bound(ZERO),
-                                      Bound(COMP_JOIN, item.meet_vars - {u}, item.join_vars)))
+            upper.append((item.meet_vars - {u}, item.join_vars))
         else:
-            intervals.append(Interval(Bound(MEET_COMP, item.meet_vars, item.join_vars - {u}),
-                                      Bound(ONE)))
-    return survivors + helly_condition(intervals)
+            lower.append((item.meet_vars, item.join_vars - {u}))
+    return survivors + _pairings(lower, upper)
 
 
 def _eliminate_one_semilattice(items, u):
-    survivors = []
-    intervals = []
+    survivors, lower, upper = [], [], []
     for item in items:
         target = next(iter(item.join_vars))
         in_meet = u in item.meet_vars
         if target == u:
             if not in_meet:
-                intervals.append(Interval(Bound(MEET, item.meet_vars), Bound(ONE)))
+                lower.append((item.meet_vars, frozenset()))
             # with u on the left too the item reads a /\ u <= u: always holds
         elif in_meet:
-            intervals.append(Interval(Bound(ZERO),
-                                      Bound(COMP_JOIN, item.meet_vars - {u}, item.join_vars)))
+            upper.append((item.meet_vars - {u}, item.join_vars))
         else:
             survivors.append(item)
-    return survivors + helly_condition(intervals)
+    return survivors + _pairings(lower, upper)
 
 
 def _eliminate(phi, mode):
     if not phi.bound_vars:
         return phi
     atoms = phi.atoms
-    for u in reversed(phi.bound_vars):
-        if not _occurs(u, atoms):
-            continue
+    used = set().union(*(terms.variables(lhs) | terms.variables(rhs) for lhs, rhs in atoms))
+    if not used.isdisjoint(phi.bound_vars):
+        # a trivial item, with a variable on both sides, only ever yields
+        # trivial conditions, so dropping them between steps loses nothing
+        eliminate_one = _eliminate_one_boolean if mode == "lattice" else _eliminate_one_semilattice
         items = to_inequalities(atoms, mode).items
-        if mode == "lattice":
-            new_items = _eliminate_one_boolean(items, u)
-        else:
-            new_items = _eliminate_one_semilattice(items, u)
-        atoms = _items_to_atoms(new_items, mode)
+        for u in reversed(phi.bound_vars):
+            items = {item for item in eliminate_one(items, u) if not item.trivial()}
+        atoms = _items_to_atoms(items)
     return PPFormula(free_vars=phi.free_vars, bound_vars=(), atoms=atoms)
 
 
 def eliminate_boolean(phi, lattice) -> PPFormula:
     """Quantifier-free formula defining the same relation, over a Boolean lattice.
 
-    Bound variables are eliminated innermost first, renormalising the matrix
-    after each step. Refuses lattices that are not Boolean: on those some
-    existential formula defines a relation no quantifier-free one does.
+    The matrix is normalised once and the bound variables are eliminated
+    innermost first on its inequalities. Refuses lattices that are not
+    Boolean: on those some existential formula defines a relation no
+    quantifier-free one does.
     """
     boolean, _ = is_boolean(lattice)
     if not boolean:

@@ -1,6 +1,7 @@
 """Operation tables, composition, commutation, clones and closures."""
 
 import random
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -987,6 +988,23 @@ def test_optable_refuses_arguments_outside_the_carrier(args):
         f(*args)
     with pytest.raises(BadIndex, match="outside 0..2"):
         f.index(args)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, np.float64(2.0), np.bool_(True)])
+def test_optable_refuses_non_integer_arguments(bad):
+    f = meet_op(C3)
+    for args in ((bad, 2), (2, bad)):
+        message = re.escape(f"argument {bad!r} is not an integer")
+        with pytest.raises(BadSpec, match=message):
+            f(*args)
+        with pytest.raises(BadSpec, match=message):
+            f.index(args)
+
+
+def test_optable_takes_numpy_integer_arguments():
+    f = meet_op(C3)
+    assert f(np.int64(2), np.uint8(1)) == f(2, 1) == 1
+    assert f.index((np.int32(2), 1)) == 7
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])

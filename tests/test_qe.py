@@ -11,14 +11,8 @@ from latclone.formulas import PPFormula, eval_formula, parse_formula, random_for
 from latclone.lattice import is_boolean
 from latclone.operations import Relation
 from latclone.qe import (
-    Bound,
-    COMP_JOIN,
     IneqItem,
-    Interval,
-    MEET,
-    MEET_COMP,
-    ONE,
-    ZERO,
+    _pairings,
     eliminate_boolean,
     eliminate_semilattice,
     helly_condition,
@@ -133,15 +127,16 @@ def test_helly_matches_brute_force_on_pentagon():
             assert helly_condition(list(family), N5) == bool(expected)
 
 
-def test_helly_symbolic_pairings():
-    i2 = Interval(Bound(MEET_COMP, frozenset("a"), frozenset("b")), Bound(ONE))
-    i1 = Interval(Bound(ZERO), Bound(COMP_JOIN, frozenset("c"), frozenset("d")))
-    conditions = helly_condition([i1, i2])
-    assert conditions == [IneqItem(frozenset("ac"), frozenset("bd"))]
-    lo_meet = Interval(Bound(MEET, frozenset("a")), Bound(ONE))
-    conditions = helly_condition([lo_meet, i1])
-    assert conditions == [IneqItem(frozenset("ac"), frozenset("d"))]
-    assert helly_condition([i1]) == []
+def test_bound_pairings():
+    upper = [(frozenset("c"), frozenset("d"))]  # (/\ c)' \/ d
+    # the complemented lower bound a /\ b' is below c' \/ d iff a /\ c <= b \/ d
+    assert _pairings([(frozenset("a"), frozenset("b"))], upper) == \
+        [IneqItem(frozenset("ac"), frozenset("bd"))]
+    # the pure-meet lower bound a, as in semilattice mode
+    assert _pairings([(frozenset("a"), frozenset())], upper) == \
+        [IneqItem(frozenset("ac"), frozenset("d"))]
+    # with no lower bound the interval is never empty
+    assert _pairings([], upper) == []
 
 
 def test_eliminate_boolean_no_bound_vars_is_identity():
@@ -192,6 +187,17 @@ def test_eliminate_drops_unused_bound_variable():
     out = eliminate_boolean(phi, B2)
     assert out.bound_vars == ()
     assert out.atoms == phi.atoms
+
+
+def test_bound_variables_in_no_atom_leave_the_atoms_untouched():
+    # normalising "x /\ y = y" would render it as "y <= x"
+    for mode, eliminate, algebra in (("lattice", eliminate_boolean, B2),
+                                     ("semilattice", eliminate_semilattice, C3)):
+        phi = parse_formula("exists u v . (x /\\ y = y)", mode=mode)
+        out = eliminate(phi, algebra)
+        assert out.bound_vars == ()
+        assert out.atoms is phi.atoms
+        assert out.render() == "x /\\ y = y"
 
 
 def test_eliminate_semilattice_refusals():
