@@ -266,14 +266,50 @@ def cover_pairs(structure):
 
 
 def _distributivity_scan(lattice):
-    """Direct check of x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over all triples."""
+    """Direct check of x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over all triples.
+
+    On failure the triple is the lexicographically least violation.
+    """
     meet, join = lattice.meet, lattice.join
     for x in range(lattice.size):
+        mx = meet[x]
         for y in range(lattice.size):
-            for z in range(lattice.size):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False, (x, y, z)
+            left = [mx[v] for v in join[y]]
+            jxy = join[mx[y]]
+            right = [jxy[v] for v in mx]
+            if left != right:
+                z = next(z for z, (l, r) in enumerate(zip(left, right)) if l != r)
+                return False, (x, y, z)
     return True, None
+
+
+def _join_prime_certificate(lattice):
+    """The join-prime elements in index order, and each element's image as
+    the bitmask of the join-primes below it.
+
+    An element a other than bottom is join-prime when a <= x \\/ y implies
+    a <= x or a <= y; then x -> [a <= x] is a lattice homomorphism onto the
+    two-element lattice. The elements not above a form a down-set, and a is
+    join-prime exactly when that down-set is closed under join, that is when
+    a is not below its join. A finite lattice is distributive exactly when
+    these homomorphisms separate its points, that is when the images are
+    distinct (Birkhoff); the join-primes are then its join-irreducibles.
+    O(n^2) table lookups in all.
+    """
+    meet, join = lattice.meet, lattice.join
+    primes = []
+    for a in range(lattice.size):
+        if a == lattice.bottom:
+            continue
+        rest = lattice.bottom
+        for x, m in enumerate(meet[a]):
+            if m != a:
+                rest = join[rest][x]
+        if meet[a][rest] != a:
+            primes.append(a)
+    images = [sum(1 << i for i, a in enumerate(primes) if meet[a][x] == a)
+              for x in range(lattice.size)]
+    return primes, images
 
 
 def _sublattice_shape(lattice, subset):
@@ -306,8 +342,10 @@ def forbidden_sublattice(lattice):
 
     Returns None, or (kind, elements) for the lexicographically least closed
     5-subset isomorphic to N5 or M3. None is returned exactly when the
-    lattice is distributive. Once is_distributive has run on the lattice,
-    the shape it found is read back instead of searched again.
+    lattice is distributive. The search walks the C(n,5) subsets and stops
+    at the first hit, so on a distributive lattice it walks them all;
+    is_distributive calls it only on a lattice that fails the law, and once
+    is_distributive has run, the shape it found is read back instead.
     """
     cached = getattr(lattice, "_distributive_cache", None)
     if cached is not None:
@@ -328,18 +366,22 @@ def forbidden_sublattice(lattice):
 def is_distributive(lattice):
     """Distributivity verdict plus one violating triple on failure.
 
-    The direct law scan is cross-checked against the forbidden-sublattice
-    search; disagreement would be an internal error, not a user error. The
-    verdict, the triple and the shape found are cached on the lattice.
+    The direct law scan is cross-checked against the join-prime certificate
+    (Birkhoff); on a lattice that fails the law, forbidden_sublattice must
+    also find a pentagon or diamond. Any disagreement would be an internal
+    error, not a user error. The verdict, the triple, the shape found, the
+    join-primes and the images they give are cached on the lattice.
     """
     cached = getattr(lattice, "_distributive_cache", None)
     if cached is not None:
         return cached[:2]
     verdict, triple = _distributivity_scan(lattice)
-    found = forbidden_sublattice(lattice)
-    if verdict != (found is None):
-        raise RuntimeError("distributivity scan and sublattice search disagree")
-    lattice._distributive_cache = (verdict, triple, found)
+    primes, images = _join_prime_certificate(lattice)
+    separated = len(set(images)) == lattice.size
+    found = None if verdict else forbidden_sublattice(lattice)
+    if not (verdict == separated == (found is None)):
+        raise RuntimeError("distributivity scan, join-prime certificate and sublattice search disagree")
+    lattice._distributive_cache = (verdict, triple, found, primes, images)
     return verdict, triple
 
 
@@ -448,18 +490,15 @@ def join_irreducibles(lattice):
 
 
 def birkhoff_embed(lattice) -> Embedding:
-    """Embed a distributive lattice into 2^J via its join-irreducibles."""
+    """Embed a distributive lattice into 2^J via its join-irreducibles.
+
+    The atoms and the images are those of the distributivity certificate:
+    in a distributive lattice the join-primes are the join-irreducibles.
+    """
     distributive, _ = is_distributive(lattice)
     if not distributive:
         raise NotDistributive("only distributive lattices embed via join-irreducibles")
-    atoms = join_irreducibles(lattice)
-    image = []
-    for x in range(lattice.size):
-        mask = 0
-        for i, j in enumerate(atoms):
-            if lattice.leq(j, x):
-                mask |= 1 << i
-        image.append(mask)
+    *_, atoms, image = lattice._distributive_cache
     return Embedding(lattice, atoms, image)
 
 

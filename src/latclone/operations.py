@@ -209,17 +209,29 @@ def relation_from_mask(mask, arity, size) -> Relation:
     return Relation._trusted(arity, size, tuple(zip(*[c.tolist() for c in coords])))
 
 
+def _flat_tables(algebra):
+    """The flat meet table and, over a lattice, the flat join table (else None).
+
+    Built once per structure and cached on it read-only, like the verdict
+    caches of latclone.lattice.
+    """
+    cached = getattr(algebra, "_flat_tables", None)
+    if cached is None:
+        tables = [algebra.meet] + ([algebra.join] if algebra.kind == "lattice" else [])
+        flat = np.array(tables, dtype=np.int64).reshape(len(tables), -1)
+        flat.flags.writeable = False
+        cached = algebra._flat_tables = (flat[0], flat[1] if len(tables) == 2 else None)
+    return cached
+
+
 def term_evaluator(algebra):
     """ev(term, env): the term's values over the int arrays env assigns to its variables.
 
-    The flat meet table, and the join table over a lattice, are built once
-    per evaluator; a join over a meet-semilattice raises JoinInSemilatticeMode.
+    The evaluator reads the structure's flat meet and join tables; a join
+    over a meet-semilattice raises JoinInSemilatticeMode.
     """
     size = algebra.size
-    flat_meet = np.array(algebra.meet, dtype=np.int64).reshape(-1)
-    flat_join = None
-    if algebra.kind == "lattice":
-        flat_join = np.array(algebra.join, dtype=np.int64).reshape(-1)
+    flat_meet, flat_join = _flat_tables(algebra)
 
     def ev(term, env):
         if isinstance(term, terms.Var):
@@ -255,14 +267,21 @@ def join_op(lattice) -> OpTable:
 
 
 def generators(structure, mode) -> list:
-    """Clone generators for a structure: meet and join, or meet only."""
+    """Clone generators for a structure: meet and join, or meet only.
+
+    The tables are built once per structure and cached on it; each call
+    returns a fresh list of them.
+    """
     if mode == "lattice":
         if structure.kind != "lattice":
             raise BadSpec("lattice mode needs a lattice")
-        return [meet_op(structure), join_op(structure)]
-    if mode == "semilattice":
-        return [meet_op(structure)]
-    raise BadSpec(f"unknown mode {mode!r}")
+    elif mode != "semilattice":
+        raise BadSpec(f"unknown mode {mode!r}")
+    ops = getattr(structure, "_generators", None)
+    if ops is None:
+        ops = [meet_op(structure)] + ([join_op(structure)] if structure.kind == "lattice" else [])
+        ops = structure._generators = tuple(ops)
+    return list(ops if mode == "lattice" else ops[:1])
 
 
 def projection(n, i, size) -> OpTable:

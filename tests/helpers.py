@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from latclone import terms
 from latclone.errors import JoinInSemilatticeMode, LimitExceeded
-from latclone.lattice import FiniteLattice, FiniteSemilattice
+from latclone.lattice import Embedding, FiniteLattice, FiniteSemilattice, join_irreducibles
 from latclone.operations import OpTable, Relation, argument_columns, decode_index
 
 
@@ -55,6 +55,25 @@ def brute_distributive(lattice):
         if left != right:
             return False
     return True
+
+
+def slow_birkhoff_embed(lattice) -> Embedding:
+    """Birkhoff's embedding from the definition: the atoms are the
+    join-irreducibles, and x maps to the set of atoms below it."""
+    atoms = join_irreducibles(lattice)
+    image = [sum(1 << i for i, j in enumerate(atoms) if lattice.leq(j, x))
+             for x in range(lattice.size)]
+    return Embedding(lattice, atoms, image)
+
+
+def slow_join_primes(lattice):
+    """The elements a other than bottom with a <= x \\/ y only if a <= x or
+    a <= y, checked over every pair x, y."""
+    size = lattice.size
+    return [a for a in range(size) if a != lattice.bottom
+            and all(lattice.leq(a, x) or lattice.leq(a, y)
+                    for x, y in product(range(size), repeat=2)
+                    if lattice.leq(a, lattice.join[x][y]))]
 
 
 def slow_is_distributive_semilattice(semilattice):

@@ -1,9 +1,11 @@
 """Construction, validation and structure theory of finite (semi)lattices."""
 
+import time
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latclone import catalog, lattice
 from latclone.errors import (
@@ -15,6 +17,7 @@ from latclone.errors import (
 )
 from latclone.lattice import (
     BooleanStructure,
+    FiniteLattice,
     NonDistributiveMedian,
     birkhoff_embed,
     construct,
@@ -35,9 +38,12 @@ from helpers import (
     brute_distributive,
     brute_glb,
     brute_lub,
+    down_set_lattices,
     intersection_closed_families,
     order_matrix,
+    slow_birkhoff_embed,
     slow_is_distributive_semilattice,
+    slow_join_primes,
 )
 
 C2 = catalog.chain(2)
@@ -202,6 +208,82 @@ def test_forbidden_sublattice_in_larger_host():
     subset = set(elements)
     for a, b in combinations(elements, 2):
         assert host.meet[a][b] in subset and host.join[a][b] in subset
+
+
+def _assert_distributivity_routes_agree(lat):
+    """The law scan, the join-prime certificate, the C(n,5) sublattice search
+    and the brute-force law check give one verdict; is_distributive and
+    birkhoff_embed report what the routes found."""
+    verdict, triple = lattice._distributivity_scan(lat)
+    primes, images = lattice._join_prime_certificate(lat)
+    found = forbidden_sublattice(lat)  # no verdict cached yet: the full search
+    separated = len(set(images)) == lat.size
+    assert verdict == separated == (found is None) == brute_distributive(lat)
+    assert primes == slow_join_primes(lat)
+    assert set(primes) <= set(join_irreducibles(lat))
+    assert is_distributive(lat) == (verdict, triple)
+    assert forbidden_sublattice(lat) == found
+    if verdict:
+        assert primes == join_irreducibles(lat)
+        emb, oracle = birkhoff_embed(lat), slow_birkhoff_embed(lat)
+        assert (emb.atoms, emb.image) == (oracle.atoms, oracle.image)
+    else:
+        x, y, z = triple
+        assert lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]
+        assert all(lat.meet[a][lat.join[b][c]] == lat.join[lat.meet[a][b]][lat.meet[a][c]]
+                   for a, b, c in product(range(lat.size), repeat=3) if (a, b, c) < triple)
+
+
+def _relabelled(lat, perm):
+    """The lattice with element i renumbered perm[i]."""
+    inverse = sorted(range(lat.size), key=perm.__getitem__)
+    return FiniteLattice([lat.names[i] for i in inverse],
+                         [[perm[lat.meet[a][b]] for b in inverse] for a in inverse],
+                         [[perm[lat.join[a][b]] for b in inverse] for a in inverse])
+
+
+def test_distributivity_routes_agree_on_the_catalog():
+    host = from_covers(["0", "p", "q", "r", "s", "1"],
+                       [(0, 1), (1, 2), (2, 5), (0, 4), (4, 3), (3, 5)])
+    for lat in [*LATTICES, host]:
+        _assert_distributivity_routes_agree(construct(lat.names, meet=lat.meet))
+        # top, bottom and the middle elements at other indices
+        _assert_distributivity_routes_agree(_relabelled(lat, [*range(1, lat.size), 0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(down_set_lattices(), st.data())
+def test_distributivity_routes_agree_on_down_set_lattices(lat, data):
+    _assert_distributivity_routes_agree(_relabelled(lat, data.draw(st.permutations(range(lat.size)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(intersection_closed_families(), st.data())
+def test_distributivity_routes_agree_on_closure_system_completions(semilattice, data):
+    if semilattice.top is not None:
+        lat = semilattice_to_lattice(semilattice)
+        _assert_distributivity_routes_agree(_relabelled(lat, data.draw(st.permutations(range(lat.size)))))
+
+
+@pytest.mark.parametrize("lat, wrong", [(N5, (True, None)), (B2, (False, (0, 0, 0)))])
+def test_a_law_scan_the_certificate_contradicts_is_an_internal_error(monkeypatch, lat, wrong):
+    monkeypatch.setattr(lattice, "_distributivity_scan", lambda _: wrong)
+    with pytest.raises(RuntimeError, match="disagree"):
+        is_distributive(construct(lat.names, meet=lat.meet))
+
+
+def test_is_distributive_on_large_distributive_lattices_is_fast():
+    size = 64
+    b6 = FiniteLattice([str(m) for m in range(size)],
+                       [[a & b for b in range(size)] for a in range(size)],
+                       [[a | b for b in range(size)] for a in range(size)], max_size=64)
+    c32 = from_covers([str(i) for i in range(32)], [(i, i + 1) for i in range(31)], max_size=64)
+    for lat in (b6, c32):
+        started = time.perf_counter()
+        assert is_distributive(lat) == (True, None)
+        assert time.perf_counter() - started < 0.1
+    assert birkhoff_embed(b6).atoms == (1, 2, 4, 8, 16, 32)
+    assert birkhoff_embed(c32).atoms == tuple(range(1, 32))
 
 
 def test_boolean_verdicts():

@@ -184,6 +184,34 @@ def test_meet_and_join_ops_are_the_flattened_tables(structure):
         assert terms.render(join.provenance) == "x1 \\/ x2"
 
 
+def test_generators_are_built_once_per_structure():
+    lat = catalog.boolean_lattice(2)
+    meet, join = generators(lat, "lattice")
+    for mode, expected in (("lattice", [meet, join]), ("semilattice", [meet])):
+        first, second = generators(lat, mode), generators(lat, mode)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, expected, strict=True))
+        assert all(a is b for a, b in zip(second, expected, strict=True))
+        first.append(projection(2, 1, lat.size))
+        assert len(generators(lat, mode)) == len(expected)
+    assert generators(catalog.fence(), "semilattice") == [meet_op(catalog.fence())]
+
+
+@pytest.mark.parametrize("structure", [B2, N5, catalog.fence()])
+def test_term_evaluator_reads_read_only_tables_built_once(structure):
+    flat_meet, flat_join = operations._flat_tables(structure)
+    assert operations._flat_tables(structure)[0] is flat_meet
+    assert flat_meet.tolist() == [v for row in structure.meet for v in row]
+    assert not flat_meet.flags.writeable
+    if structure.kind == "lattice":
+        assert flat_join.tolist() == [v for row in structure.join for v in row]
+        assert not flat_join.flags.writeable
+    else:
+        assert flat_join is None
+    with pytest.raises(ValueError):
+        flat_meet[0] = 1
+
+
 def test_join_term_over_a_semilattice_is_refused():
     x, y = terms.Var("x"), terms.Var("y")
     for algebra in (catalog.fence(), catalog.meet_reduct(B2)):

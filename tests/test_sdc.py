@@ -4,6 +4,7 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from latclone import catalog
 from latclone.equations import equations_of, galois_closure, is_solution_set
@@ -13,7 +14,13 @@ from latclone.errors import (
     IsDistributiveSemilattice,
     NotDistributive,
 )
-from latclone.lattice import birkhoff_embed, forbidden_sublattice, semilattice_to_lattice
+from latclone.lattice import (
+    birkhoff_embed,
+    forbidden_sublattice,
+    is_boolean,
+    is_distributive_semilattice,
+    semilattice_to_lattice,
+)
 from latclone.operations import (
     Relation,
     centralizer_slice,
@@ -27,6 +34,8 @@ from latclone.sdc import (
     witness_lattice_pair,
     witness_semilattice,
 )
+
+from helpers import down_set_lattices, intersection_closed_families
 
 C3 = catalog.chain(3)
 C4 = catalog.chain(4)
@@ -292,6 +301,36 @@ def test_decide_sdc_semilattice_verdicts():
         assert verdict.holds == holds
         assert verdict.route == route
         assert verdict.verified
+
+
+def _assert_decide_sdc_follows_the_theorem(structure, mode):
+    """Boolean lattices in lattice mode and distributive semilattices in
+    semilattice mode have the property; every negative verdict carries a
+    gap tuple in the Galois closure of its witness but not in the witness."""
+    verdict = decide_sdc(structure, mode)
+    if mode == "lattice":
+        assert verdict.holds == is_boolean(structure)[0]
+    else:
+        assert verdict.holds == is_distributive_semilattice(structure)
+    assert verdict.verified
+    if not verdict.holds:
+        closure = galois_closure(verdict.witness, generators(structure, mode))
+        assert verdict.gap_tuple in closure
+        assert verdict.gap_tuple not in verdict.witness
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(down_set_lattices())
+def test_decide_sdc_follows_the_theorem_on_down_set_lattices(lattice):
+    _assert_decide_sdc_follows_the_theorem(lattice, "lattice")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(intersection_closed_families())
+def test_decide_sdc_follows_the_theorem_on_closure_systems(semilattice):
+    _assert_decide_sdc_follows_the_theorem(semilattice, "semilattice")
+    if semilattice.top is not None:
+        _assert_decide_sdc_follows_the_theorem(semilattice_to_lattice(semilattice), "lattice")
 
 
 def test_decide_sdc_accepts_lattices_in_semilattice_mode():
