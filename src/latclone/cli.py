@@ -9,6 +9,7 @@ limits when no --limit flag is given.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -411,5 +412,27 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Process entry point: main() on sys.argv, then its exit status.
+
+    A reader that closes stdout early (``latclone clone ... | head``) ends
+    the run with status 1 and no traceback: stdout is pointed at os.devnull,
+    so the flush at shutdown cannot fail again. Before it returns, gc.freeze()
+    moves every tracked object into the permanent generation, which the
+    collections of interpreter shutdown skip; atexit handlers, the stdio flush
+    and the exit status are unchanged. main() itself leaves the collector
+    alone, so in-process callers keep a normal heap.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

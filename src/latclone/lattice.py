@@ -342,14 +342,18 @@ def forbidden_sublattice(lattice):
 
     Returns None, or (kind, elements) for the lexicographically least closed
     5-subset isomorphic to N5 or M3. None is returned exactly when the
-    lattice is distributive. The search walks the C(n,5) subsets and stops
-    at the first hit, so on a distributive lattice it walks them all;
-    is_distributive calls it only on a lattice that fails the law, and once
-    is_distributive has run, the shape it found is read back instead.
+    lattice is distributive. The answer is read from is_distributive's
+    cache, which is filled first when needed: a distributive lattice is
+    recognised by its join-prime certificate, and only a lattice that fails
+    the law is searched for the shape.
     """
-    cached = getattr(lattice, "_distributive_cache", None)
-    if cached is not None:
-        return cached[2]
+    if getattr(lattice, "_distributive_cache", None) is None:
+        is_distributive(lattice)
+    return lattice._distributive_cache[2]
+
+
+def _forbidden_scan(lattice):
+    """The search itself: walk the C(n,5) subsets, stop at the first hit."""
     meet, join = lattice.meet, lattice.join
     for subset in combinations(range(lattice.size), 5):
         inside = set(subset)
@@ -367,8 +371,8 @@ def is_distributive(lattice):
     """Distributivity verdict plus one violating triple on failure.
 
     The direct law scan is cross-checked against the join-prime certificate
-    (Birkhoff); on a lattice that fails the law, forbidden_sublattice must
-    also find a pentagon or diamond. Any disagreement would be an internal
+    (Birkhoff); on a lattice that fails the law, _forbidden_scan must also
+    find a pentagon or diamond. Any disagreement would be an internal
     error, not a user error. The verdict, the triple, the shape found, the
     join-primes and the images they give are cached on the lattice.
     """
@@ -378,7 +382,7 @@ def is_distributive(lattice):
     verdict, triple = _distributivity_scan(lattice)
     primes, images = _join_prime_certificate(lattice)
     separated = len(set(images)) == lattice.size
-    found = None if verdict else forbidden_sublattice(lattice)
+    found = None if verdict else _forbidden_scan(lattice)
     if not (verdict == separated == (found is None)):
         raise RuntimeError("distributivity scan, join-prime certificate and sublattice search disagree")
     lattice._distributive_cache = (verdict, triple, found, primes, images)

@@ -1,6 +1,11 @@
 """End-to-end runs of every CLI verb, exit codes and output schemas."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def process(argv, **kwargs):
+    """Start ``python -m latclone.cli ARGV`` on this checkout's sources."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "latclone.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
 
 def test_check_reports_properties(capsys, files):
@@ -312,3 +325,44 @@ def test_relation_schema_round_trip(capsys, files):
     b2 = catalog.boolean_lattice(2)
     expected = eval_formula(parse_formula("x <= y"), b2)
     assert tuples == list(expected.tuples)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["clone", "b2", "-n", "2"], 0),
+    (["check", "bad"], 1),
+    (["qe", "c3", "-e", "exists u . (x /\\ u = y)"], 2),
+])
+def test_a_process_answers_as_main_does(capsys, files, argv, status):
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, argv)
+    child = process(argv, text=True)
+    child_out, child_err = child.communicate()
+    assert code == status
+    assert (child.returncode, child_out, child_err) == (code, out, err)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_pipe_ends_the_process_quietly(files, monkeypatch, unbuffered):
+    # buffered, the answer waits for the flush in run(); unbuffered, print fails
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with process(["check", files["b2"]]) as child:
+        child.stdout.close()  # the reader is gone before anything is written
+        err = child.stderr.read()
+    assert child.returncode == 1
+    assert err == b""  # no traceback, and no "Exception ignored" at shutdown
+
+
+def test_main_leaves_the_collector_alone(capsys, files):
+    before = gc.get_freeze_count()
+    assert main(["clone", files["b2"], "-n", "2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_once_main_returns(capsys, files, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["latclone", "check", files["n5"]])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out)["forbidden"]["kind"] == "N5"

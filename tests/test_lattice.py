@@ -185,7 +185,7 @@ def test_forbidden_sublattice_shapes():
 def test_forbidden_sublattice_is_read_back_after_is_distributive(monkeypatch):
     host = from_covers(["0", "p", "q", "r", "s", "1"],
                        [(0, 1), (1, 2), (2, 5), (0, 4), (4, 3), (3, 5)])
-    searched = [(lat, forbidden_sublattice(lat))
+    searched = [(lat, lattice._forbidden_scan(lat))
                 for lat in [*(construct(l.names, meet=l.meet) for l in LATTICES), host]]
     for lat, _ in searched:
         is_distributive(lat)
@@ -196,6 +196,24 @@ def test_forbidden_sublattice_is_read_back_after_is_distributive(monkeypatch):
     monkeypatch.setattr(lattice, "_sublattice_shape", no_search)
     for lat, found in searched:
         assert forbidden_sublattice(lat) == found
+
+
+def test_forbidden_sublattice_matches_the_scan_on_uncached_lattices():
+    host = from_covers(["0", "p", "q", "r", "s", "1"],
+                       [(0, 1), (1, 2), (2, 5), (0, 4), (4, 3), (3, 5)])
+    for lat in [*LATTICES, host]:
+        fresh = construct(lat.names, meet=lat.meet)
+        assert forbidden_sublattice(fresh) == lattice._forbidden_scan(lat)
+
+
+def test_forbidden_sublattice_on_an_uncached_distributive_lattice_is_fast():
+    size = 32
+    b5 = FiniteLattice([str(m) for m in range(size)],
+                       [[a & b for b in range(size)] for a in range(size)],
+                       [[a | b for b in range(size)] for a in range(size)], max_size=64)
+    started = time.perf_counter()
+    assert forbidden_sublattice(b5) is None  # no C(32,5) walk
+    assert time.perf_counter() - started < 0.1
 
 
 def test_forbidden_sublattice_in_larger_host():
@@ -216,7 +234,7 @@ def _assert_distributivity_routes_agree(lat):
     birkhoff_embed report what the routes found."""
     verdict, triple = lattice._distributivity_scan(lat)
     primes, images = lattice._join_prime_certificate(lat)
-    found = forbidden_sublattice(lat)  # no verdict cached yet: the full search
+    found = lattice._forbidden_scan(lat)  # the full search, no cache read
     separated = len(set(images)) == lat.size
     assert verdict == separated == (found is None) == brute_distributive(lat)
     assert primes == slow_join_primes(lat)
