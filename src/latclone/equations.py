@@ -10,6 +10,7 @@ the closure adds nothing.
 
 import numpy as np
 
+from . import terms
 from .errors import ArityMismatch, BadSpec, LimitExceeded
 from .operations import (
     DEFAULT_CLONE_LIMIT,
@@ -39,6 +40,7 @@ class EquationSystem:
     def from_terms(cls, term_pairs, var_order, algebra):
         """Tabulate term equations over a fixed variable order."""
         var_order = tuple(var_order)
+        terms.check_distinct(var_order, "variable")
         pairs = [(term_to_op(lhs, var_order, algebra), term_to_op(rhs, var_order, algebra))
                  for lhs, rhs in term_pairs]
         return cls(len(var_order), algebra.size, pairs)

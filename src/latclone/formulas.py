@@ -17,6 +17,7 @@ coordinate order of the relation a formula defines.
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from . import terms
@@ -43,6 +44,8 @@ class PPFormula:
     atoms: tuple  # pairs (lhs, rhs) of term trees
 
     def __post_init__(self):
+        terms.check_distinct(self.free_vars, "free variable")
+        terms.check_distinct(self.bound_vars, "bound variable")
         declared = set(self.free_vars) | set(self.bound_vars)
         if set(self.free_vars) & set(self.bound_vars):
             raise BadSpec("a variable cannot be both free and bound")
@@ -226,15 +229,45 @@ def eval_formula(phi, algebra) -> "Relation":
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
-    searched existentially over the whole carrier. Each variable has its own
-    axis of the grid, and its values vary along that axis only, so an atom
-    is tabulated over the axes of its own variables and then folded into
-    the mask of the whole grid. Only evaluation needs numpy, so it is
-    imported here: parsing and quantifier elimination run without it.
+    searched existentially over the whole carrier. On a Boolean power 2^k
+    the search runs on the two-element factor instead (see _BooleanPower):
+    pp-formulas are preserved by direct products, so a tuple satisfies the
+    formula exactly when each of its k bit slices does over the factor.
+    Only evaluation needs numpy, so it is imported here: parsing and
+    quantifier elimination run without it.
+    """
+    from .operations import relation_from_mask
+
+    n = len(phi.free_vars)
+    power = _boolean_power(algebra)
+    if power is None:
+        mask = _grid_mask(phi, algebra)
+    else:
+        mask = power.lift(_grid_mask(phi, power.factor), n)
+    return relation_from_mask(mask, n, algebra.size)
+
+
+def _factor_mask(phi, algebra):
+    """The formula's mask over the two-element factor of a Boolean power, else None.
+
+    R -> R^[k] is injective, so two formulas with the same free variables
+    define the same relation over 2^k exactly when these masks are equal.
+    """
+    power = _boolean_power(algebra)
+    return None if power is None else _grid_mask(phi, power.factor)
+
+
+def _grid_mask(phi, algebra):
+    """The formula's mask over the free variables, one axis per variable.
+
+    Each variable has its own axis of the grid, and its values vary along
+    that axis only, so an atom is tabulated over the axes of its own
+    variables and then folded into the mask of the whole grid; the bound
+    axes are then folded by "any".
     """
     import numpy as np
 
-    from .operations import relation_from_mask, term_evaluator
+    from .operations import term_evaluator
 
     size = algebra.size
     names = phi.free_vars + phi.bound_vars
@@ -248,7 +281,86 @@ def eval_formula(phi, algebra) -> "Relation":
     n = len(phi.free_vars)
     if phi.bound_vars:
         mask = mask.any(axis=tuple(range(n, axes)))
-    return relation_from_mask(mask, n, size)
+    return mask
+
+
+class _BooleanPower:
+    """An isomorphism of a structure onto the k-th power of its two-element factor.
+
+    The factor is the two-element lattice, or its meet reduct when the
+    structure is a meet-semilattice. bits[i][x] is bit i of the code of x.
+    """
+
+    def __init__(self, factor, bits):
+        self.factor = factor
+        self.bits = bits
+        self._planes = {}
+
+    def plane(self, n):
+        """plane[i, c]: the factor cell, in lexicographic order, of bit slice i
+        of cell c of A^n. Built once per arity and cached, read-only."""
+        plane = self._planes.get(n)
+        if plane is None:
+            import numpy as np
+
+            k, size = len(self.bits), len(self.bits[0])
+            bits = np.array(self.bits, dtype=np.intp)
+            plane = np.zeros((k,) + (size,) * n, dtype=np.intp)
+            for j in range(n):
+                plane += (bits << (n - 1 - j)).reshape([k] + [size if t == j else 1
+                                                              for t in range(n)])
+            plane = plane.reshape(k, -1)
+            plane.flags.writeable = False
+            self._planes[n] = plane
+        return plane
+
+    def lift(self, factor_mask, n):
+        """The flat mask over A^n of the k-th power of a factor relation."""
+        import numpy as np
+
+        return np.ravel(factor_mask)[self.plane(n)].all(axis=0)
+
+
+def _boolean_power(algebra):
+    """The structure as a Boolean power 2^k with k >= 2, or None.
+
+    Decided once per structure and cached on it, like the flat tables of
+    operations._flat_tables. The coding sends x to its bits [a <= x], one
+    for each atom a (an element other than the bottom whose only strict
+    lower bound is the bottom). It is kept only when it is a bijection onto
+    {0,1}^k that carries meet to AND and, over a lattice, join to OR: it is
+    then an isomorphism onto the k-th power of the two-element lattice or
+    meet-semilattice.
+    """
+    cached = getattr(algebra, "_boolean_power_cache", None)
+    if cached is None:
+        cached = algebra._boolean_power_cache = (_recognize_boolean_power(algebra),)
+    return cached[0]
+
+
+def _recognize_boolean_power(algebra):
+    from .catalog import chain, meet_reduct
+
+    size, meet = algebra.size, algebra.meet
+    k = size.bit_length() - 1
+    if k < 2 or size != 1 << k:
+        return None
+    bottom = reduce(lambda x, y: meet[x][y], range(size))
+    atoms = [a for a in range(size) if a != bottom and set(meet[a]) == {bottom, a}]
+    if len(atoms) != k:
+        return None
+    codes = [sum(1 << i for i, a in enumerate(atoms) if meet[a][x] == a) for x in range(size)]
+    if len(set(codes)) != size:
+        return None
+    ops = [(meet, int.__and__)]
+    if algebra.kind == "lattice":
+        ops.append((algebra.join, int.__or__))
+    for table, op in ops:
+        if any(codes[table[x][y]] != op(codes[x], codes[y])
+               for x in range(size) for y in range(size)):
+            return None
+    factor = chain(2) if algebra.kind == "lattice" else meet_reduct(chain(2))
+    return _BooleanPower(factor, [[code >> i & 1 for code in codes] for i in range(k)])
 
 
 _FREE_POOL = ("x", "y", "z")

@@ -249,6 +249,7 @@ def term_evaluator(algebra):
 def term_to_op(term, var_order, algebra) -> OpTable:
     """Tabulate a term over all assignments to the given variable order."""
     var_order = tuple(var_order)
+    terms.check_distinct(var_order, "variable")
     missing = terms.variables(term) - set(var_order)
     if missing:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")

@@ -8,6 +8,8 @@ DSL, with meet binding tighter than join.
 from dataclasses import dataclass
 from functools import reduce
 
+from .errors import BadSpec
+
 
 @dataclass(frozen=True)
 class Var:
@@ -33,6 +35,15 @@ def variables(term) -> set:
     if isinstance(term, Var):
         return {term.name}
     return variables(term.left) | variables(term.right)
+
+
+def check_distinct(names, what):
+    """Refuse a variable list that names one variable twice: BadSpec."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise BadSpec(f"{what} {name!r} is listed twice")
+        seen.add(name)
 
 
 def uses_join(term) -> bool:

@@ -53,6 +53,13 @@ def test_meet_equals_join_forces_equality():
     assert solve(system, C2).tuples == ((0, 0), (1, 1))
 
 
+def test_from_terms_refuses_a_variable_listed_twice():
+    x, y = terms.Var("x"), terms.Var("y")
+    for pairs in ([(terms.Meet(x, y), x)], []):
+        with pytest.raises(BadSpec, match="listed twice"):
+            EquationSystem.from_terms(pairs, ("x", "x", "y"), C3)
+
+
 def test_absorption_equation_solves_to_the_order():
     system = EquationSystem.from_terms(
         [(terms.Meet(terms.Var("x"), terms.Var("y")), terms.Var("x"))], ("x", "y"), N5)

@@ -1,12 +1,16 @@
 """DSL parsing, rendering and formula evaluation."""
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from latclone import catalog, terms
+from latclone import catalog, formulas, terms
 from latclone.errors import (
+    BadSpec,
     FormulaSyntaxError,
     JoinInSemilatticeMode,
     UnknownVariable,
@@ -17,12 +21,14 @@ from latclone.formulas import (
     parse_formula,
     random_formula,
 )
-from latclone.operations import Relation
+from latclone.lattice import FiniteLattice, is_boolean, semilattice_to_lattice
+from latclone.operations import Relation, relation_from_mask
 
-from helpers import slow_eval_formula
+from helpers import down_set_lattices, intersection_closed_families, slow_eval_formula
 
 C3 = catalog.chain(3)
 B2 = catalog.boolean_lattice(2)
+B3 = catalog.boolean_lattice(3)
 N5 = catalog.pentagon()
 M3 = catalog.diamond()
 
@@ -159,8 +165,11 @@ def test_eval_agrees_with_slow_oracle():
     ("exists u . x /\\ u = y & u <= z", ("x", "y", "z")),
     ("exists u . u = u", ()),                         # closed, always witnessed
     ("exists u v . u <= v & v <= u & u \\/ v = u /\\ v", ()),
+    ("x <= y", ("z", "x", "w", "y")),                 # unused axes around the used ones
+    ("exists u . x \\/ u = y /\\ u & u <= z", ("x", "y", "z")),
 ])
-@pytest.mark.parametrize("structure", [C3, B2, N5, M3], ids=["C3", "B2", "N5", "M3"])
+# B2 and B3 are Boolean powers and run on the two-element factor
+@pytest.mark.parametrize("structure", [C3, B2, B3, N5, M3], ids=["C3", "B2", "B3", "N5", "M3"])
 def test_eval_on_partial_axes_agrees_with_slow_oracle(text, variables, structure):
     phi = parse_formula(text, variables=variables)
     assert eval_formula(phi, structure) == slow_eval_formula(phi, structure)
@@ -209,3 +218,155 @@ def test_random_formula_is_deterministic_and_bounded():
         assert 1 <= len(phi.atoms) <= 6
         assert not any(terms.uses_join(lhs) or terms.uses_join(rhs)
                        for lhs, rhs in phi.atoms)
+
+
+def test_repeated_variable_names_are_refused():
+    with pytest.raises(BadSpec):
+        parse_formula("x <= y", variables=["x", "x", "y"])
+    x, u = terms.Var("x"), terms.Var("u")
+    with pytest.raises(BadSpec):
+        PPFormula(free_vars=("x", "x"), bound_vars=(), atoms=((x, x),))
+    with pytest.raises(BadSpec):
+        PPFormula(free_vars=("x",), bound_vars=("u", "u"), atoms=((x, u),))
+
+
+# ------------------------------------------------- the factor route on 2^k
+
+def _grid_relation(phi, algebra):
+    """The relation of phi by the grid over the structure itself: the oracle
+    of the factor route."""
+    n = len(phi.free_vars)
+    return relation_from_mask(formulas._grid_mask(phi, algebra), n, algebra.size)
+
+
+def _permuted(lattice, rng):
+    """An isomorphic copy of a lattice whose elements are listed in shuffled order."""
+    order = list(range(lattice.size))
+    rng.shuffle(order)
+    at = {old: new for new, old in enumerate(order)}
+    meet = [[at[lattice.meet[a][b]] for b in order] for a in order]
+    join = [[at[lattice.join[a][b]] for b in order] for a in order]
+    return FiniteLattice([lattice.names[a] for a in order], meet, join)
+
+
+def _boolean_powers():
+    shuffled = _permuted(catalog.boolean_lattice(3), random.Random(8))
+    for k in (2, 3, 4):
+        yield f"B{k}", catalog.boolean_lattice(k)
+    yield "B3-shuffled", shuffled
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+@pytest.mark.parametrize("name,lattice", list(_boolean_powers()),
+                         ids=[name for name, _ in _boolean_powers()])
+def test_factor_route_matches_the_grid_on_boolean_powers(name, lattice, mode):
+    algebra = lattice if mode == "lattice" else catalog.meet_reduct(lattice)
+    assert formulas._boolean_power(algebra) is not None
+    rng = random.Random(f"factor:{name}:{mode}")
+    # five-variable formulas on B4 take a 16^5 grid each, so B4 draws fewer
+    draws = 6 if algebra.size == 16 else 25
+    for _ in range(draws):
+        phi = random_formula(rng, mode=mode)
+        assert eval_formula(phi, algebra) == _grid_relation(phi, algebra)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_an_empty_factor_relation_lifts_to_the_empty_relation(n):
+    # a pp-formula over a lattice always holds at constant tuples, so an
+    # empty relation only reaches the lift directly
+    lattice = catalog.boolean_lattice(3)
+    power = formulas._boolean_power(lattice)
+    mask = power.lift(np.zeros((2,) * n, dtype=bool), n)
+    assert relation_from_mask(mask, n, 8) == Relation(n, 8, [])
+    full = power.lift(np.ones((2,) * n, dtype=bool), n)
+    assert relation_from_mask(full, n, 8) == Relation.full(n, 8)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_join_over_a_boolean_semilattice_raises_as_on_the_grid(k):
+    reduct = catalog.meet_reduct(catalog.boolean_lattice(k))
+    phi = parse_formula("exists u . x /\\ u = y & x \\/ u = y")
+    with pytest.raises(JoinInSemilatticeMode) as factor:
+        eval_formula(phi, reduct)
+    with pytest.raises(JoinInSemilatticeMode) as grid:
+        formulas._grid_mask(phi, reduct)
+    assert str(factor.value) == str(grid.value)
+
+
+def _is_boolean_power(structure):
+    """2^k with k >= 2, from is_boolean on the lattice or its completion."""
+    if structure.size < 4:
+        return False
+    if structure.kind == "semilattice":
+        if structure.top is None:
+            return False
+        structure = semilattice_to_lattice(structure)
+    return is_boolean(structure)[0]
+
+
+def _catalog_structures():
+    for name, lattice in [("C1", catalog.chain(1)), ("C2", catalog.chain(2)),
+                          ("C3", catalog.chain(3)), ("C4", catalog.chain(4)),
+                          ("B2", catalog.boolean_lattice(2)), ("B3", catalog.boolean_lattice(3)),
+                          ("B4", catalog.boolean_lattice(4)), ("N5", catalog.pentagon()),
+                          ("M3", catalog.diamond())]:
+        yield name, lattice
+        yield f"m{name}", catalog.meet_reduct(lattice)
+    yield "fence", catalog.fence()
+
+
+@pytest.mark.parametrize("name,structure", list(_catalog_structures()),
+                         ids=[name for name, _ in _catalog_structures()])
+def test_recognizer_accepts_exactly_the_boolean_powers_on_the_catalog(name, structure):
+    expected = name.lstrip("m") in ("B2", "B3", "B4")
+    assert _is_boolean_power(structure) == expected
+    assert (formulas._boolean_power(structure) is not None) == expected
+
+
+def test_tables_that_break_the_coding_are_not_taken_for_a_boolean_power():
+    # on valid structures meet always goes to AND and join to OR once the
+    # coding is a bijection; these checks hold the line on raw tables
+    meet = [[a & b for b in range(4)] for a in range(4)]
+    join = [[a | b for b in range(4)] for a in range(4)]
+    assert formulas._boolean_power(SimpleNamespace(size=4, kind="lattice",
+                                                   meet=meet, join=join)) is not None
+    bad_join = SimpleNamespace(size=4, kind="lattice", meet=meet, join=meet)
+    bad_meet = SimpleNamespace(size=4, kind="semilattice",
+                               meet=[row[:3] + [0 if a == 3 else row[3]]
+                                     for a, row in enumerate(meet)])
+    for structure in (bad_join, bad_meet):
+        assert formulas._boolean_power(structure) is None
+        phi = parse_formula("exists u . x /\\ u = y", mode="semilattice")
+        assert eval_formula(phi, structure) == slow_eval_formula(phi, structure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(down_set_lattices())
+def test_recognizer_agrees_with_is_boolean_on_down_set_lattices(lattice):
+    for structure in (lattice, catalog.meet_reduct(lattice)):
+        assert (formulas._boolean_power(structure) is not None) == _is_boolean_power(structure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(intersection_closed_families())
+def test_recognizer_agrees_with_is_boolean_on_closure_systems(semilattice):
+    assert (formulas._boolean_power(semilattice) is not None) == _is_boolean_power(semilattice)
+
+
+def test_five_variable_formulas_on_b4_stay_small():
+    # the grid over B4 itself holds 16^5 cells per term and peaks at 2 MB
+    rng = random.Random(5)
+    b4 = catalog.boolean_lattice(4)
+    shaped = 0
+    while shaped < 5:
+        phi = random_formula(rng)
+        if (len(phi.free_vars), len(phi.bound_vars)) != (3, 2):
+            continue
+        shaped += 1
+        tracemalloc.start()
+        try:
+            eval_formula(phi, b4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (phi.render(), peak)

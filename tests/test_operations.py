@@ -156,6 +156,12 @@ def assert_matches_scalar_oracle(term, order, algebra):
         assert op(*point) == evaluate(term, dict(zip(order, point)), algebra)
 
 
+def test_term_to_op_refuses_a_variable_listed_twice():
+    x, y = terms.Var("x"), terms.Var("y")
+    with pytest.raises(BadSpec, match="listed twice"):
+        term_to_op(terms.Meet(x, y), ("x", "x", "y"), C3)
+
+
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_term_to_op_matches_the_scalar_oracle(name, structure, mode):

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from latclone import catalog
+from latclone import catalog, sdc
 from latclone.equations import equations_of, galois_closure, is_solution_set
 from latclone.errors import (
     IsBoolean,
@@ -21,6 +21,7 @@ from latclone.lattice import (
     is_distributive_semilattice,
     semilattice_to_lattice,
 )
+from latclone.formulas import PPFormula
 from latclone.operations import (
     Relation,
     centralizer_slice,
@@ -367,3 +368,35 @@ def test_verdict_json_is_stable():
 def test_verify_zero_skips_verification():
     verdict = decide_sdc(B2, "lattice", verify=0)
     assert verdict.holds and not verdict.verified and verdict.qe_samples == 0
+
+
+def _one_atom_short(eliminate):
+    """The eliminator with the first atom of each output dropped."""
+    def broken(phi, structure):
+        out = eliminate(phi, structure)
+        return PPFormula(free_vars=out.free_vars, bound_vars=out.bound_vars,
+                         atoms=out.atoms[1:])
+    return broken
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_the_factor_round_trip_catches_an_eliminator_that_drops_an_atom(monkeypatch, mode):
+    # B3 and its meet reduct are Boolean powers: the round trip compares
+    # masks over the two-element factor instead of relations over B3
+    name = "eliminate_boolean" if mode == "lattice" else "eliminate_semilattice"
+    monkeypatch.setattr(sdc, name, _one_atom_short(getattr(sdc, name)))
+    structure = B3 if mode == "lattice" else catalog.meet_reduct(B3)
+    with pytest.raises(RuntimeError, match="eliminated formula defines a different relation"):
+        decide_sdc(structure, mode)
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_the_round_trip_on_a_boolean_power_builds_no_relation_over_it(monkeypatch, mode):
+    def refused(phi, algebra):
+        raise AssertionError("eval_formula called")
+
+    monkeypatch.setattr(sdc, "eval_formula", refused)
+    verdict = decide_sdc(catalog.boolean_lattice(3), mode)
+    assert verdict.holds and verdict.verified and verdict.qe_samples == 25
+    with pytest.raises(AssertionError, match="eval_formula called"):
+        decide_sdc(C3, "semilattice")
