@@ -16,7 +16,9 @@ from .operations import (
     DEFAULT_CLONE_LIMIT,
     Relation,
     clone_slice,
+    decode_index,
     relation_from_mask,
+    slice_matrix,
     term_to_op,
 )
 
@@ -81,6 +83,10 @@ class EqTheory:
         covered = sorted(i for block in self.blocks for i in block)
         if covered != list(range(len(self.ops))):
             raise BadSpec("blocks must partition the slice")
+        if any(op.arity != arity or op.size != size for op in self.ops):
+            raise ArityMismatch(f"the slice of a theory of {arity}-ary tables on {size} "
+                                "elements holds a table of another arity or carrier")
+        self._matrix = None  # the ops' values, one row each; see _values
 
     def satisfies(self, f, g) -> bool:
         """Is f = g an equation of the theory (same block)? Raises ArityMismatch
@@ -110,28 +116,57 @@ class EqTheory:
                 pairs.append((rep, self.ops[other]))
         return EquationSystem(self.arity, self.size, pairs)
 
+    def _values(self):
+        """The (ops x cells) matrix of the ops' values: the slice's memoised
+        matrix for a theory from equations_of, else stacked once from the ops."""
+        if self._matrix is None:
+            self._matrix = np.array([op.array() for op in self.ops]).reshape(
+                len(self.ops), self.size ** self.arity)
+        return self._matrix
+
+    def _closure_mask(self):
+        """The flat mask of the cells of A^n at which every block is constant."""
+        members = [i for block in self.blocks for i in block[1:]]
+        reps = [block[0] for block in self.blocks for _ in block[1:]]
+        values = self._values()
+        return (values[members] == values[reps]).all(axis=0)
+
     def closure(self) -> Relation:
         """Tuples at which every block is constant: the solution set of the theory."""
-        return _solutions(self.induced_system())
+        return relation_from_mask(self._closure_mask(), self.arity, self.size)
 
     def __repr__(self):
         sizes = sorted((len(b) for b in self.blocks), reverse=True)
         return f"EqTheory({self.arity}-ary, {len(self.ops)} ops, block sizes {sizes})"
 
 
+def _cells(relation):
+    """The index of each tuple of the relation in the lexicographic grid of A^n."""
+    rows = np.array(relation.tuples, dtype=np.intp).reshape(len(relation), relation.arity)
+    return rows @ relation.size ** np.arange(relation.arity - 1, -1, -1)
+
+
 def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory:
     """The equation theory of a tuple set over the clone of the generators.
 
-    Operations are grouped by their value vectors on the tuples of the set;
-    the induced pair set is the largest system whose solutions include it.
+    Operations are grouped by their value vectors on the tuples of the set,
+    read in one gather from the slice's memoised value matrix; the induced
+    pair set is the largest system whose solutions include it. Raises
+    ArityMismatch when the relation and the generators have different
+    carriers.
     """
+    generator_ops = list(generator_ops)
+    if generator_ops and generator_ops[0].size != relation.size:
+        raise ArityMismatch(f"a relation on {relation.size} elements with generators "
+                            f"on {generator_ops[0].size}")
     ops = clone_slice(generator_ops, relation.arity, limit=limit)
-    groups = {}
-    for i, op in enumerate(ops):
-        key = tuple(op(*t) for t in relation.tuples)
+    matrix = slice_matrix(generator_ops, relation.arity, limit=limit)
+    groups = {}  # blocks in order of their first table
+    for i, key in enumerate(map(bytes, matrix[:, _cells(relation)])):
         groups.setdefault(key, []).append(i)
-    blocks = sorted(groups.values())
-    return EqTheory(relation.arity, relation.size, ops, blocks)
+    theory = EqTheory(relation.arity, relation.size, ops, groups.values())
+    theory._matrix = matrix
+    return theory
 
 
 def galois_closure(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> Relation:
@@ -153,11 +188,17 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
 
     Returns (True, certificate system), (False, gap tuple in the closure but
     not the set), or (None, None) when the clone slice overflows the limit,
-    which leaves the question undecided rather than guessed.
+    which leaves the question undecided rather than guessed. The gap is the
+    first cell of the closure's mask outside the set; the closure itself is
+    not built as a relation.
     """
     try:
         theory = equations_of(relation, generator_ops, limit=limit)
     except LimitExceeded:
         return None, None
-    gap = gap_tuple(theory.closure(), relation)
-    return (True, theory.induced_system()) if gap is None else (False, gap)
+    outside = theory._closure_mask()
+    outside[_cells(relation)] = False
+    gap = int(outside.argmax())
+    if not outside[gap]:
+        return True, theory.induced_system()
+    return False, decode_index(gap, relation.size, relation.arity)

@@ -239,22 +239,23 @@ def eval_formula(phi, algebra) -> "Relation":
     from .operations import relation_from_mask
 
     n = len(phi.free_vars)
+    mask = _defining_mask(phi, algebra)
     power = _boolean_power(algebra)
-    if power is None:
-        mask = _grid_mask(phi, algebra)
-    else:
-        mask = power.lift(_grid_mask(phi, power.factor), n)
+    if power is not None:
+        mask = power.lift(mask, n)
     return relation_from_mask(mask, n, algebra.size)
 
 
-def _factor_mask(phi, algebra):
-    """The formula's mask over the two-element factor of a Boolean power, else None.
+def _defining_mask(phi, algebra):
+    """The formula's mask, one axis per free variable: over the two-element
+    factor of a Boolean power, else over the structure itself.
 
     R -> R^[k] is injective, so two formulas with the same free variables
-    define the same relation over 2^k exactly when these masks are equal.
+    define the same relation over the structure exactly when these masks
+    are equal.
     """
     power = _boolean_power(algebra)
-    return None if power is None else _grid_mask(phi, power.factor)
+    return _grid_mask(phi, algebra if power is None else power.factor)
 
 
 def _grid_mask(phi, algebra):
@@ -272,12 +273,14 @@ def _grid_mask(phi, algebra):
     size = algebra.size
     names = phi.free_vars + phi.bound_vars
     axes = len(names)
-    env = {name: np.arange(size).reshape([size if j == i else 1 for j in range(axes)])
+    values = np.arange(size)
+    env = {name: values.reshape((1,) * i + (size,) + (1,) * (axes - 1 - i))
            for i, name in enumerate(names)}
     ev = term_evaluator(algebra)
     mask = np.ones((size,) * axes, dtype=bool)
     for lhs, rhs in phi.atoms:
-        mask &= ev(lhs, env) == ev(rhs, env)
+        left, right = ev((lhs, rhs), env)
+        mask &= left == right
     n = len(phi.free_vars)
     if phi.bound_vars:
         mask = mask.any(axis=tuple(range(n, axes)))

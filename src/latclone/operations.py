@@ -67,7 +67,8 @@ class OpTable:
         if lo < 0 or hi >= size:
             raise BadSpec("value table entry out of range")
         self.provenance = provenance
-        self._array = None
+        # a copy, so that the caller's array stays theirs to change
+        self._array = np.array(values, dtype=np.int64) if isinstance(values, np.ndarray) else None
 
     @classmethod
     def _trusted(cls, arity, size, values, provenance=None):
@@ -136,7 +137,11 @@ def _checked_rows(array, arity, size):
 
 
 class Relation:
-    """A set of fixed-arity tuples in canonical sorted, deduplicated form."""
+    """A set of fixed-arity tuples in canonical sorted, deduplicated form.
+
+    The tuples are kept as a sorted tuple; the set that membership and
+    inclusion read is built on the first `in` or issubset.
+    """
 
     def __init__(self, arity, size, tuples):
         arity, size = as_indices((arity, size), "arity or carrier size")
@@ -156,23 +161,27 @@ class Relation:
                     raise BadSpec(f"tuple {t!r} has an entry out of range")
                 normalized.add(t)
         self.tuples = tuple(sorted(normalized))
-        self._set = frozenset(self.tuples)
+        self._set = None
 
     @classmethod
     def _trusted(cls, arity, size, tuples):
         """A relation whose tuples are already a sorted, duplicate-free tuple
         of int tuples in range."""
         relation = cls.__new__(cls)
-        relation.arity, relation.size, relation.tuples = arity, size, tuples
-        relation._set = frozenset(tuples)
+        relation.arity, relation.size, relation.tuples, relation._set = arity, size, tuples, None
         return relation
+
+    def _members(self):
+        if self._set is None:
+            self._set = frozenset(self.tuples)
+        return self._set
 
     @classmethod
     def full(cls, arity, size):
         return cls(arity, size, product(range(size), repeat=arity))
 
     def __contains__(self, t):
-        return tuple(t) in self._set
+        return tuple(t) in self._members()
 
     def __iter__(self):
         return iter(self.tuples)
@@ -190,7 +199,7 @@ class Relation:
         return hash((self.arity, self.size, self.tuples))
 
     def issubset(self, other) -> bool:
-        return self._set <= other._set
+        return self._members() <= other._members()
 
     def __repr__(self):
         return f"Relation({self.arity}-ary on {self.size}, {len(self.tuples)} tuples)"
@@ -225,23 +234,40 @@ def _flat_tables(algebra):
 
 
 def term_evaluator(algebra):
-    """ev(term, env): the term's values over the int arrays env assigns to its variables.
+    """ev(roots, env): the values of the terms in roots, as a list, over the
+    int arrays env assigns to their variables.
 
-    The evaluator reads the structure's flat meet and join tables; a join
-    over a meet-semilattice raises JoinInSemilatticeMode.
+    The evaluator indexes the structure's meet and join tables as 2-D arrays,
+    once per node. A root that recurs inside a later root is not evaluated
+    again: "s <= t" stands for the atom s = s /\\ t, and the s inside reads
+    the value of the root s. A join over a meet-semilattice raises
+    JoinInSemilatticeMode.
     """
     size = algebra.size
     flat_meet, flat_join = _flat_tables(algebra)
+    meet = flat_meet.reshape(size, size)
+    join = None if flat_join is None else flat_join.reshape(size, size)
 
-    def ev(term, env):
+    def value(term, env, done):
         if isinstance(term, terms.Var):
             return env[term.name]
-        a, b = ev(term.left, env), ev(term.right, env)
-        if isinstance(term, terms.Meet):
-            return flat_meet[a * size + b]
-        if flat_join is None:
-            raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
-        return flat_join[a * size + b]
+        out = done.get(id(term))
+        if out is None:
+            a, b = value(term.left, env, done), value(term.right, env, done)
+            if isinstance(term, terms.Meet):
+                out = meet[a, b]
+            elif join is None:
+                raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+            else:
+                out = join[a, b]
+        return out
+
+    def ev(roots, env):
+        done, values = {}, []  # done: id of each root evaluated so far -> its value
+        for root in roots:
+            values.append(value(root, env, done))
+            done[id(root)] = values[-1]
+        return values
 
     return ev
 
@@ -254,7 +280,7 @@ def term_to_op(term, var_order, algebra) -> OpTable:
     if missing:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")
     env = dict(zip(var_order, argument_columns(algebra.size, len(var_order))))
-    values = term_evaluator(algebra)(term, env)
+    (values,) = term_evaluator(algebra)((term,), env)
     return OpTable(len(var_order), algebra.size, values, provenance=term)
 
 
@@ -422,7 +448,26 @@ def preserves(f, relation):
     return True, None
 
 
+class _Slice:
+    """A memoised clone slice: its tables in order, and the walk's rows over the
+    cells symmetry.representative_cells picks, in the same order.
+
+    The (tables x cells) value matrix is rebuilt from the rows on first use;
+    built from the tables' value tuples, it took longer than the whole walk
+    on B4 lattice n=4.
+    """
+
+    __slots__ = ("tables", "rows", "matrix")
+
+    def __init__(self, tables, rows):
+        self.tables, self.rows, self.matrix = tables, rows, None
+
+
 _SLICE_MEMO = {}
+
+
+def _slice_key(generator_ops, n, limit):
+    return tuple((g.arity, g.size, g.values, g.provenance) for g in generator_ops), n, limit
 
 
 def _tuples_with(pos, m, symmetric):
@@ -467,11 +512,10 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     n = as_indices([n], "slice arity")[0]
     if n < 1:
         raise BadSpec("slice arity must be at least 1")
-    memo_key = (tuple((g.arity, g.size, g.values, g.provenance) for g in generator_ops),
-                n, limit)
+    memo_key = _slice_key(generator_ops, n, limit)
     cached = _SLICE_MEMO.get(memo_key)
     if cached is not None:
-        return list(cached)
+        return list(cached.tables)
 
     # candidates are compared by their bytes in the narrowest type that holds a value
     narrow = np.min_scalar_type(size - 1)
@@ -533,11 +577,41 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     for start in range(0, len(provs), step):
         block = rebuild(rows[start:min(start + step, len(provs))])
         tables += _checked_tables(block, n, size, provs[start:start + step])
-    tables.sort(key=lambda t: t.values)
+    order = sorted(range(len(tables)), key=lambda i: tables[i].values)
+    tables = [tables[i] for i in order]
     if len(_SLICE_MEMO) >= 64:
         _SLICE_MEMO.clear()
-    _SLICE_MEMO[memo_key] = tuple(tables)
+    _SLICE_MEMO[memo_key] = _Slice(tuple(tables), rows[order])
     return tables
+
+
+def slice_matrix(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
+    """The values of clone_slice(generator_ops, n, limit) as a read-only
+    (tables x size^n) matrix in the narrowest dtype, one row per table in the
+    same order.
+
+    Built on first use and memoised with the slice, which is computed first
+    if it is not memoised. The rebuild is derived again from the generators
+    rather than kept in the memo, whose entries would otherwise each hold
+    arrays over every cell.
+    """
+    generator_ops = list(generator_ops)
+    n = as_indices([n], "slice arity")[0]
+    key = _slice_key(generator_ops, n, limit)
+    entry = _SLICE_MEMO.get(key)
+    if entry is None:
+        clone_slice(generator_ops, n, limit=limit)
+        entry = _SLICE_MEMO[key]
+    if entry.matrix is None:
+        rows, size = entry.rows, generator_ops[0].size
+        rebuild = symmetry.representative_cells(generator_ops, n)[1]
+        step = max(1, BLOCK_CELLS // size ** n)
+        matrix = np.empty((len(rows), size ** n), dtype=rows.dtype)
+        for start in range(0, len(rows), step):
+            matrix[start:start + step] = rebuild(rows[start:start + step])
+        matrix.flags.writeable = False
+        entry.matrix = matrix
+    return entry.matrix
 
 
 def _grid(bounds):

@@ -26,7 +26,7 @@ from .errors import (
     IsDistributiveSemilattice,
     NotDistributive,
 )
-from .formulas import PPFormula, _factor_mask, eval_formula, random_formula
+from .formulas import PPFormula, _defining_mask, eval_formula, random_formula
 from .lattice import is_boolean, is_distributive, is_distributive_semilattice
 from .operations import DEFAULT_CLONE_LIMIT, generators
 from .qe import eliminate_boolean, eliminate_semilattice
@@ -160,13 +160,10 @@ def _verify_negative(witness, structure, mode, limit):
 def _same_relation(phi, psi, structure):
     """Whether two formulas define the same relation over the structure.
 
-    On a Boolean power the masks over its two-element factor decide it, and
-    neither relation over the structure itself is built.
+    Their masks decide it (over the two-element factor on a Boolean power);
+    neither relation is built.
     """
-    mask = _factor_mask(phi, structure)
-    if mask is None:
-        return eval_formula(phi, structure) == eval_formula(psi, structure)
-    return np.array_equal(mask, _factor_mask(psi, structure))
+    return np.array_equal(_defining_mask(phi, structure), _defining_mask(psi, structure))
 
 
 def _verify_positive(structure, mode, samples, seed):

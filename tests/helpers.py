@@ -269,6 +269,24 @@ def slow_clone_slice(generator_ops, n, limit):
     return sorted(tables, key=lambda t: t.values)
 
 
+def slow_equations_of(relation, ops):
+    """The blocks of the equation theory of a tuple set over the slice tables
+    ops: positions grouped by the tables' values on the tuples, one table
+    call per table and tuple, blocks in order of their first position."""
+    groups = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(tuple(op(*t) for t in relation.tuples), []).append(i)
+    return [tuple(block) for block in groups.values()]
+
+
+def slow_galois_closure(ops, blocks, arity, size):
+    """The tuples of A^arity at which every block of tables takes one value,
+    one table call per table and tuple."""
+    return Relation(arity, size, [t for t in product(range(size), repeat=arity)
+                                  if all(len({ops[i](*t) for i in block}) == 1
+                                         for block in blocks)])
+
+
 def slow_commute(f, g):
     """Do f and g commute? A Python loop over every f.arity x g.arity matrix in
     lexicographic order; on failure also returns the first witness matrix."""

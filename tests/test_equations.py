@@ -1,12 +1,15 @@
 """Solution sets, equation theories and the Sol-Eq Galois closure."""
 
+import gc
 import random
+import time
 from itertools import product
 
 import pytest
 
-from latclone import catalog, terms
+from latclone import catalog, equations, operations, terms
 from latclone.equations import (
+    EqTheory,
     EquationSystem,
     equations_of,
     galois_closure,
@@ -28,11 +31,19 @@ from latclone.operations import (
     projection,
 )
 
+from helpers import slow_clone_slice, slow_equations_of, slow_galois_closure
+
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
 B2 = catalog.boolean_lattice(2)
 N5 = catalog.pentagon()
 M3 = catalog.diamond()
+CATALOG_MODES = [(name, structure, mode)
+                 for name, structure in [("C2", C2), ("C3", C3), ("C4", catalog.chain(4)),
+                                         ("B2", B2), ("B3", catalog.boolean_lattice(3)),
+                                         ("N5", N5), ("M3", M3), ("fence", catalog.fence())]
+                 for mode in ("lattice", "semilattice")
+                 if mode == "semilattice" or structure.kind == "lattice"]
 
 
 def random_system(rng, lattice, mode, arity, count):
@@ -240,3 +251,69 @@ def test_limit_degrades_to_unknown():
     with pytest.raises(LimitExceeded):
         equations_of(T, generators(N5, "lattice"), limit=20)
     assert is_solution_set(T, generators(N5, "lattice"), limit=20) == (None, None)
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_theory_closure_and_verdict_match_the_oracle(name, structure, mode):
+    rng = random.Random(f"{name}-{mode}")
+    gens, size = generators(structure, mode), structure.size
+    for n in (1, 2, 3):
+        ops = slow_clone_slice(gens, n, limit=10_000)
+        cells = list(product(range(size), repeat=n))
+        relations = [Relation(n, size, []), Relation.full(n, size)]
+        relations += [Relation(n, size, rng.sample(cells, rng.randint(1, min(len(cells), 12))))
+                      for _ in range(4)]
+        for T in relations:
+            blocks = slow_equations_of(T, ops)
+            closure = slow_galois_closure(ops, blocks, n, size)
+            members = set(T.tuples)
+            gap = next((t for t in closure.tuples if t not in members), None)
+            theory = equations_of(T, gens)
+            assert theory.ops == tuple(ops) and theory.blocks == tuple(blocks)
+            assert theory.closure() == closure == galois_closure(T, gens)
+            assert EqTheory(n, size, ops, blocks).closure() == closure  # stacked from the ops
+            verdict, evidence = is_solution_set(T, gens)
+            if gap is None:
+                assert verdict is True
+                assert evidence.pairs == tuple((ops[b[0]], ops[i]) for b in blocks for i in b[1:])
+            else:
+                assert (verdict, evidence) == (False, gap)
+                assert all(type(v) is int for v in evidence)
+
+
+def test_a_relation_on_another_carrier_is_refused_before_any_work(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("clone_slice called")
+
+    monkeypatch.setattr(equations, "clone_slice", refused)
+    gens = generators(catalog.chain(5), "lattice")
+    for T in (Relation(2, 7, [(0, 1), (3, 2)]), Relation(2, 3, [(0, 1), (2, 2)])):
+        for decide in (equations_of, galois_closure, is_solution_set):
+            with pytest.raises(ArityMismatch, match=f"relation on {T.size} elements"):
+                decide(T, iter(gens))
+
+
+def test_theory_refuses_a_table_of_another_shape():
+    ops = clone_slice(generators(C3, "lattice"), 2)
+    for other in (OpTable(1, 3, [0, 1, 2]), OpTable(2, 2, [0, 0, 0, 1])):
+        with pytest.raises(ArityMismatch):
+            EqTheory(2, 3, ops + [other], [[i] for i in range(len(ops) + 1)])
+
+
+def test_equations_of_on_a_large_relation_over_b4_is_one_gather():
+    # 166 tables of 65,536 cells on 1,985 tuples; grouping them by one table
+    # call per table and tuple took 0.28-0.53 s
+    B4 = catalog.boolean_lattice(4)
+    gens = generators(B4, "lattice")
+    rng = random.Random(1985)
+    cells = rng.sample(range(16 ** 4), 1985)
+    T = Relation(4, 16, [(c >> 12, c >> 8 & 15, c >> 4 & 15, c & 15) for c in cells])
+    assert len(clone_slice(gens, 4)) == 166
+    operations.slice_matrix(gens, 4)  # the slice with its value matrix, built before the clock
+    gc.collect()  # a full collection walks the slice's 11 M table entries: about 0.1 s
+    started = time.perf_counter()
+    theory = equations_of(T, gens)
+    elapsed = time.perf_counter() - started
+    assert len(theory.blocks) == 166
+    assert elapsed < 0.05, f"equations_of took {elapsed:.3f}s"

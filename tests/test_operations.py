@@ -218,6 +218,29 @@ def test_term_evaluator_reads_read_only_tables_built_once(structure):
         flat_meet[0] = 1
 
 
+def test_term_evaluator_evaluates_a_recurring_root_once():
+    class Counting(np.ndarray):
+        """A table that counts how often it is indexed."""
+        calls = 0
+
+        def __getitem__(self, key):
+            Counting.calls += 1
+            return np.asarray(self)[key]
+
+    lat = catalog.boolean_lattice(2)
+    lat._flat_tables = tuple(t.view(Counting) for t in operations._flat_tables(lat))
+    x, y, z = terms.Var("x"), terms.Var("y"), terms.Var("z")
+    s = terms.Join(terms.Meet(x, y), z)
+    t = terms.Meet(s, x)  # "s <= x" is the atom s = t
+    roots = (s, t, terms.Join(t, y), terms.Meet(x, y))  # the last copies a subterm of s
+    env = dict(zip("xyz", operations.argument_columns(lat.size, 3)))
+    values = operations.term_evaluator(lat)(roots, env)
+    assert Counting.calls == 5  # the two nodes of s, one node each of the other three
+    for root, got in zip(roots, values):
+        assert got.tolist() == [evaluate(root, dict(zip("xyz", t)), lat)
+                                for t in product(range(lat.size), repeat=3)]
+
+
 def test_join_term_over_a_semilattice_is_refused():
     x, y = terms.Var("x"), terms.Var("y")
     for algebra in (catalog.fence(), catalog.meet_reduct(B2)):
@@ -642,6 +665,30 @@ def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
             _same_slices_and_refusal_as_oracle(gens, n)
 
 
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_slice_matrix_holds_the_slice_values(monkeypatch, name, structure, mode):
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    gens = generators(structure, mode)
+    cases = [(n, matrix_first) for n in (1, 2, 3) for matrix_first in (True, False)]
+    if name == "B3":
+        cases.append((4, False))  # 2^4 two-valued cells rebuilt to 4,096
+    for n, matrix_first in cases:
+        operations._SLICE_MEMO.clear()
+        matrix = operations.slice_matrix(gens, n) if matrix_first else None
+        tables = clone_slice(gens, n)
+        if matrix is None:
+            matrix = operations.slice_matrix(gens, n)
+        assert matrix.tolist() == [list(t.values) for t in tables]
+        assert matrix.dtype == np.min_scalar_type(structure.size - 1)
+        assert not matrix.flags.writeable
+        assert operations.slice_matrix(iter(gens), np.int64(n)) is matrix
+    with pytest.raises(BadSpec):
+        operations.slice_matrix(gens, True)
+    with pytest.raises(LimitExceeded):
+        operations.slice_matrix(gens, 3, limit=1)
+
+
 def test_free_distributive_lattice_on_four_generators():
     # Dedekind number 168 minus the two constants; B3 walks 16 of 4,096 cells
     b3 = generators(catalog.boolean_lattice(3), "lattice")
@@ -1005,6 +1052,36 @@ def test_relation_from_mask_equals_the_checked_constructor():
             assert got == expected and hash(got) == hash(expected)
             assert all(t in got for t in expected) and got.issubset(expected)
             assert all(type(v) is int for t in got for v in t)
+
+
+def test_relation_answers_before_its_set_is_built():
+    def fresh():
+        return (relation_from_mask(np.array([True, False, True, True]), 2, 2),
+                Relation(2, 2, [(1, 1), (0, 0), (1, 0)]))
+
+    a, b = fresh()
+    assert a._set is None and b._set is None
+    assert a == b and hash(a) == hash(b) and a.tuples == b.tuples
+    assert a._set is None and b._set is None
+    a, b = fresh()
+    assert (1, 0) in a and [1, 1] in b and (0, 1) not in a and (0, 1) not in b
+    a, b = fresh()
+    assert a.issubset(b) and b.issubset(a)
+    one = Relation(2, 2, [(0, 0)])
+    a, b = fresh()
+    assert one.issubset(a) and not b.issubset(one)
+    assert a != Relation(2, 3, a.tuples) and a != Relation(2, 2, [(0, 0), (1, 1)])
+
+
+def test_optable_from_an_array_keeps_a_copy_of_it():
+    values = np.array([0, 1, 1, 1], dtype=np.uint8)
+    f = OpTable(2, 2, values)
+    arr = f.array()
+    assert arr.dtype == np.int64 and arr.tolist() == [0, 1, 1, 1] and f.array() is arr
+    values[0] = 1  # the caller's array stays theirs
+    assert f.array().tolist() == [0, 1, 1, 1] and f.values == (0, 1, 1, 1)
+    assert f == OpTable(2, 2, [0, 1, 1, 1]) and hash(f) == hash(OpTable(2, 2, [0, 1, 1, 1]))
+    assert OpTable(2, 2, [0, 1, 1, 1]).array().tolist() == [0, 1, 1, 1]
 
 
 def test_optable_call_and_encoding():

@@ -391,12 +391,27 @@ def test_the_factor_round_trip_catches_an_eliminator_that_drops_an_atom(monkeypa
 
 
 @pytest.mark.parametrize("mode", ["lattice", "semilattice"])
-def test_the_round_trip_on_a_boolean_power_builds_no_relation_over_it(monkeypatch, mode):
+def test_the_grid_round_trip_catches_an_eliminator_that_drops_an_atom(monkeypatch, mode):
+    # C2 is Boolean but not a power 2^k with k >= 2, and C3 is no Boolean
+    # power at all: the round trip compares masks over the structure itself
+    name = "eliminate_boolean" if mode == "lattice" else "eliminate_semilattice"
+    monkeypatch.setattr(sdc, name, _one_atom_short(getattr(sdc, name)))
+    structure = catalog.chain(2) if mode == "lattice" else C3
+    with pytest.raises(RuntimeError, match="eliminated formula defines a different relation"):
+        decide_sdc(structure, mode)
+
+
+POSITIVE = {"lattice": [catalog.chain(2), catalog.boolean_lattice(2), B3],
+            "semilattice": [C3, catalog.chain(4), catalog.meet_reduct(B3),
+                            catalog.boolean_lattice(2)]}
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_no_positive_round_trip_builds_a_relation(monkeypatch, mode):
     def refused(phi, algebra):
         raise AssertionError("eval_formula called")
 
     monkeypatch.setattr(sdc, "eval_formula", refused)
-    verdict = decide_sdc(catalog.boolean_lattice(3), mode)
-    assert verdict.holds and verdict.verified and verdict.qe_samples == 25
-    with pytest.raises(AssertionError, match="eval_formula called"):
-        decide_sdc(C3, "semilattice")
+    for structure in POSITIVE[mode]:
+        verdict = decide_sdc(structure, mode)
+        assert verdict.holds and verdict.verified and verdict.qe_samples == 25
