@@ -47,7 +47,15 @@ def decode_index(idx, size, arity):
 
 
 class OpTable:
-    """An operation {0..size-1}^arity -> {0..size-1} as an explicit table."""
+    """An operation {0..size-1}^arity -> {0..size-1} as an explicit table.
+
+    The values are one row of a read-only matrix in the narrowest unsigned
+    dtype: the tables of a slice are the rows of its value matrix, and a
+    table built by hand holds a one-row matrix of its own. `values` builds
+    a tuple of ints from the row on each access and keeps none.
+    """
+
+    __slots__ = ("arity", "size", "provenance", "_matrix", "_row", "_array")
 
     def __init__(self, arity, size, values, provenance=None):
         arity, size = as_indices((arity, size), "arity or carrier size")
@@ -55,27 +63,36 @@ class OpTable:
             raise BadSpec("operations must have arity at least 1")
         if size < 1:
             raise BadSpec("carrier must be nonempty")
-        self.arity = arity
-        self.size = size
-        self.values = as_indices(values, "value table entry")
-        if len(self.values) != size ** arity:
+        if isinstance(values, np.ndarray):
+            if values.ndim != 1:
+                raise BadSpec("expected a list of value table entry values, "
+                              f"got an array of shape {values.shape}")
+            check_index_dtype(values, "value table entry")
+        else:
+            values = as_indices(values, "value table entry")
+        if len(values) != size ** arity:
             raise BadSpec(f"value table must have {size ** arity} entries")
         if isinstance(values, np.ndarray):
             lo, hi = values.min(), values.max()
         else:
-            lo, hi = min(self.values), max(self.values)
+            lo, hi = min(values), max(values)
         if lo < 0 or hi >= size:
             raise BadSpec("value table entry out of range")
-        self.provenance = provenance
         # a copy, so that the caller's array stays theirs to change
-        self._array = np.array(values, dtype=np.int64) if isinstance(values, np.ndarray) else None
+        matrix = np.array(values, dtype=np.min_scalar_type(size - 1)).reshape(1, -1)
+        matrix.flags.writeable = False
+        self._bind(arity, size, matrix, 0, provenance)
 
-    @classmethod
-    def _trusted(cls, arity, size, values, provenance=None):
-        """A table whose values are already a checked tuple of ints in range."""
-        op = cls.__new__(cls)
-        op.arity, op.size, op.values, op.provenance, op._array = arity, size, values, provenance, None
-        return op
+    def _bind(self, arity, size, matrix, row, provenance):
+        self.arity, self.size, self.provenance = arity, size, provenance
+        self._matrix, self._row, self._array = matrix, row, None
+
+    @property
+    def values(self):
+        return tuple(self._matrix[self._row].tolist())
+
+    def _bytes(self):
+        return self._matrix[self._row].tobytes()
 
     def index(self, args) -> int:
         if len(args) != self.arity:
@@ -91,21 +108,22 @@ class OpTable:
         return idx
 
     def __call__(self, *args) -> int:
-        return self.values[self.index(args)]
+        return self._matrix.item(self._row, self.index(args))
 
     def array(self):
+        """The values as an int64 array, built on first use and kept."""
         if self._array is None:
-            self._array = np.array(self.values, dtype=np.int64)
+            self._array = self._matrix[self._row].astype(np.int64)
         return self._array
 
     def __eq__(self, other):
         return (isinstance(other, OpTable)
                 and self.arity == other.arity
                 and self.size == other.size
-                and self.values == other.values)
+                and self._bytes() == other._bytes())
 
     def __hash__(self):
-        return hash((self.arity, self.size, self.values))
+        return hash((self.arity, self.size, self._bytes()))
 
     def __repr__(self):
         if self.provenance is not None:
@@ -113,16 +131,26 @@ class OpTable:
         return f"OpTable({self.arity}-ary on {self.size}, {list(self.values)})"
 
 
-def _checked_tables(block, arity, size, provenances):
-    """Tables from the rows of a (tables x size^arity) integer array, whose
-    dtype, shape and range are checked once for the whole block."""
-    check_index_dtype(block, "value table entry")
-    if block.ndim != 2 or block.shape[1] != size ** arity:
-        raise BadSpec(f"table block of shape {block.shape} does not have {size ** arity} columns")
-    if block.size and (block.min() < 0 or block.max() >= size):
+def _checked_tables(matrix, arity, size, provenances):
+    """Tables from the rows of a (tables x size^arity) integer matrix, whose
+    dtype, shape and range are checked once for the whole matrix.
+
+    The tables share the matrix, read-only in the narrowest unsigned dtype:
+    the given one unless it has another dtype, which is converted.
+    """
+    check_index_dtype(matrix, "value table entry")
+    if matrix.ndim != 2 or matrix.shape[1] != size ** arity:
+        raise BadSpec(f"table block of shape {matrix.shape} does not have {size ** arity} columns")
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= size):
         raise BadSpec("value table entry out of range")
-    return [OpTable._trusted(arity, size, tuple(values.tolist()), prov)
-            for values, prov in zip(block, provenances)]
+    matrix = np.ascontiguousarray(matrix, dtype=np.min_scalar_type(size - 1))
+    matrix.flags.writeable = False
+    tables = []
+    for row, provenance in enumerate(provenances):
+        op = OpTable.__new__(OpTable)
+        op._bind(arity, size, matrix, row, provenance)
+        tables.append(op)
+    return tables
 
 
 def _checked_rows(array, arity, size):
@@ -448,26 +476,19 @@ def preserves(f, relation):
     return True, None
 
 
-class _Slice:
-    """A memoised clone slice: its tables in order, and the walk's rows over the
-    cells symmetry.representative_cells picks, in the same order.
-
-    The (tables x cells) value matrix is rebuilt from the rows on first use;
-    built from the tables' value tuples, it took longer than the whole walk
-    on B4 lattice n=4.
-    """
-
-    __slots__ = ("tables", "rows", "matrix")
-
-    def __init__(self, tables, rows):
-        self.tables, self.rows, self.matrix = tables, rows, None
-
-
-_SLICE_MEMO = {}
+_SLICE_MEMO = {}  # memo key -> (tables, their value matrix)
 
 
 def _slice_key(generator_ops, n, limit):
-    return tuple((g.arity, g.size, g.values, g.provenance) for g in generator_ops), n, limit
+    return tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops), n, limit
+
+
+def _lex_order(matrix):
+    """The order that sorts the rows of an unsigned integer matrix
+    lexicographically: their entries big-endian, compared as void bytes."""
+    if matrix.itemsize > 1:
+        matrix = matrix.astype(matrix.dtype.newbyteorder(">"))
+    return np.argsort(matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel())
 
 
 def _tuples_with(pos, m, symmetric):
@@ -499,9 +520,10 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     rebuilds each full table from those at the end. A block of candidates
     is compared by exact byte keys, each new key taken at its first index
     in the block.
-    Returns tables sorted by values; raises LimitExceeded when the slice
-    would grow past the limit. Results are memoised: the computation is a
-    pure function of the generator tables.
+    Returns tables sorted by values, the rows of one value matrix (see
+    slice_matrix); raises LimitExceeded when the slice would grow past the
+    limit. Results are memoised: the computation is a pure function of the
+    generator tables.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -515,7 +537,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     memo_key = _slice_key(generator_ops, n, limit)
     cached = _SLICE_MEMO.get(memo_key)
     if cached is not None:
-        return list(cached.tables)
+        return list(cached[0])
 
     # candidates are compared by their bytes in the narrowest type that holds a value
     narrow = np.min_scalar_type(size - 1)
@@ -571,47 +593,32 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
                 add(keys[j], found[j], _composed_provenance(g, [provs[c] for c in combo]))
         pos += 1
 
-    # the tables in blocks of at most BLOCK_CELLS cells, each checked once
-    step = max(1, BLOCK_CELLS // size ** n)
-    tables = []
-    for start in range(0, len(provs), step):
-        block = rebuild(rows[start:min(start + step, len(provs))])
-        tables += _checked_tables(block, n, size, provs[start:start + step])
-    order = sorted(range(len(tables)), key=lambda i: tables[i].values)
-    tables = [tables[i] for i in order]
+    # the full tables, rebuilt in blocks of at most BLOCK_CELLS cells, then sorted
+    count, step = len(provs), max(1, BLOCK_CELLS // size ** n)
+    matrix = np.empty((count, size ** n), dtype=narrow)
+    for start in range(0, count, step):
+        matrix[start:start + step] = rebuild(rows[start:min(start + step, count)])
+    del rows
+    order = _lex_order(matrix)
+    tables = _checked_tables(matrix[order], n, size, [provs[i] for i in order.tolist()])
     if len(_SLICE_MEMO) >= 64:
         _SLICE_MEMO.clear()
-    _SLICE_MEMO[memo_key] = _Slice(tuple(tables), rows[order])
+    _SLICE_MEMO[memo_key] = tuple(tables), tables[0]._matrix
     return tables
 
 
 def slice_matrix(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The values of clone_slice(generator_ops, n, limit) as a read-only
     (tables x size^n) matrix in the narrowest dtype, one row per table in the
-    same order.
-
-    Built on first use and memoised with the slice, which is computed first
-    if it is not memoised. The rebuild is derived again from the generators
-    rather than kept in the memo, whose entries would otherwise each hold
-    arrays over every cell.
+    same order: the matrix the slice's tables are rows of, kept in the memo.
+    The slice is computed first if it is not memoised.
     """
     generator_ops = list(generator_ops)
     n = as_indices([n], "slice arity")[0]
     key = _slice_key(generator_ops, n, limit)
-    entry = _SLICE_MEMO.get(key)
-    if entry is None:
+    if key not in _SLICE_MEMO:
         clone_slice(generator_ops, n, limit=limit)
-        entry = _SLICE_MEMO[key]
-    if entry.matrix is None:
-        rows, size = entry.rows, generator_ops[0].size
-        rebuild = symmetry.representative_cells(generator_ops, n)[1]
-        step = max(1, BLOCK_CELLS // size ** n)
-        matrix = np.empty((len(rows), size ** n), dtype=rows.dtype)
-        for start in range(0, len(rows), step):
-            matrix[start:start + step] = rebuild(rows[start:start + step])
-        matrix.flags.writeable = False
-        entry.matrix = matrix
-    return entry.matrix
+    return _SLICE_MEMO[key][1]
 
 
 def _grid(bounds):
@@ -813,6 +820,8 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     in {p, q}, so at least |H| tables exist, and at most |H|^r: while H is
     being found, the tuples over it are counted each time it doubles once
     that bound passes the limit. Raises LimitExceeded past the limit.
+    The tables are the rows of one value matrix, the search's blocks
+    stacked or the pairs sorted.
     """
     generator_ops = list(generator_ops)
     if not generator_ops:
@@ -833,6 +842,8 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
             if count > limit:
                 raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
             found.append(block.T)
+        matrix = np.concatenate(found)
+        del found
     else:
         p, q, maps, _ = family
         steps = _prefix_steps(maps == q)
@@ -846,9 +857,10 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
                 cols, counted = _combine(np.concatenate(homs, axis=1), steps, limit), count
         if cols is None or counted < count:
             cols = _combine(np.concatenate(homs, axis=1), steps, limit)
-        found = [cols.T[np.lexsort(cols[::-1])]]
-        del cols, homs  # only the sorted tables stay while they are built
-    return [op for block in found for op in _checked_tables(block, k, size, [None] * len(block))]
+        del homs
+        matrix = cols.T[np.lexsort(cols[::-1])]
+        del cols
+    return _checked_tables(matrix, k, size, [None] * len(matrix))
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:

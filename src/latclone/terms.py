@@ -32,9 +32,18 @@ TermExpr = Var | Meet | Join
 
 
 def variables(term) -> set:
+    """The names of the term's variables, filled into one set by one walk."""
+    names = set()
+    _add_variables(term, names)
+    return names
+
+
+def _add_variables(term, names):
     if isinstance(term, Var):
-        return {term.name}
-    return variables(term.left) | variables(term.right)
+        names.add(term.name)
+    else:
+        _add_variables(term.left, names)
+        _add_variables(term.right, names)
 
 
 def check_distinct(names, what):

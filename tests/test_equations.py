@@ -311,7 +311,7 @@ def test_equations_of_on_a_large_relation_over_b4_is_one_gather():
     T = Relation(4, 16, [(c >> 12, c >> 8 & 15, c >> 4 & 15, c & 15) for c in cells])
     assert len(clone_slice(gens, 4)) == 166
     operations.slice_matrix(gens, 4)  # the slice with its value matrix, built before the clock
-    gc.collect()  # a full collection walks the slice's 11 M table entries: about 0.1 s
+    gc.collect()  # so that no collection owed by earlier work lands inside the clock
     started = time.perf_counter()
     theory = equations_of(T, gens)
     elapsed = time.perf_counter() - started

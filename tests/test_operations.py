@@ -38,6 +38,7 @@ from latclone.operations import (
     term_to_op,
 )
 
+from latclone.equations import EqTheory, equations_of
 from latclone.lattice import is_distributive, semilattice_to_lattice
 
 from helpers import (
@@ -689,6 +690,70 @@ def test_slice_matrix_holds_the_slice_values(monkeypatch, name, structure, mode)
         operations.slice_matrix(gens, 3, limit=1)
 
 
+def _same_as_a_table_built_by_hand(tables, lookup_in):
+    """Each slice table behaves as OpTable(arity, size, list(op.values))
+    does; lookup_in(ref) is where an equal table built by hand is found."""
+    for i, op in enumerate(tables):
+        values = op.values
+        assert type(values) is tuple and all(type(v) is int for v in values)
+        ref = OpTable(op.arity, op.size, list(values), provenance=op.provenance)
+        assert op == ref and ref == op and hash(op) == hash(ref)
+        assert all(op(*args) == ref(*args) == values[c] for c, args in
+                   enumerate(product(range(op.size), repeat=op.arity)))
+        rendered = (f"OpTable({op.arity}-ary, {terms.render(op.provenance)})"
+                    if op.provenance is not None
+                    else f"OpTable({op.arity}-ary on {op.size}, {list(values)})")
+        assert repr(op) == repr(ref) == rendered
+        arr = op.array()
+        assert arr.dtype == np.int64 and arr.tolist() == list(values) and op.array() is arr
+        arr[0] = values[0] + 1  # a copy: the memo keeps its values
+        assert op.values == values
+        arr[0] = values[0]
+        assert lookup_in(ref) == i
+
+
+@pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
+def test_slice_tables_are_rows_that_behave_as_tables_built_by_hand(monkeypatch, name, structure,
+                                                                  mode):
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    gens = generators(structure, mode)
+    for n in (1, 2, 3):
+        tables = clone_slice(gens, n)
+        theory = equations_of(Relation(n, structure.size, []), gens)
+        _same_as_a_table_built_by_hand(tables, theory.ops.index)
+        assert [t.values for t in clone_slice(gens, n)] == [t.values for t in tables]
+        matrix = operations.slice_matrix(gens, n)
+        assert matrix.tolist() == [list(t.values) for t in tables]
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+    for k in (1, 2):
+        try:
+            tables = centralizer_slice(gens, k)
+        except LimitExceeded:
+            continue  # B3 semilattice at k=2
+        index = {op: i for i, op in enumerate(tables)}
+        assert len(index) == len(tables)
+        _same_as_a_table_built_by_hand(tables, index.__getitem__)
+        theory = EqTheory(k, structure.size, tables, [range(len(tables))])
+        for i in (0, len(tables) // 2, len(tables) - 1):
+            assert theory.ops.index(OpTable(k, structure.size, list(tables[i].values))) == i
+
+
+def test_clone_slice_of_b4_semilattice_stays_small(monkeypatch):
+    # a (15 x 65,536) uint8 matrix, where the value tuples took 8.5 MiB
+    gens = generators(catalog.boolean_lattice(4), "semilattice")
+    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    tracemalloc.start()
+    try:
+        tables = clone_slice(gens, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 15
+    assert peak < 5 << 20
+
+
 def test_free_distributive_lattice_on_four_generators():
     # Dedekind number 168 minus the two constants; B3 walks 16 of 4,096 cells
     b3 = generators(catalog.boolean_lattice(3), "lattice")
@@ -1167,13 +1232,29 @@ def test_bad_arrays_are_refused_with_the_list_wording():
 
 
 def test_slice_tables_are_checked_once_per_block():
-    tables = operations._checked_tables(np.array([[0, 1, 1, 0]], dtype=np.uint8), 2, 2, [None])
-    assert tables == [OpTable(2, 2, (0, 1, 1, 0))]
+    matrix = np.array([[0, 1, 1, 0], [1, 1, 1, 0]], dtype=np.uint8)
+    tables = operations._checked_tables(matrix, 2, 2, [None, None])
+    assert tables == [OpTable(2, 2, (0, 1, 1, 0)), OpTable(2, 2, (1, 1, 1, 0))]
     assert type(tables[0].values[0]) is int
+    assert not matrix.flags.writeable  # the tables are its rows
+    wide = operations._checked_tables(np.array([[0, 1, 1, 0]]), 2, 2, [None])
+    assert wide == tables[:1] and wide[0].array().dtype == np.int64
     for bad in (np.array([[0, 1, 1, 2]]), np.array([[0, -1, 1, 0]]), np.array([[0, 1, 1]]),
                 np.array([0, 1, 1, 0]), np.array([[0.0, 1.0, 1.0, 0.0]])):
         with pytest.raises(BadSpec):
             operations._checked_tables(bad, 2, 2, [None])
+
+
+def test_slice_rows_sort_in_lexicographic_order():
+    rng = np.random.default_rng(5)
+    for dtype, high in ((np.uint8, 256), (np.uint16, 65_536), (np.uint32, 1 << 32)):
+        for cells in (1, 3, 8):
+            matrix = rng.integers(0, high, size=(200, cells), dtype=np.uint64).astype(dtype)
+            matrix[100:] = matrix[:100]
+            matrix[100:, -1] = rng.integers(0, 2, size=100)  # rows that share a long prefix
+            order = operations._lex_order(matrix).tolist()
+            expected = sorted(range(200), key=lambda i: matrix[i].tolist())
+            assert [matrix[i].tolist() for i in order] == [matrix[i].tolist() for i in expected]
 
 
 def test_numpy_integers_are_accepted_as_indices():
