@@ -14,12 +14,11 @@ _HOMES = {
     "equations": ("EquationSystem", "EqTheory", "equations_of", "galois_closure",
                   "is_solution_set", "solve"),
     "formulas": ("PPFormula", "eval_formula", "parse_formula", "random_formula"),
-    "lattice": ("BooleanStructure", "Embedding", "FiniteLattice", "FiniteSemilattice",
-                "birkhoff_embed", "construct", "forbidden_sublattice", "is_boolean",
-                "is_distributive", "is_distributive_semilattice", "median",
-                "semilattice_to_lattice", "symdiff3"),
+    "lattice": ("BooleanStructure", "FiniteLattice", "FiniteSemilattice", "construct",
+                "forbidden_sublattice", "is_boolean", "is_distributive",
+                "is_distributive_semilattice", "semilattice_to_lattice"),
     "operations": ("OpTable", "Relation", "centralizer_slice", "clone_slice", "closure_under",
-                   "commute", "compose", "graph", "pad_and_identify", "preserves", "projection"),
+                   "preserves", "projection"),
     "qe": ("IneqItem", "IneqSystem", "eliminate_boolean", "eliminate_semilattice",
            "helly_condition", "residuate", "to_inequalities"),
     "sdc": ("SdcVerdict", "decide_sdc", "witness_boolean_gap", "witness_lattice_pair",

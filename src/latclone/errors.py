@@ -35,10 +35,6 @@ class BadIndex(InputError):
     pass
 
 
-class BadAssignment(InputError):
-    pass
-
-
 class FormulaSyntaxError(InputError):
     """Formula text does not match the DSL grammar."""
 

@@ -11,7 +11,6 @@ failure raises instead of repairing silently.
 """
 
 import sys
-import warnings
 from functools import reduce
 from itertools import combinations
 from numbers import Integral
@@ -21,14 +20,9 @@ from .errors import (
     BadSpec,
     NoGreatestElement,
     NotALattice,
-    NotDistributive,
 )
 
 MAX_CARRIER = 16
-
-
-class NonDistributiveMedian(UserWarning):
-    """median() on a non-distributive lattice: only the meet-form is returned."""
 
 
 def _normalize_names(names):
@@ -430,54 +424,6 @@ def is_boolean(lattice):
     return result
 
 
-def median(lattice, x, y, z) -> int:
-    """(x /\\ y) \\/ (x /\\ z) \\/ (y /\\ z).
-
-    In a distributive lattice this equals the dual meet-of-joins form; on a
-    non-distributive lattice only the meet-form is computed and a
-    NonDistributiveMedian warning is emitted.
-    """
-    if not is_distributive(lattice)[0]:
-        warnings.warn("median over a non-distributive lattice uses the meet-form only",
-                      NonDistributiveMedian, stacklevel=2)
-    meet, join = lattice.meet, lattice.join
-    return join[join[meet[x][y]][meet[x][z]]][meet[y][z]]
-
-
-class Embedding:
-    """An injective map of a distributive lattice into the Boolean lattice 2^k.
-
-    Image elements are bitmasks over the atoms; atom i of the target is the
-    i-th nonzero join-irreducible element of the source, so bottom maps to
-    the empty set and top to the full set.
-    """
-
-    def __init__(self, source, atoms, image):
-        self.source = source
-        self.atoms = tuple(atoms)
-        self.target_atoms = len(self.atoms)
-        self.image = tuple(int(m) for m in image)
-        full = (1 << self.target_atoms) - 1
-        size = source.size
-        if len(set(self.image)) != size:
-            raise RuntimeError("embedding is not injective")
-        if self.image[source.bottom] != 0 or self.image[source.top] != full:
-            raise RuntimeError("embedding does not send bottom/top to bottom/top")
-        for a in range(size):
-            for b in range(size):
-                if self.image[source.meet[a][b]] != self.image[a] & self.image[b]:
-                    raise RuntimeError("embedding does not preserve meet")
-                if self.image[source.join[a][b]] != self.image[a] | self.image[b]:
-                    raise RuntimeError("embedding does not preserve join")
-
-    def preimage(self, mask):
-        """Source element with the given image mask, or None."""
-        try:
-            return self.image.index(mask)
-        except ValueError:
-            return None
-
-
 def join_irreducibles(lattice):
     """Nonzero elements that are not the join of the elements strictly below."""
     out = []
@@ -491,29 +437,6 @@ def join_irreducibles(lattice):
         if below != j:
             out.append(j)
     return out
-
-
-def birkhoff_embed(lattice) -> Embedding:
-    """Embed a distributive lattice into 2^J via its join-irreducibles.
-
-    The atoms and the images are those of the distributivity certificate:
-    in a distributive lattice the join-primes are the join-irreducibles.
-    """
-    distributive, _ = is_distributive(lattice)
-    if not distributive:
-        raise NotDistributive("only distributive lattices embed via join-irreducibles")
-    *_, atoms, image = lattice._distributive_cache
-    return Embedding(lattice, atoms, image)
-
-
-def symdiff3(boolean, x, y, z) -> int:
-    """Ternary symmetric difference ((x \\/ y \\/ z) /\\ m') \\/ (x /\\ y /\\ z)."""
-    host = boolean.host
-    meet, join = host.meet, host.join
-    m = median(host, x, y, z)
-    upper = join[join[x][y]][z]
-    lower = meet[meet[x][y]][z]
-    return join[meet[upper][boolean.complement[m]]][lower]
 
 
 def semilattice_to_lattice(semilattice) -> FiniteLattice:

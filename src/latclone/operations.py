@@ -17,7 +17,6 @@ from .errors import (
     DEFAULT_CLONE_LIMIT,
     DEFAULT_CLOSURE_LIMIT,
     ArityMismatch,
-    BadAssignment,
     BadIndex,
     BadSpec,
     JoinInSemilatticeMode,
@@ -111,9 +110,10 @@ class OpTable:
         return self._matrix.item(self._row, self.index(args))
 
     def array(self):
-        """The values as an int64 array, built on first use and kept."""
+        """The values as a read-only int64 array, built on first use and kept."""
         if self._array is None:
             self._array = self._matrix[self._row].astype(np.int64)
+            self._array.flags.writeable = False
         return self._array
 
     def __eq__(self, other):
@@ -358,46 +358,6 @@ def _composed_provenance(f, inner):
     return terms.substitute(f.provenance, mapping)
 
 
-def compose(f, gs) -> OpTable:
-    """f(g1(x), ..., gn(x)) tabulated pointwise over all argument tuples."""
-    gs = list(gs)
-    if len(gs) != f.arity:
-        raise ArityMismatch(f"{f.arity}-ary operation composed with {len(gs)} inner operations")
-    if any(g.size != f.size for g in gs):
-        raise ArityMismatch("composition across different carriers")
-    k = gs[0].arity
-    if any(g.arity != k for g in gs):
-        raise ArityMismatch("inner operations must share one arity")
-    idx = np.zeros(f.size ** k, dtype=np.int64)
-    for g in gs:
-        idx = idx * f.size + g.array()
-    values = f.array()[idx]
-    return OpTable(k, f.size, values,
-                   provenance=_composed_provenance(f, [g.provenance for g in gs]))
-
-
-def pad_and_identify(f, arity, assignment) -> OpTable:
-    """Reshape f by assigning each of its positions to a target position.
-
-    assignment maps f's 1-based positions to 1-based positions of the result,
-    so identity padding to arity n+1 adds a fictitious last variable and a
-    constant assignment identifies variables.
-    """
-    arity = as_indices([arity], "arity")[0]
-    assignment = as_indices(assignment, "assignment target")
-    if len(assignment) != f.arity:
-        raise BadAssignment(f"assignment must cover all {f.arity} positions")
-    if any(z < 1 or z > arity for z in assignment):
-        raise BadAssignment(f"assignment targets outside 1..{arity}")
-    return compose(f, [projection(arity, z, f.size) for z in assignment])
-
-
-def graph(f) -> Relation:
-    """The (arity+1)-ary relation of argument-value rows of f."""
-    rows = np.column_stack(argument_columns(f.size, f.arity) + [f.array()])
-    return Relation(f.arity + 1, f.size, rows)
-
-
 def _row_keys(rows, size):
     """One exact key per row of entries below size: its bytes in the narrowest
     dtype, read as one unsigned integer if they fit in eight, else as a void."""
@@ -438,21 +398,6 @@ def _images(f, rows):
             code += rows[carry % r].astype(code_type) * size ** (k + i)
             carry //= r
         yield first * len(rest), values[(code[:, None, :] + rest).reshape(-1, cols)]
-
-
-def commute(f, g):
-    """Do f and g commute? On failure also return one witness matrix.
-
-    The witness is an f.arity x g.arity matrix Q such that applying g to the
-    rows and then f to the column differs from applying f to the columns and
-    then g to the row. f commutes with g exactly when it preserves the graph
-    of g, whose rows sort in argument order, so the witness is the
-    lexicographically first such matrix.
-    """
-    if f.size != g.size:
-        raise ArityMismatch("commutation across different carriers")
-    verdict, witness = preserves(f, graph(g))
-    return (True, None) if verdict else (False, tuple(row[:-1] for row in witness[0]))
 
 
 def preserves(f, relation):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from latclone import terms
 from latclone.errors import JoinInSemilatticeMode, LimitExceeded
-from latclone.lattice import Embedding, FiniteLattice, FiniteSemilattice, join_irreducibles
+from latclone.lattice import FiniteLattice, FiniteSemilattice, join_irreducibles
 from latclone.operations import OpTable, Relation, argument_columns, decode_index
 
 
@@ -55,6 +55,40 @@ def brute_distributive(lattice):
         if left != right:
             return False
     return True
+
+
+class Embedding:
+    """An injective map of a distributive lattice into the Boolean lattice 2^k.
+
+    Image elements are bitmasks over the atoms; atom i of the target is the
+    i-th nonzero join-irreducible element of the source, so bottom maps to
+    the empty set and top to the full set. Construction raises RuntimeError
+    unless the map is injective, sends bottom and top there, and sends meet
+    and join to & and | on every pair.
+    """
+
+    def __init__(self, source, atoms, image):
+        self.atoms = tuple(atoms)
+        self.image = tuple(int(m) for m in image)
+        full = (1 << len(self.atoms)) - 1
+        size = source.size
+        if len(set(self.image)) != size:
+            raise RuntimeError("embedding is not injective")
+        if self.image[source.bottom] != 0 or self.image[source.top] != full:
+            raise RuntimeError("embedding does not send bottom/top to bottom/top")
+        for a in range(size):
+            for b in range(size):
+                if self.image[source.meet[a][b]] != self.image[a] & self.image[b]:
+                    raise RuntimeError("embedding does not preserve meet")
+                if self.image[source.join[a][b]] != self.image[a] | self.image[b]:
+                    raise RuntimeError("embedding does not preserve join")
+
+    def preimage(self, mask):
+        """Source element with the given image mask, or None."""
+        try:
+            return self.image.index(mask)
+        except ValueError:
+            return None
 
 
 def slow_birkhoff_embed(lattice) -> Embedding:

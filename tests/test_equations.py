@@ -24,9 +24,7 @@ from latclone.operations import (
     centralizer_slice,
     clone_slice,
     generators,
-    graph,
     meet_op,
-    pad_and_identify,
     preserves,
     projection,
 )
@@ -208,9 +206,11 @@ def test_padding_bridge_solution_set_is_the_graph():
     rng = random.Random(31)
     for _ in range(5):
         f = OpTable(2, 3, [rng.randrange(3) for _ in range(9)])
-        padded = pad_and_identify(f, 3, (1, 2))
+        # f with a fictitious third variable; its solution set is the rows (x, y, f(x, y))
+        padded = OpTable(3, 3, [f(x, y) for x, y, _ in product(range(3), repeat=3)])
         system = EquationSystem(3, 3, [(padded, projection(3, 3, 3))])
-        assert solve(system, C3) == graph(f)
+        graph = Relation(3, 3, [(x, y, f(x, y)) for x, y in product(range(3), repeat=2)])
+        assert solve(system, C3) == graph
 
 
 def test_closure_laws_extensive_monotone_idempotent():

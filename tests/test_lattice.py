@@ -13,13 +13,10 @@ from latclone.errors import (
     BadSpec,
     NoGreatestElement,
     NotALattice,
-    NotDistributive,
 )
 from latclone.lattice import (
     BooleanStructure,
     FiniteLattice,
-    NonDistributiveMedian,
-    birkhoff_embed,
     construct,
     cover_pairs,
     forbidden_sublattice,
@@ -29,12 +26,11 @@ from latclone.lattice import (
     is_distributive,
     is_distributive_semilattice,
     join_irreducibles,
-    median,
     semilattice_to_lattice,
-    symdiff3,
 )
 
 from helpers import (
+    Embedding,
     brute_distributive,
     brute_glb,
     brute_lub,
@@ -230,8 +226,9 @@ def test_forbidden_sublattice_in_larger_host():
 
 def _assert_distributivity_routes_agree(lat):
     """The law scan, the join-prime certificate, the C(n,5) sublattice search
-    and the brute-force law check give one verdict; is_distributive and
-    birkhoff_embed report what the routes found."""
+    and the brute-force law check give one verdict; is_distributive reports
+    and caches what the routes found, and on a distributive lattice the
+    cached join-primes and images are Birkhoff's embedding."""
     verdict, triple = lattice._distributivity_scan(lat)
     primes, images = lattice._join_prime_certificate(lat)
     found = lattice._forbidden_scan(lat)  # the full search, no cache read
@@ -243,7 +240,8 @@ def _assert_distributivity_routes_agree(lat):
     assert forbidden_sublattice(lat) == found
     if verdict:
         assert primes == join_irreducibles(lat)
-        emb, oracle = birkhoff_embed(lat), slow_birkhoff_embed(lat)
+        *_, cached_primes, cached_images = lat._distributive_cache
+        emb, oracle = Embedding(lat, cached_primes, cached_images), slow_birkhoff_embed(lat)
         assert (emb.atoms, emb.image) == (oracle.atoms, oracle.image)
     else:
         x, y, z = triple
@@ -300,8 +298,8 @@ def test_is_distributive_on_large_distributive_lattices_is_fast():
         started = time.perf_counter()
         assert is_distributive(lat) == (True, None)
         assert time.perf_counter() - started < 0.1
-    assert birkhoff_embed(b6).atoms == (1, 2, 4, 8, 16, 32)
-    assert birkhoff_embed(c32).atoms == tuple(range(1, 32))
+    assert b6._distributive_cache[3] == [1, 2, 4, 8, 16, 32]  # the join-primes
+    assert c32._distributive_cache[3] == list(range(1, 32))
 
 
 def test_boolean_verdicts():
@@ -323,85 +321,8 @@ def test_boolean_structure_validation():
         BooleanStructure(B2, [3.9, 2.2, 1.5, 0.1])  # not truncated to (3, 2, 1, 0)
 
 
-def test_median_majority_absorption():
-    for lat in (C3, B2, B3):
-        for x in range(lat.size):
-            for y in range(lat.size):
-                assert median(lat, x, x, y) == x
-
-
-def test_median_forms_agree_on_boolean_cube():
-    for x, y, z in product(range(B3.size), repeat=3):
-        meet_form = median(B3, x, y, z)
-        join_form = B3.meet[B3.meet[B3.join[x][y]][B3.join[x][z]]][B3.join[y][z]]
-        assert meet_form == join_form
-    assert median(B2, 1, 2, 0) == 0
-
-
-def test_median_warns_on_non_distributive_input():
-    with pytest.warns(NonDistributiveMedian):
-        value = median(N5, 1, 2, 3)
-    meet = N5.meet
-    join = N5.join
-    assert value == join[join[meet[1][2]][meet[1][3]]][meet[2][3]]
-
-
-def test_birkhoff_embedding_of_chain():
-    emb = birkhoff_embed(C3)
-    assert emb.atoms == (1, 2)
-    assert emb.image == (0b00, 0b01, 0b11)
-
-
-def test_birkhoff_b2_is_isomorphism():
-    emb = birkhoff_embed(B2)
-    assert emb.target_atoms == 2
-    assert sorted(emb.image) == [0, 1, 2, 3]
-
-
-def test_birkhoff_rejects_non_distributive():
-    with pytest.raises(NotDistributive):
-        birkhoff_embed(N5)
-    with pytest.raises(NotDistributive):
-        birkhoff_embed(M3)
-
-
-def test_birkhoff_preserves_structure_everywhere():
-    for lat in (C2, C3, C4, B2, B3):
-        emb = birkhoff_embed(lat)
-        assert len(set(emb.image)) == lat.size
-        for a in range(lat.size):
-            for b in range(lat.size):
-                assert emb.image[lat.meet[a][b]] == emb.image[a] & emb.image[b]
-                assert emb.image[lat.join[a][b]] == emb.image[a] | emb.image[b]
-
-
 def test_join_irreducibles_of_boolean_cube_are_atoms():
     assert join_irreducibles(B3) == [1, 2, 4]
-
-
-def test_symdiff3_is_bitmask_xor_on_boolean_cube():
-    # element index of boolean_lattice(k) is its subset bitmask
-    _, b = is_boolean(B3)
-    for x, y, z in product(range(8), repeat=3):
-        assert symdiff3(b, x, y, z) == x ^ y ^ z
-
-
-def test_symdiff3_identities():
-    for lat in (C2, B2, B3):
-        _, b = is_boolean(lat)
-        for x in range(lat.size):
-            assert symdiff3(b, x, lat.bottom, lat.top) == b.complement[x]
-            for y in range(lat.size):
-                assert symdiff3(b, x, x, y) == y
-
-
-def test_symdiff3_symmetry_and_two_step_agreement():
-    _, b = is_boolean(B2)
-    for x, y, z in product(range(4), repeat=3):
-        value = symdiff3(b, x, y, z)
-        assert value == symdiff3(b, y, x, z) == symdiff3(b, z, y, x)
-        two_step = symdiff3(b, symdiff3(b, x, y, B2.bottom), z, B2.bottom)
-        assert two_step == value
 
 
 def test_semilattice_to_lattice_roundtrip():

@@ -15,7 +15,6 @@ from latclone.errors import (
     NotDistributive,
 )
 from latclone.lattice import (
-    birkhoff_embed,
     forbidden_sublattice,
     is_boolean,
     is_distributive_semilattice,
@@ -36,7 +35,7 @@ from latclone.sdc import (
     witness_semilattice,
 )
 
-from helpers import down_set_lattices, intersection_closed_families
+from helpers import down_set_lattices, intersection_closed_families, slow_birkhoff_embed
 
 C3 = catalog.chain(3)
 C4 = catalog.chain(4)
@@ -169,7 +168,7 @@ def test_gap_witness_unique_witness_is_the_symmetric_difference():
     # membership of (x, y, z) has exactly one witness: the preimage of the
     # xor of the images in the Birkhoff envelope
     for lattice in (C3, C4):
-        emb = birkhoff_embed(lattice)
+        emb = slow_birkhoff_embed(lattice)
         T = witness_boolean_gap(lattice)
         meet, join = lattice.meet, lattice.join
         for x, y, z in product(range(lattice.size), repeat=3):
@@ -332,6 +331,30 @@ def test_decide_sdc_follows_the_theorem_on_closure_systems(semilattice):
     _assert_decide_sdc_follows_the_theorem(semilattice, "semilattice")
     if semilattice.top is not None:
         _assert_decide_sdc_follows_the_theorem(semilattice_to_lattice(semilattice), "lattice")
+
+
+def _assert_witness_is_closed_under_the_unary_centralizer(structure, mode):
+    """A negative verdict's witness is pp-definable, so every unary table
+    that commutes with the generators preserves it."""
+    verdict = decide_sdc(structure, mode, verify=0)
+    if not verdict.holds:
+        for f in centralizer_slice(generators(structure, mode), 1):
+            assert preserves(f, verdict.witness)[0], (structure, mode, f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(down_set_lattices())
+def test_negative_witnesses_are_closed_under_the_centralizer_on_down_set_lattices(lattice):
+    _assert_witness_is_closed_under_the_unary_centralizer(lattice, "lattice")
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(intersection_closed_families())
+def test_negative_witnesses_are_closed_under_the_centralizer_on_closure_systems(semilattice):
+    _assert_witness_is_closed_under_the_unary_centralizer(semilattice, "semilattice")
+    if semilattice.top is not None and semilattice.size <= 8:
+        _assert_witness_is_closed_under_the_unary_centralizer(
+            semilattice_to_lattice(semilattice), "lattice")
 
 
 def test_decide_sdc_accepts_lattices_in_semilattice_mode():
