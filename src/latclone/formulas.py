@@ -301,14 +301,14 @@ class _BooleanPower:
 
     def plane(self, n):
         """plane[i, c]: the factor cell, in lexicographic order, of bit slice i
-        of cell c of A^n. Built once per arity and cached, read-only."""
+        of cell c of A^n, narrow. Built once per arity and cached, read-only."""
         plane = self._planes.get(n)
         if plane is None:
             import numpy as np
 
             k, size = len(self.bits), len(self.bits[0])
-            bits = np.array(self.bits, dtype=np.intp)
-            plane = np.zeros((k,) + (size,) * n, dtype=np.intp)
+            bits = np.array(self.bits, dtype=np.min_scalar_type((1 << n) - 1))
+            plane = np.zeros((k,) + (size,) * n, dtype=bits.dtype)
             for j in range(n):
                 plane += (bits << (n - 1 - j)).reshape([k] + [size if t == j else 1
                                                               for t in range(n)])
@@ -321,7 +321,7 @@ class _BooleanPower:
         """The flat mask over A^n of the k-th power of a factor relation."""
         import numpy as np
 
-        return np.ravel(factor_mask)[self.plane(n)].all(axis=0)
+        return np.take(np.ravel(factor_mask), self.plane(n)).all(axis=0)
 
 
 def _boolean_power(algebra):

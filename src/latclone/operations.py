@@ -6,7 +6,8 @@ the deduplication key everywhere; the optional provenance term attached to
 generated tables is display metadata and takes no part in comparisons.
 """
 
-from itertools import combinations_with_replacement, product
+from functools import cache, reduce
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
 from .lattice import as_indices, check_index_dtype
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
+BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
 
 
 def argument_columns(size, arity):
@@ -167,9 +169,11 @@ def _checked_rows(array, arity, size):
 class Relation:
     """A set of fixed-arity tuples in canonical sorted, deduplicated form.
 
-    The tuples are kept as a sorted tuple; the set that membership and
-    inclusion read is built on the first `in` or issubset.
+    The tuples are kept as a sorted tuple; the set that `in` and issubset
+    read and the array and keys that preserves reads are built on first use.
     """
+
+    _set = _keyed = None  # built on first use
 
     def __init__(self, arity, size, tuples):
         arity, size = as_indices((arity, size), "arity or carrier size")
@@ -189,20 +193,26 @@ class Relation:
                     raise BadSpec(f"tuple {t!r} has an entry out of range")
                 normalized.add(t)
         self.tuples = tuple(sorted(normalized))
-        self._set = None
 
     @classmethod
     def _trusted(cls, arity, size, tuples):
         """A relation whose tuples are already a sorted, duplicate-free tuple
         of int tuples in range."""
         relation = cls.__new__(cls)
-        relation.arity, relation.size, relation.tuples, relation._set = arity, size, tuples, None
+        relation.arity, relation.size, relation.tuples = arity, size, tuples
         return relation
 
     def _members(self):
         if self._set is None:
             self._set = frozenset(self.tuples)
         return self._set
+
+    def _rows_and_keys(self):
+        """The tuples as a narrow (tuples x arity) array and its sorted _row_keys."""
+        if self._keyed is None:
+            rows = np.array(self.tuples, dtype=np.min_scalar_type(self.size - 1))
+            self._keyed = rows, np.sort(_row_keys(rows))
+        return self._keyed
 
     @classmethod
     def full(cls, arity, size):
@@ -348,76 +358,47 @@ def projection(n, i, size) -> OpTable:
     return OpTable(n, size, col, provenance=terms.Var(f"x{i}"))
 
 
-def _composed_provenance(f, inner):
-    """The term of f applied to the inner terms, or None if any term is missing."""
-    if f.provenance is None or any(p is None for p in inner):
-        return None
-    mapping = {f"x{i + 1}": p for i, p in enumerate(inner)}  # f's positional variables
-    if not terms.variables(f.provenance) <= mapping.keys():
-        return None
-    return terms.substitute(f.provenance, mapping)
+def _composer(f):
+    """compose(inner): the term of f applied to the inner terms, or None if f or any has none."""
+    names = [f"x{i + 1}" for i in range(f.arity)]  # f's positional variables
+    if f.provenance is None or not terms.variables(f.provenance) <= set(names):
+        return lambda inner: None
+    return lambda inner: (None if any(p is None for p in inner)
+                          else terms.substitute(f.provenance, dict(zip(names, inner))))
 
 
-def _row_keys(rows, size):
-    """One exact key per row of entries below size: its bytes in the narrowest
-    dtype, read as one unsigned integer if they fit in eight, else as a void."""
-    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(size - 1))
+def _row_keys(rows):
+    """One exact key per row of a contiguous array: its bytes, read as one
+    unsigned integer if they fit in eight, else as a void."""
     width = rows.dtype.itemsize * rows.shape[1]
     key = np.dtype(f"u{width}") if width in (1, 2, 4, 8) else np.dtype((np.void, width))
     return rows.view(key).ravel()
-
-
-def _images(f, rows):
-    """Blocks (start, image) of f applied componentwise to every f.arity-tuple of
-    the rows of an integer array.
-
-    Choices run in lexicographic order, the first row slowest: choice i
-    picks the rows decode_index(i, len(rows), f.arity), and a block holds
-    one image row (of the narrowest value dtype) for each of the
-    consecutive choices from `start` on. The codes of the last k arguments
-    are built once for every tuple of rows, k as large as BLOCK_CELLS
-    allows, and a block pairs them with consecutive choices of the first
-    arity - k rows; it touches at most BLOCK_CELLS cells unless one choice
-    needs more.
-    """
-    size, m, (r, cols) = f.size, f.arity, rows.shape
-    values = f.array().astype(np.min_scalar_type(size - 1))
-    code_type = np.min_scalar_type(size ** m - 1)
-    rest, k = np.zeros((1, cols), dtype=code_type), 0  # codes of the last k arguments
-    while k < m and len(rest) * r * cols <= BLOCK_CELLS:
-        rest = (rows[:, None, :].astype(code_type) * size ** k + rest).reshape(-1, cols)
-        k += 1
-    step = max(1, BLOCK_CELLS // rest.size)
-    for first in range(0, r ** (m - k), step):
-        # the codes of the first m - k rows of choices first, first + 1, ...:
-        # their digits, last first, come from adding first's digits with carries
-        carry = np.arange(min(step, r ** (m - k) - first))
-        code = np.zeros((len(carry), cols), dtype=code_type)
-        for i, digit in enumerate(reversed(decode_index(first, r, m - k))):
-            carry += digit
-            code += rows[carry % r].astype(code_type) * size ** (k + i)
-            carry //= r
-        yield first * len(rest), values[(code[:, None, :] + rest).reshape(-1, cols)]
 
 
 def preserves(f, relation):
     """Is the relation closed under componentwise application of f?
 
     On failure returns (rows, image): the lexicographically first arity-many
-    relation members whose componentwise image escapes the relation.
+    relation members whose componentwise image escapes the relation. The
+    choices of members run in lexicographic order, in blocks that touch at
+    most BLOCK_CELLS cells unless one choice needs more.
     """
     if f.size != relation.size:
         raise ArityMismatch("preservation across different carriers")
     if not len(relation) or not relation.arity:
         return True, None
-    arr = np.array(relation.tuples, dtype=np.min_scalar_type(f.size - 1))
-    member = _row_keys(arr, f.size)
-    for start, image in _images(f, arr):
-        ok = np.isin(_row_keys(image, f.size), member)
+    arr, member = relation._rows_and_keys()
+    m, r, values = f.arity, len(arr), f.array().astype(arr.dtype)
+    step = max(1, BLOCK_CELLS // (m * arr.shape[1]))
+    for start in range(0, r ** m, step):
+        choice = np.arange(start, min(start + step, r ** m))
+        cols = [choice // r ** (m - 1 - i) % r for i in range(m)]
+        image = _forced(values, arr, cols, f.size)
+        keys = _row_keys(image)
+        ok = member[np.minimum(np.searchsorted(member, keys), r - 1)] == keys
         if not ok.all():
             bad = int(np.argmin(ok))
-            picked = tuple(relation.tuples[i] for i in decode_index(start + bad, len(arr), f.arity))
-            return False, (picked, tuple(image[bad].tolist()))
+            return False, (tuple(relation.tuples[c[bad]] for c in cols), tuple(image[bad].tolist()))
     return True, None
 
 
@@ -436,114 +417,221 @@ def _lex_order(matrix):
     return np.argsort(matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel())
 
 
-def _tuples_with(pos, m, symmetric):
-    """The m-tuples over 0..pos containing pos, in lexicographic order; for a
-    symmetric generator only the nondecreasing ones, which come first among
-    their reorderings and give the same tables.
+def _slice_arguments(generator_ops, n):
+    """The generators as a list, their carrier size and the slice arity, checked."""
+    generator_ops = list(generator_ops)
+    if not generator_ops:
+        raise BadSpec("at least one generator is required")
+    if any(g.size != generator_ops[0].size for g in generator_ops):
+        raise BadSpec("generators must share a carrier")
+    n = as_indices([n], "slice arity")[0]
+    if n < 1:
+        raise BadSpec("slice arity must be at least 1")
+    return generator_ops, generator_ops[0].size, n
 
-    Otherwise a tuple whose first entry is below pos needs pos in its tail,
-    and one that starts with pos takes any tail.
+
+_RECORDS = {}  # generator tables -> (family, ops), see _generator_record
+
+
+def _generator_record(generator_ops):
+    """(family, ops), computed once per generator set: the family of
+    symmetry.separating_family or None, and per generator (arity,
+    symmetric, narrow values, the _packed apply of its bits on {p, q}^m or None)."""
+    key = tuple((g.arity, g.size, g._bytes()) for g in generator_ops)
+    if key not in _RECORDS:
+        family = symmetry.separating_family(generator_ops)
+        ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)),
+                None if family is None else _packed(family[3][i], g.arity))
+               for i, g in enumerate(generator_ops)]
+        if len(_RECORDS) >= 64:
+            _RECORDS.clear()
+        _RECORDS[key] = family, ops
+    return _RECORDS[key]
+
+
+def _forced(values, rows, args, size):
+    """Values of the generator at the argument positions of each row."""
+    idx = rows.take(args[0], axis=0).astype(np.min_scalar_type(len(values) - 1))
+    for a in args[1:]:
+        idx *= size
+        idx += rows.take(a, axis=0)
+    return values.take(idx)
+
+
+def _gathering(m, symmetric, values, size, cells):
+    """The walk_ops entry (see _walk) of an m-ary table applied by _forced to rows of
+    cells: per candidate and cell its codes, an argument, their intp copy and a value."""
+    return m, symmetric, lambda rows, cols: _forced(values, rows, cols, size), cells * (
+        np.min_scalar_type(len(values) - 1).itemsize + 2 * values.itemsize + 8)
+
+
+@cache
+def _packed_projections(n):
+    """The projections on {p, q}^n as rows of bits, bit c for the cell c (in
+    lexicographic order) in words of 8 to 64 bits. Below n = 3 the bits past
+    2^n are 0 in every projection: they act as copies of the cell (p, ..., p)
+    in every row built bitwise, so no mask is needed."""
+    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]).astype(np.uint8) & 1
+    return np.packbits(bits, axis=1, bitorder="little").view(f"u{min(8, max(1, 2 ** n // 8))}")
+
+
+def _packed(bits, m):
+    """apply(rows, cols) on rows of bits (1 for q) for a generator with these
+    bits on {p, q}^m: the OR, over the argument patterns it sends to q, of the
+    AND of the arguments or their complements; or the complement of that
+    over the patterns it sends to p, when they are fewer."""
+    ones, zeros = np.flatnonzero(bits).tolist(), np.flatnonzero(~bits).tolist()
+    invert = len(zeros) < len(ones)
+    patterns = [[c >> (m - 1 - i) & 1 for i in range(m)] for c in (zeros if invert else ones)]
+
+    def apply(rows, cols):
+        found = [rows.take(c, axis=0) for c in cols]
+        out = np.zeros(found[0].shape, dtype=rows.dtype)
+        for pattern in patterns:
+            out |= reduce(np.bitwise_and, [f if b else ~f for f, b in zip(found, pattern)])
+        return ~out if invert else out
+
+    return apply
+
+
+def _tuples_with(lo, hi, m, symmetric):
+    """The tuples the clone walk meets at positions lo..hi-1 for an m-ary generator (m x T
+    indices), each one's position and its rank there. At pos: the m-tuples over 0..pos
+    containing pos in lexicographic order (an entry below pos leaves pos to the tail, pos
+    itself any tail); for a symmetric generator the nondecreasing ones, first among their
+    reorderings: (c, pos) for c <= pos if binary, else the ones filtered."""
+    if symmetric and m == 2:
+        at, rank = (np.arange(lo, hi)[:, None] >= np.arange(hi)).nonzero()
+        at += lo
+        return np.array([rank, at]), at, rank
+    dtype = np.min_scalar_type(hi ** m)
+    pos = np.arange(lo, hi, dtype=dtype)
+    counts = (pos + 1) ** m - pos ** m
+    at = pos.repeat(counts)
+    rank = np.arange(len(at), dtype=dtype) - (counts.cumsum(dtype=dtype) - counts).repeat(counts)
+    cols, left, free = [], rank, np.zeros(len(at), dtype=bool)  # free: pos already taken
+    for k in range(m - 1, 0, -1):  # k entries follow this one
+        with_pos = (at + 1) ** k - at ** k  # the tails over 0..pos that contain pos
+        lead = ~free & (left < at * with_pos)  # an entry below pos, pos in the tail
+        div = np.where(free, (at + 1) ** k, with_pos)
+        cols.append(np.where(free | lead, left // div, at))
+        left = np.where(free | lead, left % div, left - at * with_pos)
+        free |= ~lead
+    cols = np.array(cols + [np.where(free, left, at)])
+    keep = (cols[:-1] <= cols[1:]).all(axis=0) if symmetric else slice(None)
+    return cols[:, keep], at[keep], rank[keep]
+
+
+def _walk(start, walk_ops, limit, refusal):
+    """The clone walk from the distinct start rows: the rows in the order found
+    and, after the start, the generator and argument rows (padded with 0) that
+    found each first. Raises LimitExceeded(refusal) past limit. A block takes
+    the positions from lo up to the row count as far as BLOCK_BYTES allows;
+    every generator meets the tuples of _tuples_with, and new keys are kept in
+    the sequential walk's (position, generator, rank) order. walk_ops holds
+    (arity, symmetric, apply, row_bytes): apply(rows, cols) builds row_bytes per candidate.
     """
-    if symmetric:
-        return [c + (pos,) for c in combinations_with_replacement(range(pos + 1), m - 1)]
-    if m == 1:
-        return [(pos,)]
-    with_pos = _tuples_with(pos, m - 1, False)
-    return ([(a,) + t for a in range(pos) for t in with_pos]
-            + [(pos,) + t for t in product(range(pos + 1), repeat=m - 1)])
+    count = len(start)
+    if count > limit:
+        raise LimitExceeded(refusal)
+    rows = np.concatenate((start, np.empty((max(count, 16),) + start.shape[1:], start.dtype)))
+    by_key = np.argsort(_row_keys(start))  # the tables in the order of their keys
+    width = max(m for m, *_ in walk_ops)
+    gens, args = [np.empty(0, dtype=int)], [np.empty((width, 0), dtype=int)]
+    # per tuple: the index columns, positions and ranks, their intp copies in np.take, the rows
+    per = [(m, s, (m + 2) * 8 + 8 * m + b) for m, s, _, b in walk_ops]
+
+    def below(p, m, s):  # the tuples at the positions below p
+        return p * (p + 1) // 2 if s and m == 2 else p ** m
+    lo = 0
+    while lo < count:
+        hi = count  # unless the tuples at positions lo..count-1 take more than BLOCK_BYTES
+        if sum(b * (below(count, m, s) - below(lo, m, s)) for m, s, b in per) > BLOCK_BYTES:
+            ends = np.arange(lo + 1, count + 1.0)  # a block ending at each later position
+            cost = sum(b * (below(ends, m, s) - below(lo, m, s)) for m, s, b in per)
+            hi = lo + max(1, int(cost.searchsorted(BLOCK_BYTES, side="right")))
+        block = [_tuples_with(lo, hi, m, symmetric) for m, symmetric, _, _ in walk_ops]
+        found = np.concatenate([op[2](rows, cols) for op, (cols, _, _) in zip(walk_ops, block)])
+        known = _row_keys(rows[:count])
+        near = np.minimum(known.searchsorted(_row_keys(found), sorter=by_key), count - 1)
+        miss = (rows.take(by_key[near], axis=0) != found).any(axis=1).nonzero()[0]
+        lo = hi
+        if not len(miss):
+            continue
+        gen = np.arange(len(block)).repeat([len(at) for _, at, _ in block])[miss]
+        at, rank = (np.concatenate([part[i] for part in block])[miss] for i in (1, 2))
+        cols = np.concatenate([c if len(c) == width else np.vstack((c, np.zeros(
+            (width - len(c), c.shape[1]), dtype=c.dtype))) for c, _, _ in block], axis=1)[:, miss]
+        found = found[miss]
+        order = np.lexsort((rank, gen, at))
+        keys, first = np.unique(_row_keys(found)[order], return_index=True)
+        new = np.sort(first)
+        if count + len(new) > limit:
+            raise LimitExceeded(refusal)
+        while count + len(new) > len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
+        rows[count:count + len(new)] = found[order[new]]
+        by_key = np.insert(by_key, known.searchsorted(keys, sorter=by_key),
+                           count + new.searchsorted(first))
+        count += len(new)
+        gens.append(gen[order[new]])
+        args.append(cols[:, order[new]])
+    return rows[:count], np.concatenate(gens), np.concatenate(args, axis=1)
 
 
 def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The n-ary part of the clone generated by the given operations.
 
     Starts from the n projections; at the table with index pos, each m-ary
-    generator meets the m-tuples of tables 0..pos that contain pos, and each
-    new table is appended with its provenance term, up to a fixpoint. The
-    walk computes only the cells symmetry.representative_cells picks (the
-    2^n cells {p, q}^n when two-valued homomorphisms separate the carrier
-    and A^n has at least symmetry.MIN_CELLS cells, else every cell) and
-    rebuilds each full table from those at the end. A block of candidates
-    is compared by exact byte keys, each new key taken at its first index
-    in the block.
+    generator meets the m-tuples of tables 0..pos that contain pos, up to a
+    fixpoint, in blocks of positions (see _walk). With a separating family
+    (symmetry.separating_family) the walk runs on {p, q}^n, a table a row
+    of 2^n bits, and the full tables are replayed from the derivations, one
+    gather per level (the tables found at the positions of the level
+    before); else on every cell. Terms are composed at the end.
     Returns tables sorted by values, the rows of one value matrix (see
-    slice_matrix); raises LimitExceeded when the slice would grow past the
-    limit. Results are memoised: the computation is a pure function of the
-    generator tables.
+    slice_matrix); raises LimitExceeded past the limit. Memoised: the
+    result is a pure function of the generator tables.
     """
-    generator_ops = list(generator_ops)
-    if not generator_ops:
-        raise BadSpec("at least one generator is required")
-    size = generator_ops[0].size
-    if any(g.size != size for g in generator_ops):
-        raise BadSpec("generators must share a carrier")
-    n = as_indices([n], "slice arity")[0]
-    if n < 1:
-        raise BadSpec("slice arity must be at least 1")
+    generator_ops, size, n = _slice_arguments(generator_ops, n)
     memo_key = _slice_key(generator_ops, n, limit)
     cached = _SLICE_MEMO.get(memo_key)
     if cached is not None:
         return list(cached[0])
 
-    # candidates are compared by their bytes in the narrowest type that holds a value
+    family, ops = _generator_record(generator_ops)
     narrow = np.min_scalar_type(size - 1)
-    reps, rebuild = symmetry.representative_cells(generator_ops, n)
-    rows = np.empty((max(n, 16), len(reps)), dtype=narrow)  # doubles when full
-    provs = []
-    seen = set()
-
-    def add(key, vec, prov):
-        """Append vec, a table not seen before whose bytes are key, with its provenance."""
-        nonlocal rows
-        count = len(seen)
-        if count >= limit:
-            raise LimitExceeded(f"clone slice exceeds {limit} tables")
-        if count == len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[count] = vec
-        seen.add(key)
-        provs.append(prov)
-
-    for i in range(n):
-        col = (reps // size ** (n - 1 - i) % size).astype(narrow)
-        if col.tobytes() not in seen:
-            add(col.tobytes(), col, terms.Var(f"x{i + 1}"))
-
-    walks = [(g, g.array().astype(narrow), symmetry.is_symmetric(g),
-              np.min_scalar_type(size ** g.arity - 1))
-             for g in generator_ops]
-    pos = 0
-    while pos < len(provs):
-        for g, values, symmetric, idx_type in walks:
-            if g.arity == 2:  # (c, pos) for c < heads, then (pos, c) for c <= pos unless symmetric
-                heads, combos = (pos + 1 if symmetric else pos), None
-                idx = rows[:heads].astype(idx_type)
-                idx *= size
-                idx += rows[pos]
-                if not symmetric:
-                    idx = np.concatenate((idx, rows[pos].astype(idx_type) * size + rows[:pos + 1]))
-            else:
-                combos = _tuples_with(pos, g.arity, symmetric)
-                idx = rows[[c[0] for c in combos]].astype(idx_type)
-                for i in range(1, g.arity):
-                    idx *= size
-                    idx += rows[[c[i] for c in combos]]
-            found = values[idx]
-            keys = found.view(np.dtype((np.void, found.shape[1] * found.itemsize))).ravel().tolist()
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first index
-            for j in sorted(first[key] for key in first.keys() - seen):
-                if combos is None:
-                    combo = (j, pos) if j < heads else (pos, j - heads)
-                else:
-                    combo = combos[j]
-                add(keys[j], found[j], _composed_provenance(g, [provs[c] for c in combo]))
-        pos += 1
-
-    # the full tables, rebuilt in blocks of at most BLOCK_CELLS cells, then sorted
-    count, step = len(provs), max(1, BLOCK_CELLS // size ** n)
-    matrix = np.empty((count, size ** n), dtype=narrow)
-    for start in range(0, count, step):
-        matrix[start:start + step] = rebuild(rows[start:min(start + step, count)])
-    del rows
+    columns = np.array(argument_columns(size, n), dtype=narrow)  # the projections
+    if family is None:
+        start = columns
+        walk_ops = [_gathering(m, s, values, size, size ** n) for m, s, values, _ in ops]
+    else:
+        start = _packed_projections(n)
+        walk_ops = [(m, s, apply, (m + 2) * start[0].nbytes) for m, s, _, apply in ops]
+    first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
+    rows, gens, args = _walk(start[first], walk_ops, limit, f"clone slice exceeds {limit} tables")
+    matrix, done = rows, len(first)
+    if family is not None:
+        matrix = np.empty((len(rows), size ** n), dtype=narrow)
+        matrix[:done] = columns[first]
+        # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
+        width, step = len(args), max(1, BLOCK_CELLS // size ** n)
+        table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values, _ in ops])
+        found_at, hi = args.max(axis=0), done
+        while hi < len(matrix):
+            end = done + int(found_at.searchsorted(hi))  # the level after the one ending at hi
+            for s in range(hi, end, step):
+                level = slice(s - done, min(s + step, end) - done)
+                idx = gens[level, None].astype(np.min_scalar_type(len(table) - 1))
+                for a in args[:, level]:
+                    idx = idx * size + matrix.take(a, axis=0)
+                matrix[s:s + len(idx)] = table.take(idx)
+            hi = end
+    provs = [terms.Var(f"x{i + 1}") for i in first.tolist()]
+    composers = [(_composer(g), g.arity) for g in generator_ops]
+    for g, tuple_ in zip(gens.tolist(), args.T.tolist()):
+        compose, m = composers[g]
+        provs.append(compose([provs[c] for c in tuple_[:m]]))
     order = _lex_order(matrix)
     tables = _checked_tables(matrix[order], n, size, [provs[i] for i in order.tolist()])
     if len(_SLICE_MEMO) >= 64:
@@ -593,8 +681,8 @@ def _layer_plan(generator_ops, size, k):
     pos_type = np.min_scalar_type(ncells - 1)
     digits = np.array(argument_columns(size, k))
     position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
-    walks = [(g.arity, g.array(), g.array().astype(np.min_scalar_type(size - 1)),
-              1 if symmetry.is_symmetric(g) else g.arity) for g in generator_ops]
+    walks = [(m, g.array(), values, 1 if s else m)
+             for g, (m, s, values, _) in zip(generator_ops, _generator_record(generator_ops)[1])]
     layers = []
     filled = branch = 0
     while filled < ncells:
@@ -635,17 +723,6 @@ def _layer_plan(generator_ops, size, k):
             lo = hi
         layers.append((filled, tuples, rounds))
     return position, layers
-
-
-def _forced(values, rows, args, size):
-    """Values of the generator at the argument positions of each row."""
-    idx = rows[args[0]]
-    if len(args) > 1:
-        idx = idx.astype(np.min_scalar_type(len(values) - 1))
-        for a in args[1:]:
-            idx *= size
-            idx += rows[a]
-    return values[idx]
 
 
 def _plan_search(position, layers, size, values):
@@ -768,18 +845,9 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     The tables are the rows of one value matrix, the search's blocks
     stacked or the pairs sorted.
     """
-    generator_ops = list(generator_ops)
-    if not generator_ops:
-        raise BadSpec("at least one generator is required")
-    size = generator_ops[0].size
-    if any(g.size != size for g in generator_ops):
-        raise BadSpec("generators must share a carrier")
-    k = as_indices([k], "slice arity")[0]
-    if k < 1:
-        raise BadSpec("slice arity must be at least 1")
-
+    generator_ops, size, k = _slice_arguments(generator_ops, k)
     position, layers = _layer_plan(generator_ops, size, k)
-    family = symmetry.separating_family(generator_ops)
+    family = _generator_record(generator_ops)[0]
     if family is None:
         found, count = [], 0
         for block in _plan_search(position, layers, size, range(size)):
@@ -809,26 +877,19 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
-    """Least superset of the relation closed under every given operation; raises
-    LimitExceeded once a tuple is added past the limit."""
+    """Least superset of the relation closed under every given operation, by
+    the clone walk over its tuples (see _walk); raises LimitExceeded once a
+    tuple is added past the limit."""
     ops = list(ops)
     if any(op.size != relation.size for op in ops):
         raise ArityMismatch("closure across different carriers")
     size, h = relation.size, relation.arity
-    if not len(relation) or not h:
+    if not len(relation) or not h or not ops:
         return relation
-    narrow = np.min_scalar_type(size - 1)  # the dtype whose bytes _row_keys reads
-    known = _row_keys(np.array(relation.tuples), size)
-    grown = True
-    while grown:
-        grown = False
-        rows = known.view(narrow).reshape(-1, h)
-        for op in ops:
-            for _, image in _images(op, rows):
-                found = np.unique(_row_keys(image, size))
-                new = found[~np.isin(found, known, assume_unique=True)]
-                if len(new):
-                    known, grown = np.union1d(known, new), True
-                    if len(known) > limit:
-                        raise LimitExceeded(f"closure exceeds {limit} tuples")
-    return Relation(h, size, known.view(narrow).reshape(-1, h))
+    narrow = np.min_scalar_type(size - 1)
+    walk_ops = [_gathering(op.arity, symmetry.is_symmetric(op), op.array().astype(narrow), size, h)
+                for op in ops]
+    # a relation past the limit that is closed already is no refusal
+    rows = _walk(relation._rows_and_keys()[0], walk_ops, max(limit, len(relation)),
+                 f"closure exceeds {limit} tuples")[0]
+    return Relation(h, size, rows)

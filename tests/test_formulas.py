@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +269,28 @@ def test_factor_route_matches_the_grid_on_boolean_powers(name, lattice, mode):
     for _ in range(draws):
         phi = random_formula(rng, mode=mode)
         assert eval_formula(phi, algebra) == _grid_relation(phi, algebra)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_bit_planes_are_narrow_and_lift_as_the_wide_ones(k):
+    # the planes keep one byte per bit slice and cell up to n = 8, where
+    # intp planes kept 8; masks lifted through them stay what wide planes gave
+    lattice = catalog.boolean_lattice(k)
+    power = formulas._boolean_power(lattice)
+    rng = random.Random(k)
+    for n in range(4):
+        plane = power.plane(n)
+        assert plane.dtype == np.uint8 and not plane.flags.writeable
+        cells = list(product(range(lattice.size), repeat=n))
+        wide = [[sum(power.bits[i][x] << (n - 1 - j) for j, x in enumerate(c)) for c in cells]
+                for i in range(k)]
+        assert plane.tolist() == wide
+        mask = np.array([rng.random() < 0.7 for _ in range(2 ** n)])
+        assert power.lift(mask, n).tolist() == mask[np.array(wide, dtype=np.intp)].all(axis=0).tolist()
+    for phi in ("exists u . x /\\ u = y /\\ z & u \\/ w <= y",
+                "exists u . u /\\ w = x & x /\\ y <= z \\/ w"):
+        phi = parse_formula(phi)
+        assert eval_formula(phi, lattice) == _grid_relation(phi, lattice)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -36,7 +36,6 @@ from helpers import (
     brute_lub,
     down_set_lattices,
     intersection_closed_families,
-    order_matrix,
     slow_birkhoff_embed,
     slow_is_distributive_semilattice,
     slow_join_primes,

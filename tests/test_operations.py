@@ -396,9 +396,19 @@ def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generat
 
 
 def test_tuples_with_lists_the_filtered_product():
-    for pos, m in product(range(7), range(1, 5)):
-        expected = [c for c in product(range(pos + 1), repeat=m) if pos in c]
-        assert operations._tuples_with(pos, m, False) == expected
+    # a block of positions lists, position by position, the tuples the
+    # sequential walk met there, ranked among all the tuples containing pos
+    for (lo, hi), m, symmetric in product([(0, 1), (0, 7), (3, 9), (6, 7)], range(1, 5),
+                                          (False, True)):
+        expected = []
+        for pos in range(lo, hi):
+            every = [c for c in product(range(pos + 1), repeat=m) if pos in c]
+            if symmetric and m == 2:
+                every = [(c, pos) for c in range(pos + 1)]
+            expected += [(c, pos, rank) for rank, c in enumerate(every)
+                         if not symmetric or list(c) == sorted(c)]
+        cols, at, rank = operations._tuples_with(lo, hi, m, symmetric)
+        assert list(zip(map(tuple, cols.T.tolist()), at.tolist(), rank.tolist())) == expected
 
 
 def test_clone_slice_of_ternary_nand_matches_oracle():
@@ -440,13 +450,14 @@ def _with_and_without_family(monkeypatch):
     yield
     monkeypatch.setattr(symmetry, "separating_family", lambda gens: None)
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    monkeypatch.setattr(operations, "_RECORDS", {})
     yield
 
 
 def test_small_slices_match_oracle_on_two_valued_and_on_all_cells(monkeypatch):
-    # small slices skip the two-valued cells; force them to check the rebuild on many generators
-    monkeypatch.setattr(symmetry, "MIN_CELLS", 1)
+    # with a family even the smallest slices walk packed rows and replay them
     monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    monkeypatch.setattr(operations, "_RECORDS", {})
     for _ in _with_and_without_family(monkeypatch):
         for name, structure, mode in CATALOG_MODES:
             for n in (1, 2, 3):
@@ -469,19 +480,53 @@ def test_clone_slice_of_b4_matches_oracle(mode, monkeypatch):
             _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
 
 
+def test_packed_walk_matches_oracle_on_arbitrary_generators_over_two_elements(monkeypatch):
+    # a meet (p = 0) or a join (p = 1) first gives the family {identity}, so
+    # any generators after it walk packed rows: unary, m-ary and non-monotone
+    # ones too, whose complemented bits set the unused bits of the 2- and
+    # 4-bit rows at n = 1, 2: those bits must stay copies of a used one
+    rng = random.Random(61)
+    cases = []
+    for _ in range(30):
+        first = rng.choice([meet_op(C2), join_op(C2)])
+        rest = [random_op(rng, m, 2) for m in rng.choice([[1], [2], [3], [1, 3], [2, 2], [3, 2]])]
+        cases.append(([first] + rest, rng.choice([1, 2, 3])))
+    negation = OpTable(1, 2, (1, 0))
+    xor3 = OpTable(3, 2, [a ^ b ^ c for a, b, c in product(range(2), repeat=3)])
+    cases += [([meet_op(C2), negation], n) for n in (1, 2, 3)]
+    cases += [([join_op(C2), xor3], n) for n in (1, 2, 3)]
+    for gens, _ in cases:
+        assert symmetry.separating_family(gens) is not None
+    for _ in _with_and_without_family(monkeypatch):
+        for gens, n in cases:
+            _same_slices_and_refusal_as_oracle(gens, n, limit=60)
+
+
+@pytest.mark.slow
+def test_ternary_nand_generates_every_ternary_operation_on_two_elements():
+    # no family (the first generator is not binary): 256 tables of 8 cells,
+    # each position pos meeting the 3 pos^2 + 3 pos + 1 tuples containing it
+    nand = OpTable(3, 2, [1 - (x & y) for x, y, _ in product(range(2), repeat=3)])
+    tables = clone_slice([nand], 3)
+    assert [t.values for t in tables] == list(product(range(2), repeat=8))
+    with pytest.raises(LimitExceeded, match="exceeds 255 tables"):
+        clone_slice([nand], 3, limit=255)
+
+
 def _check_family(gens, family):
     """Every map is a homomorphism of every generator into {p, q}, and the
-    weighted codes tell the elements apart; checked by plain loops."""
-    p, q, maps, weights = family
+    maps tell the elements apart; checked by plain loops."""
+    p, q, maps, bits = family
     size = gens[0].size
-    assert len(maps) == len(weights) and min(weights) > 0
     for h in maps.tolist():
         assert set(h) == {p, q}
         for g in gens:
             for args in product(range(size), repeat=g.arity):
                 assert h[g(*args)] == g(*(h[a] for a in args))
-    codes = [sum(w for w, h in zip(weights, maps.tolist()) if h[x] == q) for x in range(size)]
-    assert len(set(codes)) == size
+    assert len({tuple(column) for column in maps.T.tolist()}) == size
+    for g, on_pair in zip(gens, bits):
+        cells = product((p, q), repeat=g.arity)
+        assert on_pair.tolist() == [g(*c) == q for c in cells]
 
 
 def _family_expected(structure, mode):
@@ -505,7 +550,7 @@ def test_separating_family_exists_iff_distributive_on_the_catalog():
         if family is not None:
             _check_family(gens, family)
     b4 = generators(catalog.boolean_lattice(4), "lattice")
-    assert len(symmetry.separating_family(b4)[3]) == 4  # the filters of the four atoms
+    assert len(symmetry.separating_family(b4)[2]) == 4  # the filters of the four atoms
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -522,11 +567,16 @@ def test_separating_family_exists_iff_distributive_on_closure_systems(semilattic
             _check_family(gens, family)
 
 
-def _same_slices_and_refusal_as_oracle(gens, n):
+def _same_slices_and_refusal_as_oracle(gens, n, limit=100_000):
     """Same tables, provenance and order as the seed fixpoint, and the same
-    refusal one table short of the full slice."""
-    expected = _rendered(slow_clone_slice(gens, n, 100_000))
-    assert _rendered(clone_slice(gens, n)) == expected
+    refusal one table short of the full slice, or at the limit."""
+    try:
+        expected = _rendered(slow_clone_slice(gens, n, limit))
+    except LimitExceeded:
+        with pytest.raises(LimitExceeded, match=f"exceeds {limit} tables"):
+            clone_slice(gens, n, limit=limit)
+        return
+    assert _rendered(clone_slice(gens, n, limit=limit)) == expected
     with pytest.raises(LimitExceeded, match=f"exceeds {len(expected) - 1} tables"):
         clone_slice(gens, n, limit=len(expected) - 1)
 
@@ -535,14 +585,13 @@ def _same_slices_and_refusal_as_oracle(gens, n):
 @given(down_set_lattices())
 def test_two_valued_cells_match_oracle_on_distributive_lattices(lat):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symmetry, "MIN_CELLS", 1)
         mp.setattr(operations, "_SLICE_MEMO", {})
         # join alone: the family's pair is (top, bottom), ordered by the join
         for gens in (generators(lat, "lattice"), generators(lat, "semilattice"), [join_op(lat)]):
             family = symmetry.separating_family(gens)
             _check_family(gens, family)
+            assert operations._generator_record(gens)[0] is not None  # the walk is packed
             for n in (1, 2, 3):
-                assert len(symmetry.representative_cells(gens, n)[0]) == 2 ** n
                 _same_slices_and_refusal_as_oracle(gens, n)
 
 
@@ -550,11 +599,10 @@ def test_two_valued_cells_match_oracle_on_distributive_lattices(lat):
 @given(intersection_closed_families())
 def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symmetry, "MIN_CELLS", 1)
         mp.setattr(operations, "_SLICE_MEMO", {})
         gens = generators(semilattice, "semilattice")
+        assert operations._generator_record(gens)[0] is not None  # the walk is packed
         for n in (1, 2, 3):
-            assert len(symmetry.representative_cells(gens, n)[0]) == 2 ** n
             _same_slices_and_refusal_as_oracle(gens, n)
 
 
@@ -647,14 +695,15 @@ def test_clone_slice_of_b4_semilattice_stays_small(monkeypatch):
 
 
 def test_free_distributive_lattice_on_four_generators():
-    # Dedekind number 168 minus the two constants; B3 walks 16 of 4,096 cells
+    # Dedekind number 168 minus the two constants; B3 walks 16-bit rows, one
+    # bit for each of the 16 cells {p, q}^4 of its 4,096
     b3 = generators(catalog.boolean_lattice(3), "lattice")
-    assert len(symmetry.representative_cells(b3, 4)[0]) == 16
+    assert operations._generator_record(b3)[0] is not None
     assert len(clone_slice(b3, 4)) == 166
     assert len(clone_slice(generators(catalog.chain(4), "lattice"), 4)) == 166
     # N5 and M3 have no separating family, so their walks run on every cell
-    assert len(symmetry.representative_cells(generators(N5, "lattice"), 4)[0]) == 625
-    assert len(symmetry.representative_cells(generators(M3, "lattice"), 4)[0]) == 625
+    assert operations._generator_record(generators(N5, "lattice"))[0] is None
+    assert operations._generator_record(generators(M3, "lattice"))[0] is None
 
 
 def test_clone_refusal_on_n5_stays_small():

@@ -7,7 +7,7 @@ import pytest
 
 from latclone import catalog, terms
 from latclone.errors import JoinInSemilatticeMode, NotBoolean, NotDistributive
-from latclone.formulas import PPFormula, eval_formula, parse_formula, random_formula
+from latclone.formulas import eval_formula, parse_formula, random_formula
 from latclone.lattice import is_boolean
 from latclone.operations import Relation
 from latclone.qe import (

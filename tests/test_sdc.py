@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from latclone import catalog, sdc
-from latclone.equations import equations_of, galois_closure, is_solution_set
+from latclone.equations import galois_closure, is_solution_set
 from latclone.errors import (
     IsBoolean,
     IsDistributive,
@@ -22,7 +22,6 @@ from latclone.lattice import (
 )
 from latclone.formulas import PPFormula
 from latclone.operations import (
-    Relation,
     centralizer_slice,
     generators,
     meet_op,
