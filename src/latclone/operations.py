@@ -496,14 +496,14 @@ def _packed(bits, m):
 
 def _tuples_with(lo, hi, m, symmetric):
     """The tuples the clone walk meets at positions lo..hi-1 for an m-ary generator (m x T
-    indices), each one's position and its rank there. At pos: the m-tuples over 0..pos
+    indices) and each one's position, position by position. At pos: the m-tuples over 0..pos
     containing pos in lexicographic order (an entry below pos leaves pos to the tail, pos
     itself any tail); for a symmetric generator the nondecreasing ones, first among their
     reorderings: (c, pos) for c <= pos if binary, else the ones filtered."""
     if symmetric and m == 2:
-        at, rank = (np.arange(lo, hi)[:, None] >= np.arange(hi)).nonzero()
+        at, first = (np.arange(lo, hi)[:, None] >= np.arange(hi)).nonzero()
         at += lo
-        return np.array([rank, at]), at, rank
+        return np.array([first, at]), at
     dtype = np.min_scalar_type(hi ** m)
     pos = np.arange(lo, hi, dtype=dtype)
     counts = (pos + 1) ** m - pos ** m
@@ -519,7 +519,7 @@ def _tuples_with(lo, hi, m, symmetric):
         free |= ~lead
     cols = np.array(cols + [np.where(free, left, at)])
     keep = (cols[:-1] <= cols[1:]).all(axis=0) if symmetric else slice(None)
-    return cols[:, keep], at[keep], rank[keep]
+    return cols[:, keep], at[keep]
 
 
 def _walk(start, walk_ops, limit, refusal):
@@ -528,8 +528,8 @@ def _walk(start, walk_ops, limit, refusal):
     found each first. Raises LimitExceeded(refusal) past limit. A block takes
     the positions from lo up to the row count as far as BLOCK_BYTES allows;
     every generator meets the tuples of _tuples_with, and new keys are kept in
-    the sequential walk's (position, generator, rank) order. walk_ops holds
-    (arity, symmetric, apply, row_bytes): apply(rows, cols) builds row_bytes per candidate.
+    the sequential walk's (position, generator, tuple) order. walk_ops holds
+    (arity, symmetric, apply, row_bytes): apply(rows, cols) builds the candidates' rows.
     """
     count = len(start)
     if count > limit:
@@ -551,19 +551,19 @@ def _walk(start, walk_ops, limit, refusal):
             cost = sum(b * (below(ends, m, s) - below(lo, m, s)) for m, s, b in per)
             hi = lo + max(1, int(cost.searchsorted(BLOCK_BYTES, side="right")))
         block = [_tuples_with(lo, hi, m, symmetric) for m, symmetric, _, _ in walk_ops]
-        found = np.concatenate([op[2](rows, cols) for op, (cols, _, _) in zip(walk_ops, block)])
+        found = np.concatenate([op[2](rows, cols) for op, (cols, _) in zip(walk_ops, block)])
         known = _row_keys(rows[:count])
         near = np.minimum(known.searchsorted(_row_keys(found), sorter=by_key), count - 1)
         miss = (rows.take(by_key[near], axis=0) != found).any(axis=1).nonzero()[0]
         lo = hi
         if not len(miss):
             continue
-        gen = np.arange(len(block)).repeat([len(at) for _, at, _ in block])[miss]
-        at, rank = (np.concatenate([part[i] for part in block])[miss] for i in (1, 2))
+        gen = np.arange(len(block)).repeat([len(at) for _, at in block])[miss]
+        at = np.concatenate([at for _, at in block])[miss].astype(np.int64)
         cols = np.concatenate([c if len(c) == width else np.vstack((c, np.zeros(
-            (width - len(c), c.shape[1]), dtype=c.dtype))) for c, _, _ in block], axis=1)[:, miss]
+            (width - len(c), c.shape[1]), dtype=c.dtype))) for c, _ in block], axis=1)[:, miss]
         found = found[miss]
-        order = np.lexsort((rank, gen, at))
+        order = np.argsort(at * len(block) + gen, kind="stable")  # stable: tuples stay in order
         keys, first = np.unique(_row_keys(found)[order], return_index=True)
         new = np.sort(first)
         if count + len(new) > limit:

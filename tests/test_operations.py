@@ -397,7 +397,7 @@ def test_clone_slice_matches_oracle_for_unary_ternary_and_non_idempotent_generat
 
 def test_tuples_with_lists_the_filtered_product():
     # a block of positions lists, position by position, the tuples the
-    # sequential walk met there, ranked among all the tuples containing pos
+    # sequential walk met there
     for (lo, hi), m, symmetric in product([(0, 1), (0, 7), (3, 9), (6, 7)], range(1, 5),
                                           (False, True)):
         expected = []
@@ -405,10 +405,9 @@ def test_tuples_with_lists_the_filtered_product():
             every = [c for c in product(range(pos + 1), repeat=m) if pos in c]
             if symmetric and m == 2:
                 every = [(c, pos) for c in range(pos + 1)]
-            expected += [(c, pos, rank) for rank, c in enumerate(every)
-                         if not symmetric or list(c) == sorted(c)]
-        cols, at, rank = operations._tuples_with(lo, hi, m, symmetric)
-        assert list(zip(map(tuple, cols.T.tolist()), at.tolist(), rank.tolist())) == expected
+            expected += [(c, pos) for c in every if not symmetric or list(c) == sorted(c)]
+        cols, at = operations._tuples_with(lo, hi, m, symmetric)
+        assert list(zip(map(tuple, cols.T.tolist()), at.tolist())) == expected
 
 
 def test_clone_slice_of_ternary_nand_matches_oracle():
