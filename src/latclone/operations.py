@@ -451,17 +451,22 @@ def _generator_record(generator_ops):
 
 def _forced(values, rows, args, size):
     """Values of the generator at the argument positions of each row."""
-    idx = rows.take(args[0], axis=0).astype(np.min_scalar_type(len(values) - 1))
-    for a in args[1:]:
+    return _lookup(values, [rows.take(a, axis=0) for a in args], size)
+
+
+def _lookup(values, found, size):
+    """Values of the generator at the codes of the argument rows found."""
+    idx = found[0].astype(np.min_scalar_type(len(values) - 1))
+    for f in found[1:]:
         idx *= size
-        idx += rows.take(a, axis=0)
+        idx += f
     return values.take(idx)
 
 
 def _gathering(m, symmetric, values, size, cells):
     """The walk_ops entry (see _walk) of an m-ary table applied by _forced to rows of
     cells: per candidate and cell its codes, an argument, their intp copy and a value."""
-    return m, symmetric, lambda rows, cols: _forced(values, rows, cols, size), cells * (
+    return m, symmetric, lambda found: _lookup(values, found, size), cells * (
         np.min_scalar_type(len(values) - 1).itemsize + 2 * values.itemsize + 8)
 
 
@@ -476,7 +481,7 @@ def _packed_projections(n):
 
 
 def _packed(bits, m):
-    """apply(rows, cols) on rows of bits (1 for q) for a generator with these
+    """apply(found) on argument rows of bits (1 for q) for a generator with these
     bits on {p, q}^m: the OR, over the argument patterns it sends to q, of the
     AND of the arguments or their complements; or the complement of that
     over the patterns it sends to p, when they are fewer."""
@@ -484,11 +489,9 @@ def _packed(bits, m):
     invert = len(zeros) < len(ones)
     patterns = [[c >> (m - 1 - i) & 1 for i in range(m)] for c in (zeros if invert else ones)]
 
-    def apply(rows, cols):
-        found = [rows.take(c, axis=0) for c in cols]
-        out = np.zeros(found[0].shape, dtype=rows.dtype)
-        for pattern in patterns:
-            out |= reduce(np.bitwise_and, [f if b else ~f for f, b in zip(found, pattern)])
+    def apply(found):
+        out = [reduce(np.bitwise_and, [f if b else ~f for f, b in zip(found, p)]) for p in patterns]
+        out = reduce(np.bitwise_or, out) if out else np.zeros_like(found[0])
         return ~out if invert else out
 
     return apply
@@ -529,7 +532,7 @@ def _walk(start, walk_ops, limit, refusal):
     the positions from lo up to the row count as far as BLOCK_BYTES allows;
     every generator meets the tuples of _tuples_with, and new keys are kept in
     the sequential walk's (position, generator, tuple) order. walk_ops holds
-    (arity, symmetric, apply, row_bytes): apply(rows, cols) builds the candidates' rows.
+    (arity, symmetric, apply, row_bytes): apply(argument rows) builds the candidates' rows.
     """
     count = len(start)
     if count > limit:
@@ -550,8 +553,10 @@ def _walk(start, walk_ops, limit, refusal):
             ends = np.arange(lo + 1, count + 1.0)  # a block ending at each later position
             cost = sum(b * (below(ends, m, s) - below(lo, m, s)) for m, s, b in per)
             hi = lo + max(1, int(cost.searchsorted(BLOCK_BYTES, side="right")))
-        block = [_tuples_with(lo, hi, m, symmetric) for m, symmetric, _, _ in walk_ops]
-        found = np.concatenate([op[2](rows, cols) for op, (cols, _) in zip(walk_ops, block)])
+        shapes = {(m, s): _tuples_with(lo, hi, m, s) for m, s, _, _ in walk_ops}  # shared when equal
+        args_of = {shape: [rows.take(c, axis=0) for c in cols] for shape, (cols, _) in shapes.items()}
+        block = [shapes[m, s] for m, s, _, _ in walk_ops]
+        found = np.concatenate([apply(args_of[m, s]) for m, s, apply, _ in walk_ops])
         known = _row_keys(rows[:count])
         near = np.minimum(known.searchsorted(_row_keys(found), sorter=by_key), count - 1)
         miss = (rows.take(by_key[near], axis=0) != found).any(axis=1).nonzero()[0]
@@ -570,12 +575,13 @@ def _walk(start, walk_ops, limit, refusal):
             raise LimitExceeded(refusal)
         while count + len(new) > len(rows):
             rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[count:count + len(new)] = found[order[new]]
+        pick = order[new]
+        rows[count:count + len(new)] = found[pick]
         by_key = np.insert(by_key, known.searchsorted(keys, sorter=by_key),
                            count + new.searchsorted(first))
         count += len(new)
-        gens.append(gen[order[new]])
-        args.append(cols[:, order[new]])
+        gens.append(gen[pick])
+        args.append(cols[:, pick])
     return rows[:count], np.concatenate(gens), np.concatenate(args, axis=1)
 
 
