@@ -392,8 +392,8 @@ def preserves(f, relation):
     step = max(1, BLOCK_CELLS // (m * arr.shape[1]))
     for start in range(0, r ** m, step):
         choice = np.arange(start, min(start + step, r ** m))
-        cols = [choice // r ** (m - 1 - i) % r for i in range(m)]
-        image = _forced(values, arr, cols, f.size)
+        cols = np.array([choice // r ** (m - 1 - i) % r for i in range(m)])
+        image = _lookup(values, arr.take(cols, axis=0), f.size)
         keys = _row_keys(image)
         ok = member[np.minimum(np.searchsorted(member, keys), r - 1)] == keys
         if not ok.all():
@@ -449,13 +449,9 @@ def _generator_record(generator_ops):
     return _RECORDS[key]
 
 
-def _forced(values, rows, args, size):
-    """Values of the generator at the argument positions of each row."""
-    return _lookup(values, [rows.take(a, axis=0) for a in args], size)
-
-
 def _lookup(values, found, size):
-    """Values of the generator at the codes of the argument rows found."""
+    """Values of the generator at the codes of its argument rows found (one
+    per argument), e.g. rows.take(args, axis=0) for an m x T index array."""
     idx = found[0].astype(np.min_scalar_type(len(values) - 1))
     for f in found[1:]:
         idx *= size
@@ -464,7 +460,7 @@ def _lookup(values, found, size):
 
 
 def _gathering(m, symmetric, values, size, cells):
-    """The walk_ops entry (see _walk) of an m-ary table applied by _forced to rows of
+    """The walk_ops entry (see _walk) of an m-ary table applied by _lookup to rows of
     cells: per candidate and cell its codes, an argument, their intp copy and a value."""
     return m, symmetric, lambda found: _lookup(values, found, size), cells * (
         np.min_scalar_type(len(values) - 1).itemsize + 2 * values.itemsize + 8)
@@ -481,10 +477,9 @@ def _packed_projections(n):
 
 
 def _packed(bits, m):
-    """apply(found) on argument rows of bits (1 for q) for a generator with these
-    bits on {p, q}^m: the OR, over the argument patterns it sends to q, of the
-    AND of the arguments or their complements; or the complement of that
-    over the patterns it sends to p, when they are fewer."""
+    """apply(found) on argument rows of bits (1 for q) for a generator with these bits on
+    {p, q}^m: the OR, over the argument patterns it sends to q, of the AND of the arguments
+    or their complements; or the complement of that over those sent to p, when fewer."""
     ones, zeros = np.flatnonzero(bits).tolist(), np.flatnonzero(~bits).tolist()
     invert = len(zeros) < len(ones)
     patterns = [[c >> (m - 1 - i) & 1 for i in range(m)] for c in (zeros if invert else ones)]
@@ -526,14 +521,12 @@ def _tuples_with(lo, hi, m, symmetric):
 
 
 def _walk(start, walk_ops, limit, refusal):
-    """The clone walk from the distinct start rows: the rows in the order found
-    and, after the start, the generator and argument rows (padded with 0) that
-    found each first. Raises LimitExceeded(refusal) past limit. A block takes
-    the positions from lo up to the row count as far as BLOCK_BYTES allows;
-    every generator meets the tuples of _tuples_with, and new keys are kept in
-    the sequential walk's (position, generator, tuple) order. walk_ops holds
-    (arity, symmetric, apply, row_bytes): apply(argument rows) builds the candidates' rows.
-    """
+    """The clone walk from the distinct start rows: the rows in the order found and, after
+    the start, the generator and argument rows (padded with 0) that found each first.
+    Raises LimitExceeded(refusal) past limit. A block takes the positions from lo up to the
+    row count as far as BLOCK_BYTES allows; every generator meets the tuples of _tuples_with,
+    and new keys are kept in the sequential walk's (position, generator, tuple) order.
+    walk_ops holds (arity, symmetric, apply, row_bytes): apply(argument rows) builds rows."""
     count = len(start)
     if count > limit:
         raise LimitExceeded(refusal)
@@ -553,8 +546,8 @@ def _walk(start, walk_ops, limit, refusal):
             ends = np.arange(lo + 1, count + 1.0)  # a block ending at each later position
             cost = sum(b * (below(ends, m, s) - below(lo, m, s)) for m, s, b in per)
             hi = lo + max(1, int(cost.searchsorted(BLOCK_BYTES, side="right")))
-        shapes = {(m, s): _tuples_with(lo, hi, m, s) for m, s, _, _ in walk_ops}  # shared when equal
-        args_of = {shape: [rows.take(c, axis=0) for c in cols] for shape, (cols, _) in shapes.items()}
+        shapes = {(m, s): _tuples_with(lo, hi, m, s) for m, s, _, _ in walk_ops}  # one per shape
+        args_of = {shape: rows.take(cols, axis=0) for shape, (cols, _) in shapes.items()}
         block = [shapes[m, s] for m, s, _, _ in walk_ops]
         found = np.concatenate([apply(args_of[m, s]) for m, s, apply, _ in walk_ops])
         known = _row_keys(rows[:count])
@@ -761,12 +754,12 @@ def _plan_search(position, layers, size, values):
             if not rows.shape[1]:
                 break
             for table, args, targets in defines:
-                rows[targets] = _forced(table, rows, args, size)
+                rows[targets] = _lookup(table, rows.take(args, axis=0), size)
             ok = np.ones(rows.shape[1], dtype=bool)
             chunk = max(1, BLOCK_CELLS // rows.shape[1])
             for table, args, targets in checks:
                 for c in range(0, len(targets), chunk):
-                    ok &= (_forced(table, rows, args[:, c:c + chunk], size)
+                    ok &= (_lookup(table, rows.take(args[:, c:c + chunk], axis=0), size)
                            == rows[targets[c:c + chunk]]).all(axis=0)
             if not ok.all():
                 rows = rows[:, ok]
