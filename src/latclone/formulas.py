@@ -318,10 +318,16 @@ class _BooleanPower:
         return plane
 
     def lift(self, factor_mask, n):
-        """The flat mask over A^n of the k-th power of a factor relation."""
+        """The flat mask over A^n of the k-th power of a factor relation,
+        gathered one bit slice at a time: np.take copies its indices to intp."""
         import numpy as np
 
-        return np.take(np.ravel(factor_mask), self.plane(n)).all(axis=0)
+        flat = np.ravel(factor_mask)
+        plane = self.plane(n)
+        mask = flat.take(plane[0])
+        for cells in plane[1:]:
+            mask &= flat.take(cells)
+        return mask
 
 
 def _boolean_power(algebra):

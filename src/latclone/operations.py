@@ -29,14 +29,10 @@ BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed i
 BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
 
 
-def argument_columns(size, arity):
-    """Value of each argument over the lexicographic grid of all tuples."""
-    n = size ** arity
-    cols = []
-    for i in range(arity):
-        block = size ** (arity - 1 - i)
-        cols.append((np.arange(n) // block) % size)
-    return cols
+def argument_columns(size, arity, dtype=int):
+    """Value of each argument over the lexicographic grid of all tuples: an
+    arity x size^arity array, one row per argument."""
+    return np.indices((size,) * arity, dtype=dtype).reshape(arity, size ** arity)
 
 
 def decode_index(idx, size, arity):
@@ -600,7 +596,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
 
     family, ops = _generator_record(generator_ops)
     narrow = np.min_scalar_type(size - 1)
-    columns = np.array(argument_columns(size, n), dtype=narrow)  # the projections
+    columns = argument_columns(size, n, narrow)  # the projections
     if family is None:
         start = columns
         walk_ops = [_gathering(m, s, values, size, size ** n) for m, s, values, _ in ops]
@@ -678,7 +674,7 @@ def _layer_plan(generator_ops, size, k):
     """
     ncells = size ** k
     pos_type = np.min_scalar_type(ncells - 1)
-    digits = np.array(argument_columns(size, k))
+    digits = argument_columns(size, k)
     position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
     walks = [(m, g.array(), values, 1 if s else m)
              for g, (m, s, values, _) in zip(generator_ops, _generator_record(generator_ops)[1])]
@@ -724,32 +720,31 @@ def _layer_plan(generator_ops, size, k):
     return position, layers
 
 
-def _plan_search(position, layers, size, values):
-    """Blocks (cells x tables) of the tables the layer plan admits whose branch
-    cells take the given values, ascending if the values are.
+def _plan_search(position, layers, size):
+    """Blocks (cells x tables) of the tables the layer plan admits, in
+    lexicographic order.
 
     The plan runs depth first over blocks of partial tables (columns of a
     position x row array): a block is expanded by every value of the
     branch cell, each round fills its cells and drops the rows a check
     contradicts, and the survivors are pushed. An expansion or a chunk of
     checks touches at most BLOCK_CELLS cells unless one row needs more.
-    Cells below a branch cell are defined before it, so with ascending
-    values the tables come out in lexicographic order.
+    Cells below a branch cell are defined before it, and the values are
+    tried in ascending order, so the tables come out in lexicographic order.
     """
     narrow = np.min_scalar_type(size - 1)
-    values = np.array(values, dtype=narrow)
-    fan = len(values)
+    values = np.arange(size, dtype=narrow)
     stack = [(0, np.empty((0, 1), dtype=narrow))]  # (layer to expand, its block)
     while stack:
         j, block = stack.pop()
         stop, tuples, rounds = layers[j]
-        take = max(1, BLOCK_CELLS // (fan * (stop + tuples)))
+        take = max(1, BLOCK_CELLS // (size * (stop + tuples)))
         if block.shape[1] > take:
             stack.append((j, block[:, take:]))
             block = block[:, :take]
-        rows = np.empty((stop, block.shape[1] * fan), dtype=narrow)
-        rows[:len(block)].reshape(len(block), block.shape[1], fan)[...] = block[:, :, None]
-        rows[len(block)].reshape(-1, fan)[...] = values
+        rows = np.empty((stop, block.shape[1] * size), dtype=narrow)
+        rows[:len(block)].reshape(len(block), block.shape[1], size)[...] = block[:, :, None]
+        rows[len(block)].reshape(-1, size)[...] = values
         for defines, checks in rounds:
             if not rows.shape[1]:
                 break
@@ -835,21 +830,20 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     at every branch cell. With two-valued homomorphisms h_1..h_r: A ->
     {p, q} that separate the carrier, f is one exactly when every h_i o f
     is a homomorphism A^k -> {p, q} and the bits of (h_i o f(c))_i are an
-    element's at every cell: the search lists those homomorphisms H with
-    the values p and q alone ({p, q} is closed under every generator), and
-    _combine pairs r of them. Each u in H is itself a member, with values
-    in {p, q}, so at least |H| tables exist, and at most |H|^r: while H is
-    being found, the tuples over it are counted each time it doubles once
-    that bound passes the limit. Raises LimitExceeded past the limit.
-    The tables are the rows of one value matrix, the search's blocks
-    stacked or the pairs sorted.
+    element's at every cell. The first generator is then a semilattice
+    operation, so those homomorphisms H are the constant p and the maps
+    x -> [x >= a] of the principal filters of A^k that commute with the
+    other generators (symmetry.two_valued_homomorphisms; each is a member,
+    so more than limit of them is refused at once), and _combine pairs r
+    of them. Raises LimitExceeded past the limit. The
+    tables are the rows of one value matrix, the search's blocks stacked or
+    the pairs sorted.
     """
     generator_ops, size, k = _slice_arguments(generator_ops, k)
-    position, layers = _layer_plan(generator_ops, size, k)
     family = _generator_record(generator_ops)[0]
     if family is None:
         found, count = [], 0
-        for block in _plan_search(position, layers, size, range(size)):
+        for block in _plan_search(*_layer_plan(generator_ops, size, k), size):
             count += block.shape[1]
             if count > limit:
                 raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
@@ -857,19 +851,9 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
         matrix = np.concatenate(found)
         del found
     else:
-        p, q, maps, _ = family
-        steps = _prefix_steps(maps == q)
-        homs = [np.empty((size ** k, 0), dtype=bool)]  # the bits of those found so far
-        count = counted = 0
-        cols = None
-        for block in _plan_search(position, layers, size, (p, q)):
-            homs.append(block == q)
-            count += block.shape[1]
-            if count >= 2 * counted and count ** len(steps) > limit:
-                cols, counted = _combine(np.concatenate(homs, axis=1), steps, limit), count
-        if cols is None or counted < count:
-            cols = _combine(np.concatenate(homs, axis=1), steps, limit)
-        del homs
+        steps = _prefix_steps(family[2] == family[1])  # the maps' bits, True for q
+        homs = symmetry.two_valued_homomorphisms(generator_ops, family, k, limit)
+        cols = _combine(homs, steps, limit)
         matrix = cols.T[np.lexsort(cols[::-1])]
         del cols
     return _checked_tables(matrix, k, size, [None] * len(matrix))

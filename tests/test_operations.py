@@ -526,6 +526,11 @@ def _check_family(gens, family):
     for g, on_pair in zip(gens, bits):
         cells = product((p, q), repeat=g.arity)
         assert on_pair.tolist() == [g(*c) == q for c in cells]
+    # the maps embed (A, g1) in a power of ({p, q}, AND): g1 is a semilattice operation
+    g1 = gens[0]
+    assert all(g1(x, x) == x for x in range(size))
+    assert all(g1(x, y) == g1(y, x) for x, y in product(range(size), repeat=2))
+    assert all(g1(g1(x, y), z) == g1(x, g1(y, z)) for x, y, z in product(range(size), repeat=3))
 
 
 def _family_expected(structure, mode):
@@ -849,8 +854,9 @@ def test_centralizer_of_boolean_lattice_in_semilattice_mode_has_closed_form_size
 
 @pytest.mark.parametrize("cap", [1, 1 << 40])
 def test_centralizer_limit_boundary_on_two_valued_homomorphisms(cap, monkeypatch):
-    # at cap 1 the homomorphisms come a few per block, so the counts taken
-    # while they are found refuse the small limits
+    # a limit below the number of homomorphisms into {p, q} is refused before
+    # they are paired; the others by _combine, which at cap 1 pairs one
+    # partial tuple per block
     monkeypatch.setattr(operations, "BLOCK_CELLS", cap)
     for structure, mode, k in [(C3, "lattice", 2), (B2, "lattice", 2), (M3, "semilattice", 1),
                                (catalog.chain(4), "semilattice", 1), (catalog.fence(), "semilattice", 1)]:
@@ -863,21 +869,62 @@ def test_centralizer_limit_boundary_on_two_valued_homomorphisms(cap, monkeypatch
                 centralizer_slice(gens, k, limit=limit)
 
 
-def test_small_limit_refuses_before_every_homomorphism_is_found(monkeypatch):
-    # C6 at k=3 has 17 homomorphisms into {p, q}; handed over one at a
-    # time, a limit of 10 is passed by the count over the first few
-    search, handed = operations._plan_search, []
+def test_family_slices_need_no_layer_plan(monkeypatch):
+    # with a separating family the homomorphisms into {p, q} come from the
+    # principal filters; the plan search gives the expected tables
+    cases = [(catalog.chain(6), "lattice", 3, 10), (catalog.boolean_lattice(3), "lattice", 2, 100_000),
+             (M3, "semilattice", 2, 100_000)]
+    expected = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "separating_family", lambda gens: None)
+        mp.setattr(operations, "_RECORDS", {})
+        for structure, mode, k, limit in cases:
+            try:
+                expected.append([f.values for f in centralizer_slice(generators(structure, mode), k, limit)])
+            except LimitExceeded:
+                expected.append(None)
+    assert expected[0] is None and len(expected[1]) == 512 and len(expected[2]) == 2576
 
-    def one_at_a_time(*args):
-        for block in search(*args):
-            for j in range(block.shape[1]):
-                handed.append(j)
-                yield block[:, j:j + 1]
+    def unused(*args):
+        raise AssertionError("the layer plan runs only without a family")
 
-    monkeypatch.setattr(operations, "_plan_search", one_at_a_time)
-    with pytest.raises(LimitExceeded, match="exceeds 10 tables"):
-        centralizer_slice(generators(catalog.chain(6), "lattice"), 3, limit=10)
-    assert 0 < len(handed) < 17
+    monkeypatch.setattr(operations, "_layer_plan", unused)
+    monkeypatch.setattr(operations, "_plan_search", unused)
+    for (structure, mode, k, limit), tables in zip(cases, expected):
+        gens = generators(structure, mode)
+        assert operations._generator_record(gens)[0] is not None
+        if tables is None:
+            with pytest.raises(LimitExceeded, match=f"exceeds {limit} tables"):
+                centralizer_slice(gens, k, limit=limit)
+        else:
+            assert [f.values for f in centralizer_slice(gens, k, limit=limit)] == tables
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_small_limit_on_chain_16_ternary_is_refused_small(mode):
+    # 4,096 cells: the principal filters alone pass the limit
+    gens = generators(catalog.chain(16), mode)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 10 tables"):
+            centralizer_slice(gens, 3, limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_centralizer_matches_oracle_on_arbitrary_generators_over_two_elements():
+    # a meet (p = 0) or a join (p = 1) first gives the family {identity}, so
+    # the generators after it, monotone or not, filter the principal filters
+    rng = random.Random(67)
+    for _ in range(40):
+        first = rng.choice([meet_op(C2), join_op(C2)])
+        rest = [random_op(rng, m, 2) for m in rng.choice([[1], [2], [3], [1, 3], [2, 2], [3, 2]])]
+        gens = [first] + rest
+        assert symmetry.separating_family(gens) is not None
+        for k in (1, 2, 3):
+            _same_as_oracle(gens, k, limit=300)
 
 
 def test_centralizer_matches_oracle_on_b2_ternary():
