@@ -17,7 +17,6 @@ coordinate order of the relation a formula defines.
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING
 
 from . import terms
@@ -229,10 +228,11 @@ def eval_formula(phi, algebra) -> "Relation":
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
-    searched existentially over the whole carrier. On a Boolean power 2^k
-    the search runs on the two-element factor instead (see _BooleanPower):
-    pp-formulas are preserved by direct products, so a tuple satisfies the
-    formula exactly when each of its k bit slices does over the factor.
+    searched existentially over the whole carrier. On a Boolean power 2^k,
+    told by the separating family of its generators (see _boolean_power),
+    the search runs on the two-element factor instead: pp-formulas are
+    preserved by direct products, so a tuple satisfies the formula exactly
+    when each of its k bit slices does over the factor.
     Only evaluation needs numpy, so it is imported here: parsing and
     quantifier elimination run without it.
     """
@@ -291,7 +291,8 @@ class _BooleanPower:
     """An isomorphism of a structure onto the k-th power of its two-element factor.
 
     The factor is the two-element lattice, or its meet reduct when the
-    structure is a meet-semilattice. bits[i][x] is bit i of the code of x.
+    structure is a meet-semilattice. bits[i, x] is bit i of the code of x:
+    True when map i of the separating family sends x to q.
     """
 
     def __init__(self, factor, bits):
@@ -306,8 +307,8 @@ class _BooleanPower:
         if plane is None:
             import numpy as np
 
-            k, size = len(self.bits), len(self.bits[0])
-            bits = np.array(self.bits, dtype=np.min_scalar_type((1 << n) - 1))
+            k, size = self.bits.shape
+            bits = self.bits.astype(np.min_scalar_type((1 << n) - 1))
             plane = np.zeros((k,) + (size,) * n, dtype=bits.dtype)
             for j in range(n):
                 plane += (bits << (n - 1 - j)).reshape([k] + [size if t == j else 1
@@ -330,46 +331,36 @@ class _BooleanPower:
         return mask
 
 
+_AND_OR = ([False, False, False, True], [False, True, True, True])  # on (p, p), (p, q), (q, p), (q, q)
+
+
 def _boolean_power(algebra):
     """The structure as a Boolean power 2^k with k >= 2, or None.
 
-    Decided once per structure and cached on it, like the flat tables of
-    operations._flat_tables. The coding sends x to its bits [a <= x], one
-    for each atom a (an element other than the bottom whose only strict
-    lower bound is the bottom). It is kept only when it is a bijection onto
-    {0,1}^k that carries meet to AND and, over a lattice, join to OR: it is
-    then an isomorphism onto the k-th power of the two-element lattice or
-    meet-semilattice.
+    Read off the separating family of its generators (see
+    symmetry.separating_family): the structure is one exactly when the
+    family has k >= 2 maps, the size is 2^k, and the generators act on
+    {p, q} as AND (meet) and OR (join). The maps separate the points, so
+    their code is then a bijective homomorphism onto {p, q}^k, that is, an
+    isomorphism. The size is tested first, so most structures build no
+    generators here. Decided once per structure and cached on it, with the
+    bit planes, like the flat tables of operations._flat_tables.
     """
     cached = getattr(algebra, "_boolean_power_cache", None)
-    if cached is None:
-        cached = algebra._boolean_power_cache = (_recognize_boolean_power(algebra),)
-    return cached[0]
+    if cached is not None:
+        return cached[0]
+    power, size = None, algebra.size
+    if size >= 4 and not size & (size - 1):
+        from .catalog import chain, meet_reduct
+        from .operations import _generator_record, generators
 
-
-def _recognize_boolean_power(algebra):
-    from .catalog import chain, meet_reduct
-
-    size, meet = algebra.size, algebra.meet
-    k = size.bit_length() - 1
-    if k < 2 or size != 1 << k:
-        return None
-    bottom = reduce(lambda x, y: meet[x][y], range(size))
-    atoms = [a for a in range(size) if a != bottom and set(meet[a]) == {bottom, a}]
-    if len(atoms) != k:
-        return None
-    codes = [sum(1 << i for i, a in enumerate(atoms) if meet[a][x] == a) for x in range(size)]
-    if len(set(codes)) != size:
-        return None
-    ops = [(meet, int.__and__)]
-    if algebra.kind == "lattice":
-        ops.append((algebra.join, int.__or__))
-    for table, op in ops:
-        if any(codes[table[x][y]] != op(codes[x], codes[y])
-               for x in range(size) for y in range(size)):
-            return None
-    factor = chain(2) if algebra.kind == "lattice" else meet_reduct(chain(2))
-    return _BooleanPower(factor, [[code >> i & 1 for code in codes] for i in range(k)])
+        family = _generator_record(generators(algebra, algebra.kind))[0]
+        if (family is not None and size == 1 << len(family[2])
+                and all(on_pair.tolist() == op for on_pair, op in zip(family[3], _AND_OR))):
+            factor = chain(2) if algebra.kind == "lattice" else meet_reduct(chain(2))
+            power = _BooleanPower(factor, family[2] == family[1])
+    algebra._boolean_power_cache = (power,)
+    return power
 
 
 _FREE_POOL = ("x", "y", "z")

@@ -199,8 +199,10 @@ def eliminate_boolean(phi, lattice) -> PPFormula:
     The matrix is normalised once and the bound variables are eliminated
     innermost first on its inequalities. Refuses lattices that are not
     Boolean: on those some existential formula defines a relation no
-    quantifier-free one does.
+    quantifier-free one does. A meet-semilattice is an input error.
     """
+    if lattice.kind != "lattice":
+        raise BadSpec("lattice mode needs a lattice")
     boolean, _ = is_boolean(lattice)
     if not boolean:
         raise NotBoolean("quantifier elimination in lattice mode needs a Boolean lattice")

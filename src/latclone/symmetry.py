@@ -35,11 +35,13 @@ def separating_family(generator_ops):
     the map of a sends x to q when g(a, x) = a (a <= x for a meet) and to
     p otherwise. A map is kept only if h(g(x, ...)) = g(h(x), ...) holds
     for every generator and tuple, and only if it splits two elements that
-    the maps kept before it do not. Returns (p, q, maps, bits) when the
-    maps tell every two elements apart: maps an r x size array of images,
-    bits each generator's table on {p, q}^m as booleans (value == q). The
-    first generator is then idempotent, commutative and associative, with
-    p its least element (see the module docstring).
+    the maps kept before it do not. The maps are tried largest up-set
+    first, ties in index order, so a Boolean power 2^k keeps the k maps
+    of its atoms in any order of its elements. Returns (p, q, maps, bits)
+    when the maps tell every two elements apart: maps an r x size array
+    of images, bits each generator's table on {p, q}^m as booleans (value
+    == q). The first generator is then idempotent, commutative and
+    associative, with p its least element (see the module docstring).
     """
     first = generator_ops[0]
     size = first.size
@@ -69,7 +71,8 @@ def separating_family(generator_ops):
         homomorphic &= (above[:, table] == pair_bits[-1][args]).all(axis=1)
     ups = above.tolist()
     code, kept = [0] * size, []  # code[x]: the bits of x under the kept maps
-    for a in np.flatnonzero(homomorphic).tolist():
+    order = np.argsort(-above.sum(axis=1), kind="stable")
+    for a in order[homomorphic[order]].tolist():
         up = ups[a]
         if len(set(zip(code, up))) == len(set(code)):
             continue  # splits no two elements that the kept maps put together

@@ -161,6 +161,16 @@ def interval_elements(lattice, lo, hi):
     return {x for x in range(lattice.size) if lattice.leq(lo, x) and lattice.leq(x, hi)}
 
 
+def permuted(lattice, rng):
+    """An isomorphic copy of a lattice whose elements are listed in shuffled order."""
+    order = list(range(lattice.size))
+    rng.shuffle(order)
+    at = {old: new for new, old in enumerate(order)}
+    meet = [[at[lattice.meet[a][b]] for b in order] for a in order]
+    join = [[at[lattice.join[a][b]] for b in order] for a in order]
+    return FiniteLattice([lattice.names[a] for a in order], meet, join)
+
+
 def slow_centralizer_slice(generator_ops, k, limit):
     """All k-ary operations commuting with every generator, by constraint propagation.
 

@@ -22,10 +22,10 @@ from latclone.formulas import (
     parse_formula,
     random_formula,
 )
-from latclone.lattice import FiniteLattice, is_boolean, semilattice_to_lattice
+from latclone.lattice import is_boolean, semilattice_to_lattice
 from latclone.operations import Relation, relation_from_mask
 
-from helpers import down_set_lattices, intersection_closed_families, slow_eval_formula
+from helpers import down_set_lattices, intersection_closed_families, permuted, slow_eval_formula
 
 C3 = catalog.chain(3)
 B2 = catalog.boolean_lattice(2)
@@ -240,18 +240,8 @@ def _grid_relation(phi, algebra):
     return relation_from_mask(formulas._grid_mask(phi, algebra), n, algebra.size)
 
 
-def _permuted(lattice, rng):
-    """An isomorphic copy of a lattice whose elements are listed in shuffled order."""
-    order = list(range(lattice.size))
-    rng.shuffle(order)
-    at = {old: new for new, old in enumerate(order)}
-    meet = [[at[lattice.meet[a][b]] for b in order] for a in order]
-    join = [[at[lattice.join[a][b]] for b in order] for a in order]
-    return FiniteLattice([lattice.names[a] for a in order], meet, join)
-
-
 def _boolean_powers():
-    shuffled = _permuted(catalog.boolean_lattice(3), random.Random(8))
+    shuffled = permuted(catalog.boolean_lattice(3), random.Random(8))
     for k in (2, 3, 4):
         yield f"B{k}", catalog.boolean_lattice(k)
     yield "B3-shuffled", shuffled

@@ -40,6 +40,7 @@ from helpers import (
     down_set_lattices,
     evaluate,
     intersection_closed_families,
+    permuted,
     slow_centralizer_slice,
     slow_clone_slice,
     slow_closure_under,
@@ -553,8 +554,13 @@ def test_separating_family_exists_iff_distributive_on_the_catalog():
         family = symmetry.separating_family(gens)
         if family is not None:
             _check_family(gens, family)
-    b4 = generators(catalog.boolean_lattice(4), "lattice")
-    assert len(symmetry.separating_family(b4)[2]) == 4  # the filters of the four atoms
+    # the filters of the k atoms, tried first as the largest proper up-sets,
+    # whatever the order of the elements
+    for k in (2, 3, 4):
+        lattice = catalog.boolean_lattice(k)
+        for structure in [lattice] + [permuted(lattice, random.Random(seed)) for seed in (1, 2, 3)]:
+            for mode in ("lattice", "semilattice"):
+                assert len(symmetry.separating_family(generators(structure, mode))[2]) == k, (k, mode)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -819,6 +825,13 @@ def _same_as_oracle_on_two_valued_homomorphisms(gens, ks):
     with pytest.MonkeyPatch.context() as mp:
         for k in ks:
             _same_as_oracle(gens, k, limit=300, monkeypatch=mp)
+
+
+def test_centralizer_matches_oracle_on_a_shuffled_boolean_semilattice(monkeypatch):
+    # B3's meet reduct with its elements out of index order, whose family
+    # keeps the three maps of its atoms
+    reduct = catalog.meet_reduct(permuted(catalog.boolean_lattice(3), random.Random(1)))
+    _same_as_oracle(generators(reduct, "semilattice"), 1, monkeypatch=monkeypatch)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
