@@ -112,10 +112,10 @@ def _default_limit(args, default=DEFAULT_CLONE_LIMIT):
 
 
 def _structure_mode(structure, args):
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        return mode
-    return "lattice" if structure.kind == "lattice" else "semilattice"
+    mode = getattr(args, "mode", None) or structure.kind
+    if mode == "lattice" and structure.kind != "lattice":
+        raise BadSpec("lattice mode needs a lattice")
+    return mode
 
 
 def _read_formula_text(args):

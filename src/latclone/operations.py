@@ -8,7 +8,6 @@ generated tables is display metadata and takes no part in comparisons.
 
 from functools import cache, reduce
 from itertools import product
-from math import prod
 
 import numpy as np
 
@@ -398,13 +397,6 @@ def preserves(f, relation):
     return True, None
 
 
-_SLICE_MEMO = {}  # memo key -> (tables, their value matrix)
-
-
-def _slice_key(generator_ops, n, limit):
-    return tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops), n, limit
-
-
 def _lex_order(matrix):
     """The order that sorts the rows of an unsigned integer matrix
     lexicographically: their entries big-endian, compared as void bytes."""
@@ -426,14 +418,15 @@ def _slice_arguments(generator_ops, n):
     return generator_ops, generator_ops[0].size, n
 
 
-_RECORDS = {}  # generator tables -> (family, ops), see _generator_record
+_RECORDS = {}  # generator tables and terms -> (family, ops, slices), see _generator_record
 
 
 def _generator_record(generator_ops):
-    """(family, ops), computed once per generator set: the family of
-    symmetry.separating_family or None, and per generator (arity,
-    symmetric, narrow values, the _packed apply of its bits on {p, q}^m or None)."""
-    key = tuple((g.arity, g.size, g._bytes()) for g in generator_ops)
+    """(family, ops, slices), kept once per generator set: the family of
+    symmetry.separating_family or None, per generator (arity, symmetric,
+    narrow values, the _packed apply of its bits on {p, q}^m or None), and
+    the clone slices found so far, arity -> tables (see clone_slice)."""
+    key = tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops)
     if key not in _RECORDS:
         family = symmetry.separating_family(generator_ops)
         ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)),
@@ -441,7 +434,7 @@ def _generator_record(generator_ops):
                for i, g in enumerate(generator_ops)]
         if len(_RECORDS) >= 64:
             _RECORDS.clear()
-        _RECORDS[key] = family, ops
+        _RECORDS[key] = family, ops, {}
     return _RECORDS[key]
 
 
@@ -585,16 +578,18 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     gather per level (the tables found at the positions of the level
     before); else on every cell. Terms are composed at the end.
     Returns tables sorted by values, the rows of one value matrix (see
-    slice_matrix); raises LimitExceeded past the limit. Memoised: the
-    result is a pure function of the generator tables.
+    slice_matrix); raises LimitExceeded past the limit. Memoised in the
+    generator record: the result is a pure function of the generator
+    tables and terms, and the walk refuses exactly when it finds more than
+    limit tables, so a memoised slice longer than the limit is refused.
     """
     generator_ops, size, n = _slice_arguments(generator_ops, n)
-    memo_key = _slice_key(generator_ops, n, limit)
-    cached = _SLICE_MEMO.get(memo_key)
-    if cached is not None:
-        return list(cached[0])
-
-    family, ops = _generator_record(generator_ops)
+    family, ops, slices = _generator_record(generator_ops)
+    refusal = f"clone slice exceeds {limit} tables"
+    if n in slices:
+        if len(slices[n]) > limit:
+            raise LimitExceeded(refusal)
+        return list(slices[n])
     narrow = np.min_scalar_type(size - 1)
     columns = argument_columns(size, n, narrow)  # the projections
     if family is None:
@@ -604,7 +599,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         start = _packed_projections(n)
         walk_ops = [(m, s, apply, (m + 2) * start[0].nbytes) for m, s, _, apply in ops]
     first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
-    rows, gens, args = _walk(start[first], walk_ops, limit, f"clone slice exceeds {limit} tables")
+    rows, gens, args = _walk(start[first], walk_ops, limit, refusal)
     matrix, done = rows, len(first)
     if family is not None:
         matrix = np.empty((len(rows), size ** n), dtype=narrow)
@@ -629,42 +624,27 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         provs.append(compose([provs[c] for c in tuple_[:m]]))
     order = _lex_order(matrix)
     tables = _checked_tables(matrix[order], n, size, [provs[i] for i in order.tolist()])
-    if len(_SLICE_MEMO) >= 64:
-        _SLICE_MEMO.clear()
-    _SLICE_MEMO[memo_key] = tuple(tables), tables[0]._matrix
+    slices[n] = tuple(tables)
     return tables
 
 
 def slice_matrix(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The values of clone_slice(generator_ops, n, limit) as a read-only
     (tables x size^n) matrix in the narrowest dtype, one row per table in the
-    same order: the matrix the slice's tables are rows of, kept in the memo.
-    The slice is computed first if it is not memoised.
+    same order: the matrix the slice's tables are rows of.
     """
-    generator_ops = list(generator_ops)
-    n = as_indices([n], "slice arity")[0]
-    key = _slice_key(generator_ops, n, limit)
-    if key not in _SLICE_MEMO:
-        clone_slice(generator_ops, n, limit=limit)
-    return _SLICE_MEMO[key][1]
-
-
-def _grid(bounds):
-    """The len(bounds) x T array of the T tuples whose i-th entry lies in
-    range(*bounds[i]), in lexicographic order."""
-    lengths = [hi - lo for lo, hi in bounds]
-    grid = np.unravel_index(np.arange(prod(lengths)), lengths)
-    return np.array(grid) + np.array([lo for lo, _ in bounds])[:, None]
+    return clone_slice(generator_ops, n, limit)[0]._matrix
 
 
 # The cells defined after branching on x1..xj form the subalgebra of A^k
-# they generate, whatever the values. The next layer branches on the lowest
-# cell outside it, then runs rounds: each meets, per generator, the tuples of
-# defined cells holding a cell the last round defined (for a symmetric
-# generator, only the tuples with such a cell first, since their reorderings
-# give the same constraint). A tuple defines its target cell if that is
-# undefined, else checks it; so every tuple is met once, in the round that
-# defines its last cell.
+# they generate, whatever the values: the closure the clone walk computes.
+# The next layer branches on the lowest cell outside it, then runs rounds:
+# each meets, per generator, the tuples of defined cells holding a cell the
+# last round defined, as the walk meets them (_tuples_with: for a symmetric
+# generator only the nondecreasing ones, since their reorderings give the
+# same constraint). A tuple defines its target cell if that is undefined,
+# else checks it; so every tuple is met once, in the round that defines its
+# last cell.
 def _layer_plan(generator_ops, size, k):
     """The value-independent plan of the centralizer search at arity k.
 
@@ -674,10 +654,10 @@ def _layer_plan(generator_ops, size, k):
     """
     ncells = size ** k
     pos_type = np.min_scalar_type(ncells - 1)
-    digits = argument_columns(size, k)
+    digits = argument_columns(size, k, np.min_scalar_type(size - 1)).T  # each cell's digits
+    weights = size ** np.arange(k - 1, -1, -1)
     position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
-    walks = [(m, g.array(), values, 1 if s else m)
-             for g, (m, s, values, _) in zip(generator_ops, _generator_record(generator_ops)[1])]
+    ops = _generator_record(generator_ops)[1]
     layers = []
     filled = branch = 0
     while filled < ncells:
@@ -688,17 +668,10 @@ def _layer_plan(generator_ops, size, k):
         rounds, tuples = [], 0
         while lo < filled:
             hi, defines, checks = filled, [], []
-            for m, table, values, firsts in walks:
-                # j positions defined before the last round, then one defined in it
-                args = np.concatenate([_grid([(0, lo)] * j + [(lo, hi)] + [(0, hi)] * (m - 1 - j))
-                                       for j in range(firsts)], axis=1)
+            for m, symmetric, values, _ in ops:
+                args = _tuples_with(lo, hi, m, symmetric)[0]
                 tuples += args.shape[1]
-                arg_cells, target = cells[args], 0
-                for col in digits:
-                    idx = 0
-                    for a in arg_cells:
-                        idx = idx * size + col[a]
-                    target = target * size + table[idx]
+                target = _lookup(values, digits.take(cells[args], axis=0), size) @ weights
                 if (position[target] < 0).any():
                     owner = np.full(ncells, -1)
                     owner[target] = np.arange(len(target))
@@ -793,21 +766,28 @@ def _combine(homs, steps, limit):
     names a prefix at every cell; it fails with a homomorphism when some
     cell has no extension by that homomorphism's bit, which one boolean
     matrix product finds for every pair of the block, and only the pairs
-    that pass are built. A block touches at most BLOCK_CELLS cells unless
-    one row needs more.
+    that pass are built, at most BLOCK_CELLS cells of them at once: the
+    other pairs go back on the stack as (part, hom) indices. A block
+    touches at most BLOCK_CELLS cells unless one row needs more.
     """
     ncells, size = len(homs), steps.shape[2]  # size names no prefix
-    take = max(1, BLOCK_CELLS // max(1, homs.size))
+    take, most = max(1, BLOCK_CELLS // max(1, homs.size)), max(1, BLOCK_CELLS // ncells)
     found, count = [], 0
     stack = [(0, np.zeros((ncells, 1), dtype=steps.dtype))]
     while stack:
-        i, block = stack.pop()
-        if block.shape[1] > take:
-            stack.append((i, block[:, take:]))
-            block = block[:, :take]
-        by_p, by_q = steps[i][:, block]  # each cell's prefix extended by either bit
-        stuck = ((by_p == size).T @ ~homs) | ((by_q == size).T @ homs)  # block x homs
-        part, hom = np.nonzero(~stuck)
+        i, block, *pairs = stack.pop()
+        if pairs:  # pairs of a block not built yet
+            by_p, by_q, part, hom = pairs
+        else:
+            if block.shape[1] > take:
+                stack.append((i, block[:, take:]))
+                block = block[:, :take]
+            by_p, by_q = steps[i][:, block]  # each cell's prefix extended by either bit
+            stuck = ((by_p == size).T @ ~homs) | ((by_q == size).T @ homs)  # block x homs
+            part, hom = np.nonzero(~stuck)
+        if len(part) > most:
+            stack.append((i, None, by_p, by_q, part[most:], hom[most:]))
+            part, hom = part[:most], hom[:most]
         cols = np.where(homs[:, hom], by_q[:, part], by_p[:, part])
         if i + 1 < len(steps):
             if cols.shape[1]:
@@ -869,9 +849,7 @@ def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
     size, h = relation.size, relation.arity
     if not len(relation) or not h or not ops:
         return relation
-    narrow = np.min_scalar_type(size - 1)
-    walk_ops = [_gathering(op.arity, symmetry.is_symmetric(op), op.array().astype(narrow), size, h)
-                for op in ops]
+    walk_ops = [_gathering(m, s, values, size, h) for m, s, values, _ in _generator_record(ops)[1]]
     # a relation past the limit that is closed already is no refusal
     rows = _walk(relation._rows_and_keys()[0], walk_ops, max(limit, len(relation)),
                  f"closure exceeds {limit} tuples")[0]

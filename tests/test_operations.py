@@ -3,7 +3,7 @@
 import random
 import re
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -434,14 +434,38 @@ def test_clone_slice_matches_oracle_on_random_generators():
         _same_clone_as_oracle(gens, n, limit=60)
 
 
-def test_clone_slice_limit_boundary():
+def test_clone_slice_limit_boundary(monkeypatch):
+    monkeypatch.setattr(operations, "_RECORDS", {})
     for structure, mode, n in [(C3, "lattice", 3), (N5, "lattice", 3), (M3, "semilattice", 3),
                                (B2, "lattice", 2)]:
         gens = generators(structure, mode)
         count = len(clone_slice(gens, n))
-        assert len(clone_slice(gens, n, limit=count)) == count
+        operations._RECORDS.clear()  # the walk's own refusal, not the memo's
         with pytest.raises(LimitExceeded, match=f"exceeds {count - 1} tables"):
             clone_slice(gens, n, limit=count - 1)
+        assert len(clone_slice(gens, n, limit=count)) == count
+
+
+def test_a_memoised_slice_answers_every_limit_without_a_walk(monkeypatch):
+    # the walk refuses exactly when the slice has more than limit tables, so
+    # the memo is keyed without the limit
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    for structure, mode, n in [(C3, "lattice", 3), (N5, "lattice", 2), (M3, "semilattice", 2)]:
+        gens = generators(structure, mode)
+        tables = clone_slice(gens, n)
+        count = len(tables)
+
+        def unused(*args):
+            raise AssertionError("a memoised slice is not walked again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operations, "_walk", unused)
+            again = clone_slice(gens, n, limit=count)
+            assert all(a is b for a, b in zip(again, tables)) and len(again) == count
+            with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
+                clone_slice(gens, n, limit=count - 1)
+            with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
+                operations.slice_matrix(gens, n, limit=count - 1)
 
 
 def _with_and_without_family(monkeypatch):
@@ -449,14 +473,12 @@ def _with_and_without_family(monkeypatch):
     every slice walks every cell."""
     yield
     monkeypatch.setattr(symmetry, "separating_family", lambda gens: None)
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
     monkeypatch.setattr(operations, "_RECORDS", {})
     yield
 
 
 def test_small_slices_match_oracle_on_two_valued_and_on_all_cells(monkeypatch):
     # with a family even the smallest slices walk packed rows and replay them
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
     monkeypatch.setattr(operations, "_RECORDS", {})
     for _ in _with_and_without_family(monkeypatch):
         for name, structure, mode in CATALOG_MODES:
@@ -586,16 +608,17 @@ def _same_slices_and_refusal_as_oracle(gens, n, limit=100_000):
         with pytest.raises(LimitExceeded, match=f"exceeds {limit} tables"):
             clone_slice(gens, n, limit=limit)
         return
-    assert _rendered(clone_slice(gens, n, limit=limit)) == expected
+    # refused first, by the walk: a refusal is not memoised
     with pytest.raises(LimitExceeded, match=f"exceeds {len(expected) - 1} tables"):
         clone_slice(gens, n, limit=len(expected) - 1)
+    assert _rendered(clone_slice(gens, n, limit=limit)) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(down_set_lattices())
 def test_two_valued_cells_match_oracle_on_distributive_lattices(lat):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operations, "_SLICE_MEMO", {})
+        mp.setattr(operations, "_RECORDS", {})
         # join alone: the family's pair is (top, bottom), ordered by the join
         for gens in (generators(lat, "lattice"), generators(lat, "semilattice"), [join_op(lat)]):
             family = symmetry.separating_family(gens)
@@ -609,7 +632,7 @@ def test_two_valued_cells_match_oracle_on_distributive_lattices(lat):
 @given(intersection_closed_families())
 def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operations, "_SLICE_MEMO", {})
+        mp.setattr(operations, "_RECORDS", {})
         gens = generators(semilattice, "semilattice")
         assert operations._generator_record(gens)[0] is not None  # the walk is packed
         for n in (1, 2, 3):
@@ -619,13 +642,13 @@ def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_slice_matrix_holds_the_slice_values(monkeypatch, name, structure, mode):
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    monkeypatch.setattr(operations, "_RECORDS", {})
     gens = generators(structure, mode)
     cases = [(n, matrix_first) for n in (1, 2, 3) for matrix_first in (True, False)]
     if name == "B3":
         cases.append((4, False))  # 2^4 two-valued cells rebuilt to 4,096
     for n, matrix_first in cases:
-        operations._SLICE_MEMO.clear()
+        operations._RECORDS.clear()
         matrix = operations.slice_matrix(gens, n) if matrix_first else None
         tables = clone_slice(gens, n)
         if matrix is None:
@@ -666,7 +689,7 @@ def _same_as_a_table_built_by_hand(tables, lookup_in):
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_slice_tables_are_rows_that_behave_as_tables_built_by_hand(monkeypatch, name, structure,
                                                                   mode):
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    monkeypatch.setattr(operations, "_RECORDS", {})
     gens = generators(structure, mode)
     for n in (1, 2, 3):
         tables = clone_slice(gens, n)
@@ -693,7 +716,7 @@ def test_slice_tables_are_rows_that_behave_as_tables_built_by_hand(monkeypatch, 
 def test_clone_slice_of_b4_semilattice_stays_small(monkeypatch):
     # a (15 x 65,536) uint8 matrix, where the value tuples took 8.5 MiB
     gens = generators(catalog.boolean_lattice(4), "semilattice")
-    monkeypatch.setattr(operations, "_SLICE_MEMO", {})
+    monkeypatch.setattr(operations, "_RECORDS", {})
     tracemalloc.start()
     try:
         tables = clone_slice(gens, 4)
@@ -927,6 +950,20 @@ def test_small_limit_on_chain_16_ternary_is_refused_small(mode):
     assert peak < 8 << 20
 
 
+def test_many_two_valued_pairs_are_refused_small():
+    # one partial tuple pairs with each of 4,097 homomorphisms on 4,096
+    # cells; the pairs are built a block at a time
+    gens = generators(catalog.chain(16), "semilattice")
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 5000 tables"):
+            centralizer_slice(gens, 3, limit=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
 def test_centralizer_matches_oracle_on_arbitrary_generators_over_two_elements():
     # a meet (p = 0) or a join (p = 1) first gives the family {identity}, so
     # the generators after it, monotone or not, filter the principal filters
@@ -1048,9 +1085,9 @@ def test_layer_plan_meets_every_tuple_once_with_its_target():
             assert all(target == _digitwise(g, t, size, k) for g, t, target, _ in steps)
             for g in gens:
                 met = [t for h, t, _, _ in steps if h is g]
-                if symmetry.is_symmetric(g):
-                    assert {tuple(sorted(t)) for t in met} == \
-                        {tuple(sorted(t)) for t in product(range(size ** k), repeat=g.arity)}
+                if symmetry.is_symmetric(g):  # each multiset of cells once
+                    assert sorted(tuple(sorted(t)) for t in met) == \
+                        list(combinations_with_replacement(range(size ** k), g.arity))
                 else:
                     assert sorted(met) == list(product(range(size ** k), repeat=g.arity))
 
