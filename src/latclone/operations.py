@@ -418,14 +418,16 @@ def _slice_arguments(generator_ops, n):
     return generator_ops, generator_ops[0].size, n
 
 
-_RECORDS = {}  # generator tables and terms -> (family, ops, slices), see _generator_record
+_RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged), see _generator_record
 
 
 def _generator_record(generator_ops):
-    """(family, ops, slices), kept once per generator set: the family of
+    """(family, ops, slices, judged), kept once per generator set: the family of
     symmetry.separating_family or None, per generator (arity, symmetric,
-    narrow values, the _packed apply of its bits on {p, q}^m or None), and
-    the clone slices found so far, arity -> tables (see clone_slice)."""
+    narrow values, the _packed apply of its bits on {p, q}^m or None), the
+    clone slices found so far, arity -> tables (see clone_slice), and the
+    verdicts on subalgebras so far, by member bits and by restricted
+    tables (see symmetry.separating_cells)."""
     key = tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops)
     if key not in _RECORDS:
         family = symmetry.separating_family(generator_ops)
@@ -434,7 +436,7 @@ def _generator_record(generator_ops):
                for i, g in enumerate(generator_ops)]
         if len(_RECORDS) >= 64:
             _RECORDS.clear()
-        _RECORDS[key] = family, ops, {}
+        _RECORDS[key] = family, ops, {}, ({}, {})
     return _RECORDS[key]
 
 
@@ -574,9 +576,15 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     generator meets the m-tuples of tables 0..pos that contain pos, up to a
     fixpoint, in blocks of positions (see _walk). With a separating family
     (symmetry.separating_family) the walk runs on {p, q}^n, a table a row
-    of 2^n bits, and the full tables are replayed from the derivations, one
-    gather per level (the tables found at the positions of the level
-    before); else on every cell. Terms are composed at the end.
+    of 2^n bits; else on symmetry.separating_cells: a term operation's
+    value at a cell lies in the subalgebra the cell's entries generate, so
+    it is one value when that has one element, and it is read off {p, q}^n
+    when that has a family into a pair on which the generators act as on
+    {p, q}. Keeping a table's values on the other cells commutes with
+    applying a generator cellwise and tells term operations apart, so the
+    walk finds, orders and refuses as a walk on every cell would. The full tables are then replayed from the
+    derivations, one gather per level (the tables found at the positions
+    of the level before). Terms are composed at the end.
     Returns tables sorted by values, the rows of one value matrix (see
     slice_matrix); raises LimitExceeded past the limit. Memoised in the
     generator record: the result is a pure function of the generator
@@ -584,7 +592,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     limit tables, so a memoised slice longer than the limit is refused.
     """
     generator_ops, size, n = _slice_arguments(generator_ops, n)
-    family, ops, slices = _generator_record(generator_ops)
+    family, ops, slices, _ = _generator_record(generator_ops)
     refusal = f"clone slice exceeds {limit} tables"
     if n in slices:
         if len(slices[n]) > limit:
@@ -593,30 +601,30 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     narrow = np.min_scalar_type(size - 1)
     columns = argument_columns(size, n, narrow)  # the projections
     if family is None:
-        start = columns
-        walk_ops = [_gathering(m, s, values, size, size ** n) for m, s, values, _ in ops]
+        cells = symmetry.separating_cells(generator_ops, n)
+        start = columns[:, cells]
+        walk_ops = [_gathering(m, s, values, size, len(cells)) for m, s, values, _ in ops]
     else:
         start = _packed_projections(n)
         walk_ops = [(m, s, apply, (m + 2) * start[0].nbytes) for m, s, _, apply in ops]
     first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
-    rows, gens, args = _walk(start[first], walk_ops, limit, refusal)
-    matrix, done = rows, len(first)
-    if family is not None:
-        matrix = np.empty((len(rows), size ** n), dtype=narrow)
-        matrix[:done] = columns[first]
-        # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
-        width, step = len(args), max(1, BLOCK_CELLS // size ** n)
-        table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values, _ in ops])
-        found_at, hi = args.max(axis=0), done
-        while hi < len(matrix):
-            end = done + int(found_at.searchsorted(hi))  # the level after the one ending at hi
-            for s in range(hi, end, step):
-                level = slice(s - done, min(s + step, end) - done)
-                idx = gens[level, None].astype(np.min_scalar_type(len(table) - 1))
-                for a in args[:, level]:
-                    idx = idx * size + matrix.take(a, axis=0)
-                matrix[s:s + len(idx)] = table.take(idx)
-            hi = end
+    gens, args = _walk(start[first], walk_ops, limit, refusal)[1:]
+    done = len(first)
+    matrix = np.empty((len(gens) + done, size ** n), dtype=narrow)
+    matrix[:done] = columns[first]
+    # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
+    width, step = len(args), max(1, BLOCK_CELLS // size ** n)
+    table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values, _ in ops])
+    found_at, hi = args.max(axis=0), done
+    while hi < len(matrix):
+        end = done + int(found_at.searchsorted(hi))  # the level after the one ending at hi
+        for s in range(hi, end, step):
+            level = slice(s - done, min(s + step, end) - done)
+            idx = gens[level, None].astype(np.min_scalar_type(len(table) - 1))
+            for a in args[:, level]:
+                idx = idx * size + matrix.take(a, axis=0)
+            matrix[s:s + len(idx)] = table.take(idx)
+        hi = end
     provs = [terms.Var(f"x{i + 1}") for i in first.tolist()]
     composers = [(_composer(g), g.arity) for g in generator_ops]
     for g, tuple_ in zip(gens.tolist(), args.T.tolist()):

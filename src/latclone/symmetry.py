@@ -1,5 +1,6 @@
-"""Argument symmetry of operation tables and the two-valued homomorphisms
-that separate the carrier.
+"""Argument symmetry of operation tables, the two-valued homomorphisms
+that separate the carrier, and the cells that tell term operations apart
+where none do.
 
 A map h: A -> A with h(g(x, ...)) = g(h(x), ...) for every generator g
 commutes with every term operation t, h applied cellwise: h(t(c)) = t(h(c)).
@@ -13,6 +14,13 @@ no other admits such maps that separate two elements), so (A, g) embeds
 in ({p, q}, AND)^r: g is a semilattice operation, and its homomorphisms
 A^k -> {p, q} are the constant p and the maps x -> [x >= a] of the
 principal filters of A^k.
+
+Without such a family on A, the argument still runs on each subalgebra:
+t(c) lies in the subalgebra S that the entries of c generate, and t
+commutes with the homomorphisms of S. A family of S into a pair on which
+the generators act as on {p, q} fixes t(c) by t's values on {p, q}^n,
+and a one-element S fixes it outright; so the clone walk keeps only the
+other cells (separating_cells).
 """
 
 import numpy as np
@@ -30,6 +38,8 @@ def is_symmetric(g):
 def separating_family(generator_ops):
     """Two-valued homomorphisms of the generators that separate the carrier, or None.
 
+    Each generator is an OpTable or an array of its values with one axis
+    per argument, such as the tables of a subalgebra relabelled 0..s-1.
     The first generator g, when binary, gives the proposals: p is its
     least element (g(p, x) = p for every x), q the lowest other index, and
     the map of a sends x to q when g(a, x) = a (a <= x for a meet) and to
@@ -43,11 +53,13 @@ def separating_family(generator_ops):
     == q). The first generator is then idempotent, commutative and
     associative, with p its least element (see the module docstring).
     """
-    first = generator_ops[0]
-    size = first.size
-    if first.arity != 2 or size < 2:
+    tables = [g if isinstance(g, np.ndarray) else g.array().reshape((g.size,) * g.arity)
+              for g in generator_ops]
+    first = tables[0]
+    size = len(first)
+    if first.ndim != 2 or size < 2:
         return None
-    above = first.array().reshape(size, size) == np.arange(size)[:, None]
+    above = first == np.arange(size)[:, None]
     least = np.flatnonzero(above.all(axis=1))
     if not len(least):
         return None
@@ -55,19 +67,21 @@ def separating_family(generator_ops):
     q = 1 if p == 0 else 0
     # row a: the map of the up-set of a, as bits (1 for q); g on {p, q}^m by bits
     bits = above.astype(np.uint8)
-    homomorphic, pair_bits = np.ones(size, dtype=bool), []
-    for g in generator_ops:
-        table = g.array()
-        pair_cells = np.array([p, q])
-        for _ in range(g.arity - 1):
-            pair_cells = (pair_cells[:, None] * size + [p, q]).reshape(-1)
+    homomorphic, pair_bits, by_arity = np.ones(size, dtype=bool), [], {}
+    for g in tables:
+        arity, table = g.ndim, g.reshape(-1)
+        if arity not in by_arity:
+            pair_cells = [p, q]
+            args = bits.astype(np.min_scalar_type(2 ** arity - 1))
+            for _ in range(arity - 1):  # per map, the bits of g's arguments mapped, for every tuple
+                pair_cells = [c * size + d for c in pair_cells for d in (p, q)]
+                args = (args[:, :, None] * 2 + bits[:, None, :]).reshape(size, -1)
+            by_arity[arity] = pair_cells, args
+        pair_cells, args = by_arity[arity]
         on_pair = table[pair_cells]
         if not ((on_pair == p) | (on_pair == q)).all():
             return None  # a map onto {p, q} could not commute with g
         pair_bits.append(on_pair == q)
-        args = bits.astype(np.min_scalar_type(2 ** g.arity - 1))
-        for _ in range(g.arity - 1):  # per map, the bits of g's arguments mapped, for every tuple
-            args = (args[:, :, None] * 2 + bits[:, None, :]).reshape(size, -1)
         homomorphic &= (above[:, table] == pair_bits[-1][args]).all(axis=1)
     ups = above.tolist()
     code, kept = [0] * size, []  # code[x]: the bits of x under the kept maps
@@ -137,3 +151,111 @@ def two_valued_homomorphisms(generator_ops, family, k, limit):
     for col in argument_columns(size, k):
         homs[:, :len(chosen)] &= up[np.ix_(col, col[chosen])]
     return homs
+
+
+def _generated(held, ops):
+    """The subalgebras the rows of a (sets x size) boolean matrix generate, as
+    another; ops holds each generator's (arity, symmetric, narrow values,
+    apply), as operations._generator_record keeps them."""
+    while True:
+        grown, member, tuples = held.copy(), held, [None]
+        for m in range(1, max(m for m, *_ in ops) + 1):  # per set, the m-tuples of its members
+            if m > 1:
+                member = (member[:, :, None] & held[:, None, :]).reshape(len(held), -1)
+            tuples.append(member.nonzero())
+        for m, _, values, _ in ops:
+            row, code = tuples[m]
+            grown[row, values[code]] = True
+        if (grown == held).all():
+            return held
+        held = grown
+
+
+def _judge(members, mask, ops, judged):
+    """The family of the subalgebra with these members (mask, as bits) as
+    (p, q, bits) in the carrier's elements, or None. A family restricted to a
+    subalgebra is still one, with the same bits, so a judged superset with a
+    family answers, and a judged subset with none (and more than one
+    element) answers None; else separating_family, fed the tables
+    restricted to the members and relabelled 0..s-1, once per distinct
+    restricted tables."""
+    by_mask, by_tables = judged
+    for other, verdict in by_mask.items():
+        if verdict is not None and not mask & ~other:
+            return verdict
+        if verdict is None and not other & ~mask:
+            return None
+    elements, size = np.flatnonzero(members), len(members)
+    relabel = np.zeros(size, dtype=np.intp)
+    relabel[elements] = np.arange(len(elements))
+    cells = [None, elements]  # per arity m, the member m-tuples as cells of a table
+    for m in range(2, max(m for m, *_ in ops) + 1):
+        cells.append((cells[-1][:, None] * size + elements).reshape(-1))
+    tables = [relabel[values[cells[m]]].reshape((len(elements),) * m) for m, _, values, _ in ops]
+    key = b"".join(t.tobytes() for t in tables)
+    if key not in by_tables:
+        by_tables[key] = _verdict(separating_family(tables))
+    verdict = by_tables[key]
+    return verdict and (int(elements[verdict[0]]), int(elements[verdict[1]]), verdict[2])
+
+
+def _verdict(family):
+    """A family's p, q and bits, hashable, or None."""
+    if family is None:
+        return None
+    p, q, _, bits = family
+    return p, q, tuple(b.tobytes() for b in bits)
+
+
+def separating_cells(generator_ops, n):
+    """Cells of A^n, as sorted indices, at which any two different n-ary
+    term operations differ somewhere: at least one cell.
+
+    A term operation t takes its value at a cell c in the subalgebra S that
+    the entries of c generate, and commutes with the homomorphisms of S. So
+    if S has one element, every t agrees at c. If S has a family (see
+    separating_family) into a pair {p', q'} on which the generators take
+    the bits they take on a reference pair {p, q}, t(c) is the element
+    whose images are t at cells of {p', q'}^n, and those values are t's at
+    the matching cells of {p, q}^n, as p' -> p, q' -> q is an isomorphism.
+    The cells kept are {p, q}^n, for the family of the largest subalgebra
+    met that has one, and those of every other subalgebra with more than
+    one element. Each distinct subalgebra is judged once per generator
+    record, largest first (see _judge), the whole carrier by the record's
+    own family.
+    """
+    from .operations import BLOCK_CELLS, _generator_record, _row_keys, argument_columns
+
+    family, ops, _, judged = _generator_record(generator_ops)
+    size = generator_ops[0].size
+    held = np.zeros((size ** n, size), dtype=bool)  # the entries of each cell
+    held[np.arange(size ** n), argument_columns(size, n)] = True
+    _, first, entries = np.unique(_row_keys(np.packbits(held, axis=1)), return_index=True,
+                                  return_inverse=True)
+    step = max(1, BLOCK_CELLS // size ** max(m for m, *_ in ops))  # sets whose tuples fit a block
+    generated = np.concatenate([_generated(held[first[lo:lo + step]], ops)
+                                for lo in range(0, len(first), step)])
+    packed = np.packbits(generated, axis=1)
+    _, first, algebra = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
+    generated, packed = generated[first], packed[first]
+    counts = generated.sum(axis=1).tolist()
+    verdicts, reference = [None] * len(first), None
+    for s in sorted(range(len(first)), key=counts.__getitem__, reverse=True):
+        if counts[s] > 1:
+            mask = int.from_bytes(packed[s].tobytes(), "big")
+            if mask not in judged[0]:
+                judged[0][mask] = (_verdict(family) if counts[s] == size
+                                   else _judge(generated[s], mask, ops, judged))
+            verdicts[s] = judged[0][mask]
+            reference = reference or verdicts[s]
+    walked = np.array([c > 1 and (reference is None or v is None or v[2] != reference[2])
+                       for c, v in zip(counts, verdicts)])
+    walked = walked[algebra.reshape(-1)[entries.reshape(-1)]]  # per cell, by its subalgebra
+    if reference is not None:
+        pair = reference[:2]
+        cells = np.array(pair)
+        for _ in range(n - 1):
+            cells = (cells[:, None] * size + pair).reshape(-1)
+        walked[cells] = True
+    cells = np.flatnonzero(walked)
+    return cells if len(cells) else np.zeros(1, dtype=np.intp)

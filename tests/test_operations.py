@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from latclone import catalog, operations, symmetry, terms
 from latclone.errors import (
@@ -469,8 +469,10 @@ def test_a_memoised_slice_answers_every_limit_without_a_walk(monkeypatch):
 
 
 def _with_and_without_family(monkeypatch):
-    """Run a check as given, then again with no separating family, so that
-    every slice walks every cell."""
+    """Run a check as given, then again with no separating family, neither
+    for the carrier nor for any subalgebra, so that every slice walks every
+    cell whose entries generate more than one element (or one cell if none
+    does)."""
     yield
     monkeypatch.setattr(symmetry, "separating_family", lambda gens: None)
     monkeypatch.setattr(operations, "_RECORDS", {})
@@ -496,7 +498,7 @@ def test_small_slices_match_oracle_on_two_valued_and_on_all_cells(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["lattice", "semilattice"])
 def test_clone_slice_of_b4_matches_oracle(mode, monkeypatch):
-    # at n=3 the walk computes 8 of the 4,096 cells; without the family, all of them
+    # at n=3 the walk computes 8 of the 4,096 cells; without the family, all but the 16 constant ones
     for _ in _with_and_without_family(monkeypatch):
         for n in (1, 2, 3):
             _same_clone_as_oracle(generators(catalog.boolean_lattice(4), mode), n)
@@ -639,6 +641,68 @@ def test_two_valued_cells_match_oracle_on_meet_semilattices(semilattice):
             _same_slices_and_refusal_as_oracle(gens, n)
 
 
+# Lattice completions of closure systems that are not distributive: no separating family
+family_free_completions = (intersection_closed_families()
+                           .filter(lambda semilattice: semilattice.top is not None)
+                           .map(semilattice_to_lattice)
+                           .filter(lambda lattice: not is_distributive(lattice)[0]))
+
+
+def _cells_tell_tables_apart(gens, n, limit):
+    """The separating cells are sorted and never empty, and any two oracle
+    tables that agree on them agree on every cell. Returns False, having
+    checked only the cells, when the oracle refuses at the limit."""
+    cells = symmetry.separating_cells(gens, n)
+    assert len(cells) and (np.diff(cells) > 0).all()
+    try:
+        tables = slow_clone_slice(gens, n, limit)
+    except LimitExceeded:
+        return False
+    rows = [np.array(t.values) for t in tables]
+    assert len({row[cells].tobytes() for row in rows}) == len({row.tobytes() for row in rows})
+    return True
+
+
+def test_separating_cells_tell_term_operations_apart(monkeypatch):
+    # the theorem on its own, without the walk: the oracle's full tables
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    for structure in (N5, M3):
+        gens = generators(structure, "lattice")
+        for n in (1, 2, 3):
+            assert _cells_tell_tables_apart(gens, n, limit=100_000)
+        # {p, q}^n and the cells of the 3-generated N5 or M3, the rest read off them
+        assert [len(symmetry.separating_cells(gens, n)) for n in (3, 4)] == [14, 100]
+    for gens in _unusual_generator_sets():
+        for n in (1, 2, 3):
+            assert _cells_tell_tables_apart(gens, n, limit=100_000)
+    # every cell of a one-element carrier tells nothing apart, yet one is walked
+    for mode in ("lattice", "semilattice"):
+        assert symmetry.separating_cells(generators(catalog.chain(1), mode), 1).tolist() == [0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(family_free_completions)
+def test_separating_cells_tell_term_operations_apart_on_completions(lattice):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operations, "_RECORDS", {})
+        gens = generators(lattice, "lattice")
+        assert operations._generator_record(gens)[0] is None
+        assert _cells_tell_tables_apart(gens, 2, limit=100_000)
+        _cells_tell_tables_apart(gens, 3, limit=200)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(family_free_completions)
+def test_separating_cells_walk_matches_oracle_on_completions(lattice):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operations, "_RECORDS", {})
+        gens = generators(lattice, "lattice")
+        for n in (1, 2, 3):
+            _same_slices_and_refusal_as_oracle(gens, n, limit=200)
+
+
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_slice_matrix_holds_the_slice_values(monkeypatch, name, structure, mode):
@@ -734,13 +798,13 @@ def test_free_distributive_lattice_on_four_generators():
     assert operations._generator_record(b3)[0] is not None
     assert len(clone_slice(b3, 4)) == 166
     assert len(clone_slice(generators(catalog.chain(4), "lattice"), 4)) == 166
-    # N5 and M3 have no separating family, so their walks run on every cell
+    # N5 and M3 have no separating family, so their walks run on the separating cells
     assert operations._generator_record(generators(N5, "lattice"))[0] is None
     assert operations._generator_record(generators(M3, "lattice"))[0] is None
 
 
 def test_clone_refusal_on_n5_stays_small():
-    # the refusal holds at most 1,000 narrow rows of 625 cells and their candidates
+    # the refusal holds at most 1,000 narrow rows of 100 separating cells and their candidates
     tracemalloc.start()
     try:
         with pytest.raises(LimitExceeded, match="exceeds 1000 tables"):
@@ -751,10 +815,23 @@ def test_clone_refusal_on_n5_stays_small():
     assert peak < 4 << 20
 
 
+def test_clone_refusal_on_n5_walks_only_the_separating_cells(monkeypatch):
+    # 100 of the 625 cells: 1.67 MiB when every cell was walked
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 1000 tables"):
+            clone_slice(generators(N5, "lattice"), 4, limit=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1 << 20)
+
+
 def test_projection_generator_on_seven_elements_matches_oracle():
     first = OpTable(2, 7, [x for x in range(7) for _ in range(7)], provenance=terms.Var("x1"))
     assert symmetry.separating_family([first]) is None
-    for n in (1, 2, 3, 4):  # 2,401 cells at n=4, every one of them walked
+    for n in (1, 2, 3, 4):  # 2,401 cells at n=4, all but the 7 constant ones walked
         _same_clone_as_oracle([first], n)
         assert clone_slice([first], n) == [projection(n, i, 7) for i in range(1, n + 1)]
 
