@@ -17,6 +17,7 @@ from importlib import import_module
 
 from .errors import DEFAULT_CENTRALIZER_LIMIT, DEFAULT_CLONE_LIMIT, BadSpec, LatcloneError, Refusal
 from .lattice import (
+    as_count,
     as_indices,
     construct,
     cover_pairs,
@@ -93,19 +94,13 @@ def op_json(op):
     return payload
 
 
-def _nonnegative(value, what):
-    if value < 0:
-        raise BadSpec(f"{what} must be nonnegative, got {value}")
-    return value
-
-
 def _default_limit(args, default=DEFAULT_CLONE_LIMIT):
     if args.limit is not None:
-        return _nonnegative(args.limit, "--limit")
+        return as_count(args.limit, "--limit")
     env = os.environ.get("LATCLONE_LIMIT")
     if env is not None:
         try:
-            return _nonnegative(int(env), "LATCLONE_LIMIT")
+            return as_count(int(env), "LATCLONE_LIMIT")
         except ValueError:
             raise BadSpec(f"LATCLONE_LIMIT must be an integer, got {env!r}") from None
     return default
@@ -286,7 +281,7 @@ def cmd_sdc(args):
 
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
-    verdict = decide_sdc(structure, mode, verify=_nonnegative(args.verify, "--verify"),
+    verdict = decide_sdc(structure, mode, verify=as_count(args.verify, "--verify"),
                          seed=args.seed, limit=_default_limit(args))
     return verdict.to_json()
 

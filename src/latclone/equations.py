@@ -12,6 +12,7 @@ import numpy as np
 
 from . import terms
 from .errors import ArityMismatch, BadSpec, LimitExceeded
+from .lattice import as_count
 from .operations import (
     DEFAULT_CLONE_LIMIT,
     Relation,
@@ -156,6 +157,7 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     carriers.
     """
     generator_ops = list(generator_ops)
+    limit = as_count(limit, "limit")
     if generator_ops and generator_ops[0].size != relation.size:
         raise ArityMismatch(f"a relation on {relation.size} elements with generators "
                             f"on {generator_ops[0].size}")

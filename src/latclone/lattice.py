@@ -66,6 +66,15 @@ def as_indices(values, what):
     return tuple(int(v) for v in values)
 
 
+def as_count(value, what):
+    """A nonnegative count, such as a limit, as an int: BadSpec for anything
+    but a nonnegative int or numpy integer."""
+    (value,) = as_indices((value,), what)
+    if value < 0:
+        raise BadSpec(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def _normalize_table(table, size, what):
     if len(table) != size:
         raise BadSpec(f"{what} table must have {size} rows")

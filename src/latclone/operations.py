@@ -22,7 +22,7 @@ from .errors import (
     JoinInSemilatticeMode,
     LimitExceeded,
 )
-from .lattice import as_indices, check_index_dtype
+from .lattice import as_count, as_indices, check_index_dtype
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
@@ -418,25 +418,43 @@ def _slice_arguments(generator_ops, n):
     return generator_ops, generator_ops[0].size, n
 
 
-_RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged), see _generator_record
+_RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged, walks), see _generator_record
+
+
+def _record_key(generator_ops):
+    return tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops)
 
 
 def _generator_record(generator_ops):
-    """(family, ops, slices, judged), kept once per generator set: the family of
-    symmetry.separating_family or None, per generator (arity, symmetric,
-    narrow values, the _packed apply of its bits on {p, q}^m or None), the
-    clone slices found so far, arity -> tables (see clone_slice), and the
-    verdicts on subalgebras so far, by member bits and by restricted
-    tables (see symmetry.separating_cells)."""
-    key = tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops)
+    """(family, ops, slices, judged, walks), kept once per generator set: the
+    family of symmetry.separating_family or None, per generator (arity,
+    symmetric, narrow values), the clone slices found so far, arity ->
+    tables (see clone_slice), the verdicts on subalgebras so far, by member
+    bits and by restricted tables (see symmetry.separating_cells), and with
+    a family the packed walks so far, arity -> derivations and terms (see
+    _packed_walk), else None.
+
+    A packed walk is fixed by the generators' arities, terms and bits on
+    {p, q}, so the walks are those of the factor's record: the generators'
+    bits as tables on {0, 1} with the same terms (C2's generators, for
+    every distributive lattice in lattice mode), and every generator set
+    with that factor shares them. The symmetric flags agree with the
+    factor's: the family embeds the carrier in a power of {p, q}, so a
+    generator is symmetric exactly when its bits are.
+    """
+    key = _record_key(generator_ops)
     if key not in _RECORDS:
         family = symmetry.separating_family(generator_ops)
-        ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)),
-                None if family is None else _packed(family[3][i], g.arity))
-               for i, g in enumerate(generator_ops)]
+        ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)))
+               for g in generator_ops]
+        walks = None
+        if family is not None:
+            factor = [OpTable(g.arity, 2, bits.view(np.uint8), g.provenance)
+                      for g, bits in zip(generator_ops, family[3])]
+            walks = {} if _record_key(factor) == key else _generator_record(factor)[4]
         if len(_RECORDS) >= 64:
             _RECORDS.clear()
-        _RECORDS[key] = family, ops, {}, ({}, {})
+        _RECORDS[key] = family, ops, {}, ({}, {}), walks
     return _RECORDS[key]
 
 
@@ -569,6 +587,32 @@ def _walk(start, walk_ops, limit, refusal):
     return rows[:count], np.concatenate(gens), np.concatenate(args, axis=1)
 
 
+def _terms(generator_ops, first, gens, args):
+    """The terms of a walk's tables: x_(i+1) for each projection i in first,
+    then each derived table's generator term composed from its arguments'."""
+    provs = [terms.Var(f"x{i + 1}") for i in first.tolist()]
+    composers = [(_composer(g), g.arity) for g in generator_ops]
+    for g, tuple_ in zip(gens.tolist(), args.T.tolist()):
+        compose, m = composers[g]
+        provs.append(compose([provs[c] for c in tuple_[:m]]))
+    return provs
+
+
+def _packed_walk(generator_ops, family, ops, walks, n, limit, refusal):
+    """(gens, args, terms) of the walk on {p, q}^n from the n projections, memoised
+    in walks (see _generator_record). A memoised walk of more than limit tables is
+    refused without a walk, and a refused walk memoises nothing."""
+    if n not in walks:
+        start = _packed_projections(n)
+        walk_ops = [(m, s, _packed(bits, m), (m + 2) * start[0].nbytes)
+                    for (m, s, _), bits in zip(ops, family[3])]
+        gens, args = _walk(start, walk_ops, limit, refusal)[1:]
+        walks[n] = gens, args, _terms(generator_ops, np.arange(n), gens, args)
+    elif n + len(walks[n][0]) > limit:
+        raise LimitExceeded(refusal)
+    return walks[n]
+
+
 def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The n-ary part of the clone generated by the given operations.
 
@@ -584,15 +628,20 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     applying a generator cellwise and tells term operations apart, so the
     walk finds, orders and refuses as a walk on every cell would. The full tables are then replayed from the
     derivations, one gather per level (the tables found at the positions
-    of the level before). Terms are composed at the end.
+    of the level before). Terms are composed once the walk has ended.
     Returns tables sorted by values, the rows of one value matrix (see
-    slice_matrix); raises LimitExceeded past the limit. Memoised in the
-    generator record: the result is a pure function of the generator
-    tables and terms, and the walk refuses exactly when it finds more than
-    limit tables, so a memoised slice longer than the limit is refused.
+    slice_matrix); raises LimitExceeded past the limit, and BadSpec for a
+    limit that is not a nonnegative integer. Memoised in the generator
+    record: the result is a pure function of the generator tables and
+    terms, and the walk refuses exactly when it finds more than limit
+    tables, so a memoised slice longer than the limit is refused. The
+    packed walk and its terms are memoised once per two-element factor
+    (see _generator_record), so a generator set whose factor has walked
+    at this arity only replays, sorts and checks its own tables.
     """
     generator_ops, size, n = _slice_arguments(generator_ops, n)
-    family, ops, slices, _ = _generator_record(generator_ops)
+    limit = as_count(limit, "limit")
+    family, ops, slices, _, walks = _generator_record(generator_ops)
     refusal = f"clone slice exceeds {limit} tables"
     if n in slices:
         if len(slices[n]) > limit:
@@ -600,21 +649,20 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
         return list(slices[n])
     narrow = np.min_scalar_type(size - 1)
     columns = argument_columns(size, n, narrow)  # the projections
+    first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
     if family is None:
         cells = symmetry.separating_cells(generator_ops, n)
-        start = columns[:, cells]
-        walk_ops = [_gathering(m, s, values, size, len(cells)) for m, s, values, _ in ops]
+        walk_ops = [_gathering(m, s, values, size, len(cells)) for m, s, values in ops]
+        gens, args = _walk(columns[:, cells][first], walk_ops, limit, refusal)[1:]
+        provs = _terms(generator_ops, first, gens, args)
     else:
-        start = _packed_projections(n)
-        walk_ops = [(m, s, apply, (m + 2) * start[0].nbytes) for m, s, _, apply in ops]
-    first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
-    gens, args = _walk(start[first], walk_ops, limit, refusal)[1:]
+        gens, args, provs = _packed_walk(generator_ops, family, ops, walks, n, limit, refusal)
     done = len(first)
     matrix = np.empty((len(gens) + done, size ** n), dtype=narrow)
     matrix[:done] = columns[first]
     # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
     width, step = len(args), max(1, BLOCK_CELLS // size ** n)
-    table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values, _ in ops])
+    table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values in ops])
     found_at, hi = args.max(axis=0), done
     while hi < len(matrix):
         end = done + int(found_at.searchsorted(hi))  # the level after the one ending at hi
@@ -625,11 +673,6 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
                 idx = idx * size + matrix.take(a, axis=0)
             matrix[s:s + len(idx)] = table.take(idx)
         hi = end
-    provs = [terms.Var(f"x{i + 1}") for i in first.tolist()]
-    composers = [(_composer(g), g.arity) for g in generator_ops]
-    for g, tuple_ in zip(gens.tolist(), args.T.tolist()):
-        compose, m = composers[g]
-        provs.append(compose([provs[c] for c in tuple_[:m]]))
     order = _lex_order(matrix)
     tables = _checked_tables(matrix[order], n, size, [provs[i] for i in order.tolist()])
     slices[n] = tuple(tables)
@@ -676,7 +719,7 @@ def _layer_plan(generator_ops, size, k):
         rounds, tuples = [], 0
         while lo < filled:
             hi, defines, checks = filled, [], []
-            for m, symmetric, values, _ in ops:
+            for m, symmetric, values in ops:
                 args = _tuples_with(lo, hi, m, symmetric)[0]
                 tuples += args.shape[1]
                 target = _lookup(values, digits.take(cells[args], axis=0), size) @ weights
@@ -828,6 +871,7 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     the pairs sorted.
     """
     generator_ops, size, k = _slice_arguments(generator_ops, k)
+    limit = as_count(limit, "limit")
     family = _generator_record(generator_ops)[0]
     if family is None:
         found, count = [], 0
@@ -852,12 +896,13 @@ def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
     the clone walk over its tuples (see _walk); raises LimitExceeded once a
     tuple is added past the limit."""
     ops = list(ops)
+    limit = as_count(limit, "limit")
     if any(op.size != relation.size for op in ops):
         raise ArityMismatch("closure across different carriers")
     size, h = relation.size, relation.arity
     if not len(relation) or not h or not ops:
         return relation
-    walk_ops = [_gathering(m, s, values, size, h) for m, s, values, _ in _generator_record(ops)[1]]
+    walk_ops = [_gathering(m, s, values, size, h) for m, s, values in _generator_record(ops)[1]]
     # a relation past the limit that is closed already is no refusal
     rows = _walk(relation._rows_and_keys()[0], walk_ops, max(limit, len(relation)),
                  f"closure exceeds {limit} tuples")[0]

@@ -27,7 +27,7 @@ from .errors import (
     NotDistributive,
 )
 from .formulas import PPFormula, _defining_mask, eval_formula, random_formula
-from .lattice import is_boolean, is_distributive, is_distributive_semilattice
+from .lattice import as_count, is_boolean, is_distributive, is_distributive_semilattice
 from .operations import DEFAULT_CLONE_LIMIT, generators
 from .qe import eliminate_boolean, eliminate_semilattice
 
@@ -189,8 +189,10 @@ def decide_sdc(structure, mode, verify=25, seed=0, limit=DEFAULT_CLONE_LIMIT) ->
     yes exactly for distributive semilattices. With verify > 0, negative
     verdicts are re-proved by showing the witness is not a solution set (the
     gap tuple is attached) and positive verdicts by that many seeded
-    quantifier elimination round-trips.
+    quantifier elimination round-trips. A verify or limit that is not a
+    nonnegative integer is refused (BadSpec).
     """
+    verify, limit = as_count(verify, "verify"), as_count(limit, "limit")
     if mode not in ("lattice", "semilattice"):
         raise BadSpec(f"unknown mode {mode!r}")
     if mode == "lattice":

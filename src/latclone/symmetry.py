@@ -155,15 +155,15 @@ def two_valued_homomorphisms(generator_ops, family, k, limit):
 
 def _generated(held, ops):
     """The subalgebras the rows of a (sets x size) boolean matrix generate, as
-    another; ops holds each generator's (arity, symmetric, narrow values,
-    apply), as operations._generator_record keeps them."""
+    another; ops holds each generator's (arity, symmetric, narrow values),
+    as operations._generator_record keeps them."""
     while True:
         grown, member, tuples = held.copy(), held, [None]
         for m in range(1, max(m for m, *_ in ops) + 1):  # per set, the m-tuples of its members
             if m > 1:
                 member = (member[:, :, None] & held[:, None, :]).reshape(len(held), -1)
             tuples.append(member.nonzero())
-        for m, _, values, _ in ops:
+        for m, _, values in ops:
             row, code = tuples[m]
             grown[row, values[code]] = True
         if (grown == held).all():
@@ -191,7 +191,7 @@ def _judge(members, mask, ops, judged):
     cells = [None, elements]  # per arity m, the member m-tuples as cells of a table
     for m in range(2, max(m for m, *_ in ops) + 1):
         cells.append((cells[-1][:, None] * size + elements).reshape(-1))
-    tables = [relabel[values[cells[m]]].reshape((len(elements),) * m) for m, _, values, _ in ops]
+    tables = [relabel[values[cells[m]]].reshape((len(elements),) * m) for m, _, values in ops]
     key = b"".join(t.tobytes() for t in tables)
     if key not in by_tables:
         by_tables[key] = _verdict(separating_family(tables))
@@ -226,7 +226,7 @@ def separating_cells(generator_ops, n):
     """
     from .operations import BLOCK_CELLS, _generator_record, _row_keys, argument_columns
 
-    family, ops, _, judged = _generator_record(generator_ops)
+    family, ops, _, judged, _ = _generator_record(generator_ops)
     size = generator_ops[0].size
     held = np.zeros((size ** n, size), dtype=bool)  # the entries of each cell
     held[np.arange(size ** n), argument_columns(size, n)] = True

@@ -6,6 +6,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latclone import catalog, equations, operations, terms
 from latclone.equations import (
@@ -29,7 +31,13 @@ from latclone.operations import (
     projection,
 )
 
-from helpers import slow_clone_slice, slow_equations_of, slow_galois_closure
+from helpers import (
+    down_set_lattices,
+    intersection_closed_families,
+    slow_clone_slice,
+    slow_equations_of,
+    slow_galois_closure,
+)
 
 C2 = catalog.chain(2)
 C3 = catalog.chain(3)
@@ -233,6 +241,40 @@ def test_closure_laws_extensive_monotone_idempotent():
         assert galois_closure(close_small, gens) == close_small
 
 
+@pytest.fixture(scope="module")
+def one_memo():
+    """One _RECORDS for every example of a test, so that generated structures
+    with one two-element factor share its walks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operations, "_RECORDS", {})
+        yield
+
+
+def _check_closure_laws(structure, mode, data):
+    """Cl(T) holds T, Cl(T) is inside Cl(T') for T inside T', and Cl(Cl(T)) = Cl(T)."""
+    n = data.draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(0, structure.size - 1)] * n)
+    small = Relation(n, structure.size, data.draw(st.lists(cell, max_size=4)))
+    extra = Relation(n, structure.size, list(small) + [data.draw(cell)])
+    gens = generators(structure, mode)
+    close_small, close_extra = galois_closure(small, gens), galois_closure(extra, gens)
+    assert small.issubset(close_small) and extra.issubset(close_extra)
+    assert close_small.issubset(close_extra)
+    assert galois_closure(close_small, gens) == close_small
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(down_set_lattices(), st.sampled_from(["lattice", "semilattice"]), st.data())
+def test_closure_laws_on_down_set_lattices(one_memo, lattice, mode, data):
+    _check_closure_laws(lattice, mode, data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(intersection_closed_families(), st.data())
+def test_closure_laws_on_closure_systems(one_memo, semilattice, data):
+    _check_closure_laws(semilattice, "semilattice", data)
+
+
 def test_solution_sets_are_closed_under_the_centralizer():
     rng = random.Random(77)
     for lattice in (C3, B2):
@@ -292,6 +334,16 @@ def test_a_relation_on_another_carrier_is_refused_before_any_work(monkeypatch):
         for decide in (equations_of, galois_closure, is_solution_set):
             with pytest.raises(ArityMismatch, match=f"relation on {T.size} elements"):
                 decide(T, iter(gens))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, "5", -1])
+def test_malformed_limits_are_refused_before_any_memo(bad, monkeypatch):
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    T = Relation(2, 3, [(0, 1)])
+    for decide in (equations_of, galois_closure, is_solution_set):
+        with pytest.raises(BadSpec, match="^limit "):
+            decide(T, generators(C3, "lattice"), limit=bad)
+    assert not operations._RECORDS
 
 
 def test_theory_refuses_a_table_of_another_shape():

@@ -268,6 +268,10 @@ def test_componentwise_kernel_matches_the_loops(monkeypatch):
         ops = [f, random_op(rng, rng.randint(1, m), size)][:rng.randint(1, 2)]
         full = len(slow_closure_under(relation, ops, 10 ** 6))
         limit = rng.choice([0, 1, len(relation), full - 1, full, 10 ** 6])
+        if limit < 0:  # full - 1 for the empty relation: an input error, not a refusal
+            with pytest.raises(BadSpec, match="limit must be nonnegative, got -1"):
+                closure_under(relation, ops, limit)
+            limit = 0
         expected = (slow_preserves(f, relation),
                     _closure_or_refusal(slow_closure_under, relation, ops, limit))
         for cap in (operations.BLOCK_CELLS, 1, 64, 1 << 40):
@@ -466,6 +470,94 @@ def test_a_memoised_slice_answers_every_limit_without_a_walk(monkeypatch):
                 clone_slice(gens, n, limit=count - 1)
             with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
                 operations.slice_matrix(gens, n, limit=count - 1)
+
+
+# Structures whose generators act alike on {p, q}: the distributive lattices in
+# lattice mode share one packed walk per arity, every semilattice another
+SHARED_WALKS = ([(structure, "lattice", n) for name, structure, mode in CATALOG_MODES
+                 if name in ("C3", "C4", "B2", "B3") and mode == "lattice" for n in (1, 2, 3)]
+                + [(structure, mode, n) for _, structure, mode in CATALOG_MODES
+                   if mode == "semilattice" for n in (1, 2, 3)]
+                + [(catalog.boolean_lattice(3), "lattice", 4), (catalog.chain(4), "lattice", 4)])
+
+
+def test_shared_walks_give_every_structure_its_cold_slice(monkeypatch):
+    cold = []
+    for structure, mode, n in SHARED_WALKS:
+        monkeypatch.setattr(operations, "_RECORDS", {})
+        cold.append(_rendered(clone_slice(generators(structure, mode), n)))
+    walk, starts = operations._walk, []
+
+    def counted(start, *args):
+        starts.append(len(start))
+        return walk(start, *args)
+
+    monkeypatch.setattr(operations, "_walk", counted)
+    for order in (range(len(cold)), reversed(range(len(cold)))):
+        monkeypatch.setattr(operations, "_RECORDS", {})
+        starts.clear()
+        for i in order:
+            structure, mode, n = SHARED_WALKS[i]
+            assert _rendered(clone_slice(generators(structure, mode), n)) == cold[i]
+        # one walk per factor and arity: lattice n = 1..4, semilattice n = 1..3
+        assert sorted(starts) == [1, 1, 2, 2, 3, 3, 4]
+
+
+def test_a_shared_walk_answers_every_limit_without_a_walk(monkeypatch):
+    # the walk refuses exactly when it finds more than limit tables, so a walk
+    # memoised by one structure refuses and answers for another with its factor
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    for mode, walked, other, n in [("lattice", C3, catalog.boolean_lattice(3), 3),
+                                   ("lattice", B2, catalog.chain(4), 4),
+                                   ("semilattice", N5, catalog.fence(), 3)]:
+        count = len(clone_slice(generators(walked, mode), n))
+
+        def unused(*args):
+            raise AssertionError("a shared walk is not walked again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operations, "_walk", unused)
+            gens = generators(other, mode)
+            with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
+                clone_slice(gens, n, limit=count - 1)
+            assert _rendered(clone_slice(gens, n, limit=count)) == _rendered(
+                slow_clone_slice(gens, n, count))
+
+
+def test_a_refused_walk_memoises_nothing(monkeypatch):
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    gens = generators(catalog.boolean_lattice(3), "lattice")
+    with pytest.raises(LimitExceeded, match="clone slice exceeds 5 tables"):
+        clone_slice(gens, 3, limit=5)
+    assert operations._generator_record(gens)[4] == {}
+    _same_clone_as_oracle(generators(catalog.chain(4), "lattice"), 3, limit=18)
+
+
+def test_a_generator_with_another_term_walks_for_its_own_terms(monkeypatch):
+    # x2 /\ x1 has the bits of x1 /\ x2 on {p, q} but other terms: its own walk
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    x1, x2 = terms.Var("x1"), terms.Var("x2")
+    swapped = term_to_op(terms.Meet(x2, x1), ("x1", "x2"), C3)
+    for n in (1, 2, 3):
+        clone_slice(generators(C3, "lattice"), n)
+        clone_slice(generators(C3, "semilattice"), n)
+        _same_clone_as_oracle([swapped, join_op(C3)], n)
+        _same_clone_as_oracle([swapped], n)
+    rendered = [term for _, term in _rendered(clone_slice([swapped], 2))]
+    assert "x2 /\\ x1" in rendered and "x1 /\\ x2" not in rendered
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, "5", -1])
+def test_malformed_limits_are_refused_before_any_memo(bad, monkeypatch):
+    monkeypatch.setattr(operations, "_RECORDS", {})
+    gens = generators(C3, "lattice")
+    for call in (lambda: clone_slice(gens, 2, limit=bad),
+                 lambda: centralizer_slice(gens, 1, limit=bad),
+                 lambda: closure_under(Relation(2, 3, [(0, 1)]), gens, limit=bad)):
+        with pytest.raises(BadSpec, match="^limit "):
+            call()
+    assert not operations._RECORDS
+    assert len(clone_slice(gens, 2, limit=np.int64(4))) == 4
 
 
 def _with_and_without_family(monkeypatch):

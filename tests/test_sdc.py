@@ -3,12 +3,14 @@
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from latclone import catalog, sdc
 from latclone.equations import galois_closure, is_solution_set
 from latclone.errors import (
+    BadSpec,
     IsBoolean,
     IsDistributive,
     IsDistributiveSemilattice,
@@ -390,6 +392,17 @@ def test_verdict_json_is_stable():
 def test_verify_zero_skips_verification():
     verdict = decide_sdc(B2, "lattice", verify=0)
     assert verdict.holds and not verdict.verified and verdict.qe_samples == 0
+
+
+@pytest.mark.parametrize("field", ["verify", "limit"])
+@pytest.mark.parametrize("bad", [True, 1.5, None, "5", -3])
+def test_malformed_verify_and_limit_are_refused(field, bad):
+    # on B2 verify counts round trips, on C3 limit bounds the witness's slice
+    for structure in (B2, C3):
+        with pytest.raises(BadSpec, match=f"^{field} "):
+            decide_sdc(structure, "lattice", **{field: bad})
+    samples = decide_sdc(B2, "lattice", verify=np.int64(2)).to_json()["qeSamples"]
+    assert type(samples) is int and samples == 2
 
 
 def _one_atom_short(eliminate):
