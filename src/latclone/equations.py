@@ -19,7 +19,6 @@ from .operations import (
     clone_slice,
     decode_index,
     relation_from_mask,
-    slice_matrix,
     term_to_op,
 )
 
@@ -162,7 +161,7 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
         raise ArityMismatch(f"a relation on {relation.size} elements with generators "
                             f"on {generator_ops[0].size}")
     ops = clone_slice(generator_ops, relation.arity, limit=limit)
-    matrix = slice_matrix(generator_ops, relation.arity, limit=limit)
+    matrix = ops[0]._matrix  # the slice's value matrix (see slice_matrix)
     groups = {}  # blocks in order of their first table
     for i, key in enumerate(map(bytes, matrix[:, _cells(relation)])):
         groups.setdefault(key, []).append(i)

@@ -101,51 +101,11 @@ def _check_semilattice_axioms(op, size, what):
                     raise AxiomViolation(f"{what} is not associative at ({a},{b},{c})")
 
 
-class FiniteLattice:
-    """A finite lattice with explicit meet and join tables.
-
-    The derived order is x <= y iff x meet y = x; construction verifies that
-    the join table induces the same order and that absorption holds, and
-    computes the bottom and top elements.
-    """
-
-    kind = "lattice"
-
-    def __init__(self, names, meet, join, max_size=MAX_CARRIER):
-        self.names = _normalize_names(names)
-        self.size = len(self.names)
-        if self.size > max_size:
-            raise BadSpec(f"carrier of size {self.size} exceeds the cap {max_size}")
-        self.meet = _normalize_table(meet, self.size, "meet")
-        self.join = _normalize_table(join, self.size, "join")
-        _check_semilattice_axioms(self.meet, self.size, "meet")
-        _check_semilattice_axioms(self.join, self.size, "join")
-        for a in range(self.size):
-            for b in range(self.size):
-                if self.meet[a][self.join[a][b]] != a:
-                    raise AxiomViolation(f"absorption x /\\ (x \\/ y) = x fails at ({a},{b})")
-                if self.join[a][self.meet[a][b]] != a:
-                    raise AxiomViolation(f"absorption x \\/ (x /\\ y) = x fails at ({a},{b})")
-                if (self.meet[a][b] == a) != (self.join[a][b] == b):
-                    raise AxiomViolation(f"meet and join induce different orders at ({a},{b})")
-        self.bottom = reduce(lambda x, y: self.meet[x][y], range(self.size))
-        self.top = reduce(lambda x, y: self.join[x][y], range(self.size))
-
-    def leq(self, a, b) -> bool:
-        return self.meet[a][b] == a
-
-    def index(self, label) -> int:
-        try:
-            return self.names.index(label)
-        except ValueError:
-            raise BadSpec(f"unknown element label {label!r}") from None
-
-    def __repr__(self):
-        return f"FiniteLattice({list(self.names)!r})"
-
-
 class FiniteSemilattice:
-    """A finite meet-semilattice; the top element is optional."""
+    """A finite meet-semilattice; the top element is optional.
+
+    The derived order is x <= y iff x meet y = x.
+    """
 
     kind = "semilattice"
 
@@ -164,14 +124,31 @@ class FiniteSemilattice:
     def leq(self, a, b) -> bool:
         return self.meet[a][b] == a
 
-    def index(self, label) -> int:
-        try:
-            return self.names.index(label)
-        except ValueError:
-            raise BadSpec(f"unknown element label {label!r}") from None
-
     def __repr__(self):
-        return f"FiniteSemilattice({list(self.names)!r})"
+        return f"{type(self).__name__}({list(self.names)!r})"
+
+
+class FiniteLattice(FiniteSemilattice):
+    """A finite lattice: a meet-semilattice with an explicit join table.
+
+    Construction verifies that the join table induces the same order and
+    that absorption holds; a lattice's meet order always has a top.
+    """
+
+    kind = "lattice"
+
+    def __init__(self, names, meet, join, max_size=MAX_CARRIER):
+        super().__init__(names, meet, max_size=max_size)
+        self.join = _normalize_table(join, self.size, "join")
+        _check_semilattice_axioms(self.join, self.size, "join")
+        for a in range(self.size):
+            for b in range(self.size):
+                if self.meet[a][self.join[a][b]] != a:
+                    raise AxiomViolation(f"absorption x /\\ (x \\/ y) = x fails at ({a},{b})")
+                if self.join[a][self.meet[a][b]] != a:
+                    raise AxiomViolation(f"absorption x \\/ (x /\\ y) = x fails at ({a},{b})")
+                if (self.meet[a][b] == a) != (self.join[a][b] == b):
+                    raise AxiomViolation(f"meet and join induce different orders at ({a},{b})")
 
 
 def _order_from_covers(names, covers):
@@ -233,16 +210,21 @@ def from_covers(names, covers, kind="lattice", max_size=MAX_CARRIER):
 def from_meet_table(names, meet, kind="lattice", max_size=MAX_CARRIER):
     """Build a validated structure from labels and an explicit meet table.
 
-    For kind "lattice" the join table is derived as least upper bounds of the
-    order induced by the meet; a pair without an upper bound is NotALattice.
+    For kind "lattice" the join of a and b is derived as the meet of their
+    common upper bounds, which is their least one; a pair without an upper
+    bound is NotALattice.
     """
+    semilattice = FiniteSemilattice(names, meet, max_size=max_size)
     if kind == "semilattice":
-        return FiniteSemilattice(names, meet, max_size=max_size)
-    probe = FiniteSemilattice(names, meet, max_size=max_size)
-    size = probe.size
-    leq = [[probe.leq(a, b) for b in range(size)] for a in range(size)]
-    join = [[_lub(leq, size, a, b, probe.names) for b in range(size)] for a in range(size)]
-    return FiniteLattice(probe.names, probe.meet, join, max_size=max_size)
+        return semilattice
+    names, meet, size = semilattice.names, semilattice.meet, semilattice.size
+    up = [{c for c in range(size) if meet[a][c] == a} for a in range(size)]
+    if semilattice.top is None:  # two maximal elements, so some pair has no upper bound
+        a, b = next((a, b) for a in range(size) for b in range(size) if not up[a] & up[b])
+        raise NotALattice(f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
+    join = [[reduce(lambda x, y: meet[x][y], up[a] & up[b]) for b in range(size)]
+            for a in range(size)]
+    return FiniteLattice(names, meet, join, max_size=max_size)
 
 
 def construct(names, covers=None, meet=None, kind="lattice", max_size=MAX_CARRIER):
@@ -350,8 +332,7 @@ def forbidden_sublattice(lattice):
     recognised by its join-prime certificate, and only a lattice that fails
     the law is searched for the shape.
     """
-    if getattr(lattice, "_distributive_cache", None) is None:
-        is_distributive(lattice)
+    is_distributive(lattice)
     return lattice._distributive_cache[2]
 
 
@@ -412,23 +393,23 @@ class BooleanStructure:
 
 
 def is_boolean(lattice):
-    """Boolean verdict; on success also the unique complement map."""
+    """Boolean verdict; on success also the unique complement map.
+
+    A distributive lattice with k join-primes embeds in 2^k through their
+    images (see _join_prime_certificate), so it is Boolean exactly when it
+    has 2^k elements; the complement of x is then the element whose image
+    is the complement of x's.
+    """
     cached = getattr(lattice, "_boolean_cache", None)
     if cached is not None:
         return cached
-    distributive, _ = is_distributive(lattice)
     result = (False, None)
-    if distributive:
-        complement = []
-        for x in range(lattice.size):
-            mates = [y for y in range(lattice.size)
-                     if lattice.meet[x][y] == lattice.bottom
-                     and lattice.join[x][y] == lattice.top]
-            if not mates:
-                break
-            complement.append(mates[0])
-        else:
-            result = (True, BooleanStructure(lattice, complement))
+    if is_distributive(lattice)[0]:
+        primes, images = lattice._distributive_cache[3:]
+        full = (1 << len(primes)) - 1
+        if lattice.size == full + 1:
+            element = {image: x for x, image in enumerate(images)}
+            result = (True, BooleanStructure(lattice, [element[image ^ full] for image in images]))
     lattice._boolean_cache = result
     return result
 
@@ -449,24 +430,10 @@ def join_irreducibles(lattice):
 
 
 def semilattice_to_lattice(semilattice) -> FiniteLattice:
-    """Extend a meet-semilattice with a top to a lattice.
-
-    The join of a and b is the meet of their common upper bounds, which is
-    nonempty because of the top and is itself an upper bound.
-    """
+    """Extend a meet-semilattice with a top to a lattice (see from_meet_table)."""
     if semilattice.top is None:
         raise NoGreatestElement("a semilattice without a greatest element has no join")
-    size = semilattice.size
-    meet = semilattice.meet
-    join = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            upper = [c for c in range(size)
-                     if semilattice.leq(a, c) and semilattice.leq(b, c)]
-            row.append(reduce(lambda x, y: meet[x][y], upper))
-        join.append(row)
-    return FiniteLattice(semilattice.names, meet, join, max_size=semilattice.size)
+    return from_meet_table(semilattice.names, semilattice.meet, max_size=semilattice.size)
 
 
 def is_distributive_semilattice(semilattice) -> bool:

@@ -126,6 +126,29 @@ def slow_is_distributive_semilattice(semilattice):
     return True
 
 
+def slow_complements(lattice):
+    """The complement map of a distributive lattice by a search over every
+    pair, or None if some element has no complement (complements in a
+    distributive lattice are unique, so the first one found is the one)."""
+    complement = []
+    for x in range(lattice.size):
+        mates = [y for y in range(lattice.size)
+                 if lattice.meet[x][y] == lattice.bottom and lattice.join[x][y] == lattice.top]
+        if not mates:
+            return None
+        complement.append(mates[0])
+    return tuple(complement)
+
+
+def slow_completion_join(semilattice):
+    """The join table of a meet-semilattice with a top: the join of a and b
+    is the meet of their common upper bounds, listed by the order."""
+    size = semilattice.size
+    return tuple(tuple(meet_of(semilattice, [c for c in range(size)
+                                             if semilattice.leq(a, c) and semilattice.leq(b, c)])
+                       for b in range(size)) for a in range(size))
+
+
 def brute_glb(leq, size, a, b):
     lower = [c for c in range(size) if leq[c][a] and leq[c][b]]
     best = [c for c in lower if all(leq[d][c] for d in lower)]

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -316,6 +318,45 @@ def test_pretty_output(capsys, files):
     assert "property holds: False" in out
 
 
+PRETTY = [
+    (["clone", "b2", "-n", "2"],
+     "4 operations of arity 2\n  x1 /\\ x2\n  x1\n  x2\n  x1 \\/ x2\n"),
+    (["centralizer", "c3", "-k", "1"],  # the monotone maps of a chain
+     "10 operations of arity 1\n" + "".join(f"  {list(v)}\n" for v in product(range(3), repeat=3)
+                                            if v[0] <= v[1] <= v[2])),
+    (["solve", "c3", "-e", "x /\\ y = x"],
+     "6 tuples of arity 2\n" + "".join(f"  {t}\n" for t in product(range(3), repeat=2)
+                                       if t[0] <= t[1])),
+    (["eval", "b2", "-e", "x <= y"],
+     "9 tuples of arity 2\n" + "".join(f"  {t}\n" for t in product(range(4), repeat=2)
+                                       if t[0] & t[1] == t[0])),
+    (["eq", "b2", "-T", "diagonal"],
+     "slice of 4 operations, 3 induced equations\n"
+     "  x1 /\\ x2 = x1\n  x1 /\\ x2 = x2\n  x1 /\\ x2 = x1 \\/ x2\n"),
+    (["galois", "n5", "-T", "rel"], "solution set: False\ngap tuple: (0, 0)\n"),
+    (["qe", "b2", "-e", "exists u . (x /\\ u <= y & z <= y \\/ u)"], "x /\\ z <= y\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PRETTY, ids=[argv[0] for argv, _ in PRETTY])
+def test_pretty_output_of_every_verb(capsys, files, argv, expected):
+    diagonal = files["tmp"] / "diagonal.json"
+    diagonal.write_text(json.dumps({"arity": 2, "tuples": [[0, 0], [3, 3]]}), encoding="utf-8")
+    files = dict(files, diagonal=str(diagonal))
+    code, out, err = run(capsys, [*(files.get(arg, arg) for arg in argv), "--pretty"])
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_sdc_reports_an_unverified_witness_when_the_slice_overflows(capsys, files):
+    # the witness's clone slice exceeds the limit, so the verdict stands unproved
+    code, out, err = run(capsys, ["sdc", files["n5"], "--limit", "1"])
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["holds"] is False and payload["route"] == "non-distributive-lattice"
+    assert payload["verified"] is False and "gapTuple" not in payload
+    assert payload["witness"]["arity"] == 2
+
+
 def test_bad_arguments_exit_one(capsys, files):
     assert main(["clone", files["n5"]]) == 1  # missing -n
     assert main(["frobnicate"]) == 1
@@ -370,3 +411,32 @@ def test_run_freezes_the_heap_once_main_returns(capsys, files, monkeypatch):
     finally:
         gc.unfreeze()
     assert json.loads(capsys.readouterr().out)["forbidden"]["kind"] == "N5"
+
+
+def test_run_ends_quietly_when_the_reader_stops_early(capsys, tmp_path, monkeypatch):
+    # latclone clone b3.json -n 4 | head -c 20: the answer outgrows the pipe,
+    # and the reader closes it after 20 bytes while print is still writing
+    b3 = catalog.boolean_lattice(3)
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps({"elements": list(b3.names), "meet": b3.meet}), encoding="utf-8")
+    read_end, write_end = os.pipe()
+    head = []
+
+    def reader():
+        head.append(os.read(read_end, 20))
+        os.close(read_end)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    stdout = open(write_end, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "argv", ["latclone", "clone", str(path), "-n", "4"])
+    try:
+        assert cli.run() == 1
+    finally:
+        gc.unfreeze()
+        stdout.close()  # its fd now points at os.devnull, so the last flush succeeds
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert head[0].startswith(b'{"arity":4')
+    assert capsys.readouterr().err == ""

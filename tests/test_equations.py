@@ -369,3 +369,21 @@ def test_equations_of_on_a_large_relation_over_b4_is_one_gather():
     elapsed = time.perf_counter() - started
     assert len(theory.blocks) == 166
     assert elapsed < 0.05, f"equations_of took {elapsed:.3f}s"
+
+
+REFUSALS = [
+    (lambda: EquationSystem(2, 2, [(projection(2, 1, 2), projection(1, 1, 2))]),
+     ArityMismatch, "all equations must share the system arity"),
+    (lambda: EquationSystem(1, 2, [(projection(1, 1, 2), projection(1, 1, 3))]), ArityMismatch,
+     "all equations must share one carrier"),
+    (lambda: solve(EquationSystem(1, 2, []), C3), BadSpec, "system and algebra carriers differ"),
+    (lambda: EqTheory(1, 2, [projection(1, 1, 2)], [[0], [0]]), BadSpec,
+     "blocks must partition the slice"),
+]
+
+
+@pytest.mark.parametrize("build, error, match", REFUSALS,
+                         ids=["system-arity", "system-carrier", "solve-carrier", "partition"])
+def test_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -383,3 +383,20 @@ def test_five_variable_formulas_on_b4_stay_small():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (phi.render(), peak)
+
+
+REFUSALS = [
+    (lambda: PPFormula(free_vars=("x",), bound_vars=("x",), atoms=()), BadSpec,
+     "a variable cannot be both free and bound"),
+    (lambda: parse_formula("x = exists"), FormulaSyntaxError,
+     "'exists' cannot be used as a variable"),
+    (lambda: parse_formula("x = y )"), FormulaSyntaxError, "unexpected '\\)' after the conjunction"),
+    (lambda: parse_formula("x = y", mode="boolean"), BadSpec, "unknown mode 'boolean'"),
+]
+
+
+@pytest.mark.parametrize("build, error, match", REFUSALS,
+                         ids=["free-and-bound", "exists-variable", "trailing-token", "unknown-mode"])
+def test_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

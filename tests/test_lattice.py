@@ -3,11 +3,12 @@
 import time
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latclone import catalog, lattice
+from latclone import catalog, cli, lattice
 from latclone.errors import (
     AxiomViolation,
     BadSpec,
@@ -15,8 +16,11 @@ from latclone.errors import (
     NotALattice,
 )
 from latclone.lattice import (
+    MAX_CARRIER,
     BooleanStructure,
     FiniteLattice,
+    FiniteSemilattice,
+    as_indices,
     construct,
     cover_pairs,
     forbidden_sublattice,
@@ -28,6 +32,8 @@ from latclone.lattice import (
     join_irreducibles,
     semilattice_to_lattice,
 )
+from latclone.operations import generators
+from latclone.sdc import decide_sdc
 
 from helpers import (
     Embedding,
@@ -37,6 +43,8 @@ from helpers import (
     down_set_lattices,
     intersection_closed_families,
     slow_birkhoff_embed,
+    slow_complements,
+    slow_completion_join,
     slow_is_distributive_semilattice,
     slow_join_primes,
 )
@@ -126,6 +134,49 @@ def test_axiom_violations_are_rejected():
     with pytest.raises(AxiomViolation):
         # idempotence failure
         from_meet_table(["0", "1"], [[1, 0], [0, 1]], kind="semilattice")
+
+
+# Each entry fails one check and passes every check made before it. V is the
+# meet of 0 below two maximal elements; the three-element tables with
+# absorption failures are semilattice operations, so only absorption fails.
+V = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+REFUSALS = [
+    (lambda: from_meet_table(["0", "1"], [[0, 0]]), BadSpec, "must have 2 rows"),
+    (lambda: from_meet_table(["0", "1"], [[0, 0], [0]]), BadSpec, "2 columns per row"),
+    (lambda: from_meet_table(["0", "1"], [[0, 0], [0, 2]]), BadSpec, "entry out of range"),
+    (lambda: from_meet_table(["0", "1", "2"], [[0, 0, 2], [0, 1, 1], [2, 1, 2]]),
+     AxiomViolation, r"meet is not associative at \(0,1,2\)"),
+    (lambda: FiniteLattice("abc", V, [[0, 1, 2], [1, 1, 1], [2, 1, 2]]),
+     AxiomViolation, r"absorption x /\\ \(x \\/ y\) = x fails at \(2,1\)"),
+    (lambda: FiniteLattice("abc", [[0, 0, 2], [0, 1, 2], [2, 2, 2]],
+                           [[0, 1, 1], [1, 1, 1], [1, 1, 2]]),
+     AxiomViolation, r"absorption x \\/ \(x /\\ y\) = x fails at \(0,2\)"),
+    (lambda: FiniteLattice("abc", V, V), AxiomViolation,
+     r"meet and join induce different orders at \(0,1\)"),
+    (lambda: from_covers([str(i) for i in range(MAX_CARRIER + 1)],
+                         [(0, i) for i in range(1, MAX_CARRIER + 1)], kind="semilattice"),
+     BadSpec, f"carrier of size {MAX_CARRIER + 1} exceeds the cap {MAX_CARRIER}"),
+    (lambda: from_covers(["a", "b"], [(0, 1), ("b", 1)]), BadSpec, "relates an element to itself"),
+    (lambda: construct(["a"], covers=[], kind="poset"), BadSpec, "unknown kind 'poset'"),
+    (lambda: BooleanStructure(B2, (3, 2, 1)), BadSpec, "complement map has the wrong length"),
+    (lambda: BooleanStructure(B2, (4, 2, 1, 0)), BadSpec, "complement map entry out of range"),
+    (lambda: as_indices(np.array([1.0, 2.0]), "entry"), BadSpec, "entry 1.0 is not an integer"),
+    (lambda: as_indices(np.zeros((2, 2), dtype=int), "entry"), BadSpec,
+     r"got an array of shape \(2, 2\)"),
+]
+
+
+@pytest.mark.parametrize("build, error, match", REFUSALS, ids=[
+    "rows", "columns", "entry-range", "associativity", "absorption-meet", "absorption-join",
+    "order-agreement", "semilattice-cap", "self-cover", "unknown-kind", "complement-length",
+    "complement-range", "float-array", "2d-array"])
+def test_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_a_one_dimensional_integer_array_is_read_as_indices():
+    assert as_indices(np.array([3, 0], dtype=np.uint8), "entry") == (3, 0)
 
 
 def test_size_cap_is_configurable():
@@ -318,6 +369,51 @@ def test_boolean_structure_validation():
         BooleanStructure(B2, (3, 2, 0, 1))  # not an involution
     with pytest.raises(BadSpec, match="3.9 is not an integer"):
         BooleanStructure(B2, [3.9, 2.2, 1.5, 0.1])  # not truncated to (3, 2, 1, 0)
+
+
+def _assert_lattice_layer_matches_the_oracles(lat):
+    """is_boolean's verdict and complement map are the pairwise search's,
+    the completion of the meet reduct has the meet-of-upper-bounds join, and
+    the lattice keeps its kind: generators, decide_sdc and the CLI's report
+    treat it as a lattice and its meet reduct as a semilattice."""
+    expected = slow_complements(lat) if brute_distributive(lat) else None
+    verdict, structure = is_boolean(lat)
+    assert verdict is (expected is not None)
+    assert (structure.complement if verdict else None) == expected
+    reduct = FiniteSemilattice(lat.names, lat.meet)
+    assert semilattice_to_lattice(reduct).join == slow_completion_join(reduct) == lat.join
+    assert from_meet_table(lat.names, lat.meet).join == lat.join
+    assert isinstance(lat, FiniteSemilattice) and (lat.kind, reduct.kind) == ("lattice", "semilattice")
+    assert repr(lat).startswith("FiniteLattice([") and repr(reduct).startswith("FiniteSemilattice([")
+    assert [g.arity for g in generators(lat, "lattice")] == [2, 2]
+    assert decide_sdc(lat, "lattice", verify=0).holds is verdict
+    report = cli._structure_report(lat)
+    assert (report["kind"], report["boolean"]) == ("lattice", verdict)
+    assert cli._structure_report(reduct)["kind"] == "semilattice"
+    for refused in (lambda: generators(reduct, "lattice"), lambda: decide_sdc(reduct, "lattice")):
+        with pytest.raises(BadSpec, match="lattice mode needs a lattice"):
+            refused()
+
+
+def test_lattice_layer_matches_the_oracles_on_the_catalog():
+    for lat in [*LATTICES, catalog.boolean_lattice(4)]:
+        _assert_lattice_layer_matches_the_oracles(construct(lat.names, meet=lat.meet))
+        _assert_lattice_layer_matches_the_oracles(_relabelled(lat, [*range(1, lat.size), 0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(down_set_lattices(), st.data())
+def test_lattice_layer_matches_the_oracles_on_down_set_lattices(lat, data):
+    _assert_lattice_layer_matches_the_oracles(_relabelled(lat, data.draw(st.permutations(range(lat.size)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(intersection_closed_families(), st.data())
+def test_lattice_layer_matches_the_oracles_on_closure_system_completions(semilattice, data):
+    if semilattice.top is not None:
+        lat = semilattice_to_lattice(semilattice)
+        assert lat.join == slow_completion_join(semilattice)
+        _assert_lattice_layer_matches_the_oracles(_relabelled(lat, data.draw(st.permutations(range(lat.size)))))
 
 
 def test_join_irreducibles_of_boolean_cube_are_atoms():

@@ -1472,3 +1472,34 @@ def test_numpy_integers_are_accepted_as_indices():
     f = OpTable(np.int64(1), np.uint8(2), [1, 0])
     assert (type(f.arity), type(f.size)) == (int, int)
     assert len(centralizer_slice([meet_op(C2)], np.int64(1))) == 3
+
+
+X, Y = terms.Var("x"), terms.Var("y")
+REFUSALS = [
+    (lambda: OpTable(0, 2, [0]), BadSpec, "operations must have arity at least 1"),
+    (lambda: OpTable(1, 0, []), BadSpec, "carrier must be nonempty"),
+    (lambda: OpTable(2, 2, [0, 1, 1]), BadSpec, "value table must have 4 entries"),
+    (lambda: Relation(-1, 2, []), BadSpec, "relations must have nonnegative arity"),
+    (lambda: Relation(2, 2, [(0, 1), (1,)]), BadSpec, r"tuple \(1,\) does not have arity 2"),
+    (lambda: Relation(2, 2, [(0, 2)]), BadSpec, r"tuple \(0, 2\) has an entry out of range"),
+    (lambda: term_to_op(terms.Meet(X, Y), ["x"], B2), BadSpec,
+     r"term uses variables outside the declared order: \['y'\]"),
+    (lambda: generators(B2, "boolean"), BadSpec, "unknown mode 'boolean'"),
+    (lambda: preserves(meet_op(C3), Relation(1, 2, [(0,)])), ArityMismatch,
+     "preservation across different carriers"),
+    (lambda: closure_under(Relation(1, 2, [(0,)]), [meet_op(C3)]), ArityMismatch,
+     "closure across different carriers"),
+    (lambda: clone_slice([], 2), BadSpec, "at least one generator is required"),
+    (lambda: clone_slice([meet_op(C2), meet_op(C3)], 2), BadSpec, "generators must share a carrier"),
+    (lambda: centralizer_slice(generators(C2, "lattice"), 0), BadSpec,
+     "slice arity must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("build, error, match", REFUSALS, ids=[
+    "optable-arity", "optable-size", "optable-length", "relation-arity", "tuple-arity",
+    "tuple-range", "undeclared-variable", "bad-mode", "preserves-carrier", "closure-carrier",
+    "no-generators", "generator-carriers", "slice-arity"])
+def test_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from latclone import catalog, terms
-from latclone.errors import JoinInSemilatticeMode, NotBoolean, NotDistributive
+from latclone.errors import BadSpec, JoinInSemilatticeMode, NotBoolean, NotDistributive
 from latclone.formulas import eval_formula, parse_formula, random_formula
 from latclone.lattice import is_boolean
 from latclone.operations import Relation
@@ -288,3 +288,22 @@ def test_multiple_bound_variables_eliminate_innermost_first():
     expected = Relation(2, 8, [(a, b) for a in range(8) for b in range(8)
                                if B3.leq(a, b)])
     assert eval_formula(phi, B3) == expected
+
+
+REFUSALS = [
+    (lambda: to_inequalities(parse_formula("x = y").atoms, "boolean"), BadSpec,
+     "unknown mode 'boolean'"),
+    (lambda: to_inequalities(parse_formula("x \\/ y = x").atoms, "semilattice"),
+     JoinInSemilatticeMode, "inequality normalisation in semilattice mode"),
+    (lambda: residuate("iv", is_boolean(B2)[1], 0, 1), BadSpec, "unknown residuation kind 'iv'"),
+    (lambda: eliminate_boolean(parse_formula("x = y"), B2R), BadSpec,
+     "lattice mode needs a lattice"),
+]
+
+
+@pytest.mark.parametrize("build, error, match", REFUSALS,
+                         ids=["unknown-mode", "join-in-semilattice", "residuation-kind",
+                              "lattice-mode-on-semilattice"])
+def test_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

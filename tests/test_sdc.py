@@ -450,3 +450,13 @@ def test_no_positive_round_trip_builds_a_relation(monkeypatch, mode):
     for structure in POSITIVE[mode]:
         verdict = decide_sdc(structure, mode)
         assert verdict.holds and verdict.verified and verdict.qe_samples == 25
+
+
+@pytest.mark.parametrize("structure, mode, match", [
+    (B2, "boolean", "unknown mode 'boolean'"),
+    (FENCE, "lattice", "lattice mode needs a lattice"),
+    (catalog.meet_reduct(B2), "lattice", "lattice mode needs a lattice"),
+], ids=["unknown-mode", "fence-lattice-mode", "reduct-lattice-mode"])
+def test_refusals(structure, mode, match):
+    with pytest.raises(BadSpec, match=match):
+        decide_sdc(structure, mode)
