@@ -269,6 +269,9 @@ def cmd_qe(args):
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
     phi = parse_formula(_read_formula_text(args), mode=mode)
+    if not phi.free_vars:
+        raise BadSpec("qe needs a formula with free variables: a sentence has no "
+                      "quantifier-free form to print (eval gives its truth value)")
     if mode == "lattice":
         out = eliminate_boolean(phi, structure)
     else:

@@ -240,6 +240,8 @@ def eval_formula(phi, algebra) -> "Relation":
 
     n = len(phi.free_vars)
     mask = _defining_mask(phi, algebra)
+    if isinstance(mask, int):  # bit c is cell c
+        mask = [bool(mask >> c & 1) for c in range(1 << n)]
     power = _boolean_power(algebra)
     if power is not None:
         mask = power.lift(mask, n)
@@ -247,15 +249,41 @@ def eval_formula(phi, algebra) -> "Relation":
 
 
 def _defining_mask(phi, algebra):
-    """The formula's mask, one axis per free variable: over the two-element
+    """The formula's mask over the free variables: over the two-element
     factor of a Boolean power, else over the structure itself.
 
     R -> R^[k] is injective, so two formulas with the same free variables
     define the same relation over the structure exactly when these masks
-    are equal.
+    are equal. On more than two elements the mask is the grid. On two it is
+    an int: bit c stands for cell c of {0, 1}^n, in lexicographic order with
+    the first variable most significant. Each variable takes its projection
+    column as value, meet and join on element indices are AND and OR (OR
+    and AND when index 1 is the bottom), and each free cell ORs its block of
+    bound cells.
     """
     power = _boolean_power(algebra)
-    return _grid_mask(phi, algebra if power is None else power.factor)
+    algebra = algebra if power is None else power.factor
+    if algebra.size != 2:
+        return _grid_mask(phi, algebra)
+    from operator import and_, or_
+
+    from .operations import term_evaluator
+
+    names = phi.free_vars + phi.bound_vars
+    mask = (1 << (1 << len(names))) - 1
+    # the column of a variable with h = 2^j cells per value, j the number of
+    # variables after it, sets the upper half of every block of 2h cells
+    env = {name: mask // ((1 << h) + 1) << h
+           for name, h in zip(names, (1 << j for j in reversed(range(len(names)))))}
+    ev = term_evaluator(algebra, (and_, or_) if algebra.meet[0][1] == 0 else (or_, and_))
+    for lhs, rhs in phi.atoms:
+        left, right = ev((lhs, rhs), env)
+        mask &= ~(left ^ right)
+    bound = len(phi.bound_vars)
+    if bound:
+        block = (1 << (1 << bound)) - 1
+        mask = sum(1 << f for f in range(1 << len(phi.free_vars)) if mask >> (f << bound) & block)
+    return mask
 
 
 def _grid_mask(phi, algebra):

@@ -139,6 +139,9 @@ class FiniteLattice(FiniteSemilattice):
 
     def __init__(self, names, meet, join, max_size=MAX_CARRIER):
         super().__init__(names, meet, max_size=max_size)
+        self._add_join(join)
+
+    def _add_join(self, join):
         self.join = _normalize_table(join, self.size, "join")
         _check_semilattice_axioms(self.join, self.size, "join")
         for a in range(self.size):
@@ -215,8 +218,11 @@ def from_meet_table(names, meet, kind="lattice", max_size=MAX_CARRIER):
     bound is NotALattice.
     """
     semilattice = FiniteSemilattice(names, meet, max_size=max_size)
-    if kind == "semilattice":
-        return semilattice
+    return semilattice if kind == "semilattice" else _with_join(semilattice)
+
+
+def _with_join(semilattice):
+    """The lattice of a validated semilattice: join as in from_meet_table, meet not rechecked."""
     names, meet, size = semilattice.names, semilattice.meet, semilattice.size
     up = [{c for c in range(size) if meet[a][c] == a} for a in range(size)]
     if semilattice.top is None:  # two maximal elements, so some pair has no upper bound
@@ -224,7 +230,11 @@ def from_meet_table(names, meet, kind="lattice", max_size=MAX_CARRIER):
         raise NotALattice(f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
     join = [[reduce(lambda x, y: meet[x][y], up[a] & up[b]) for b in range(size)]
             for a in range(size)]
-    return FiniteLattice(names, meet, join, max_size=max_size)
+    lattice = FiniteLattice.__new__(FiniteLattice)
+    for attr in ("names", "size", "meet", "bottom", "top"):
+        setattr(lattice, attr, getattr(semilattice, attr))
+    lattice._add_join(join)
+    return lattice
 
 
 def construct(names, covers=None, meet=None, kind="lattice", max_size=MAX_CARRIER):
@@ -433,7 +443,7 @@ def semilattice_to_lattice(semilattice) -> FiniteLattice:
     """Extend a meet-semilattice with a top to a lattice (see from_meet_table)."""
     if semilattice.top is None:
         raise NoGreatestElement("a semilattice without a greatest element has no join")
-    return from_meet_table(semilattice.names, semilattice.meet, max_size=semilattice.size)
+    return _with_join(semilattice)
 
 
 def is_distributive_semilattice(semilattice) -> bool:

@@ -266,20 +266,22 @@ def _flat_tables(algebra):
     return cached
 
 
-def term_evaluator(algebra):
+def term_evaluator(algebra, ops=None):
     """ev(roots, env): the values of the terms in roots, as a list, over the
-    int arrays env assigns to their variables.
+    values env assigns to their variables.
 
-    The evaluator indexes the structure's meet and join tables as 2-D arrays,
-    once per node. A root that recurs inside a later root is not evaluated
-    again: "s <= t" stands for the atom s = s /\\ t, and the s inside reads
-    the value of the root s. A join over a meet-semilattice raises
-    JoinInSemilatticeMode.
+    Unless ops gives the node operations as functions (meet, join), the
+    values are int arrays and the evaluator indexes the structure's meet
+    and join tables as 2-D arrays, once per node. A root that recurs inside
+    a later root is not evaluated again: "s <= t" stands for the atom
+    s = s /\\ t, and the s inside reads the value of the root s. A join
+    over a meet-semilattice raises JoinInSemilatticeMode.
     """
-    size = algebra.size
-    flat_meet, flat_join = _flat_tables(algebra)
-    meet = flat_meet.reshape(size, size)
-    join = None if flat_join is None else flat_join.reshape(size, size)
+    if ops is None:
+        size = algebra.size
+        tables = [flat if flat is None else flat.reshape(size, size) for flat in _flat_tables(algebra)]
+        ops = (lambda a, b: tables[0][a, b]), (lambda a, b: tables[1][a, b])
+    meet, join = ops
 
     def value(term, env, done):
         if isinstance(term, terms.Var):
@@ -288,11 +290,11 @@ def term_evaluator(algebra):
         if out is None:
             a, b = value(term.left, env, done), value(term.right, env, done)
             if isinstance(term, terms.Meet):
-                out = meet[a, b]
-            elif join is None:
+                out = meet(a, b)
+            elif algebra.kind != "lattice":
                 raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
             else:
-                out = join[a, b]
+                out = join(a, b)
         return out
 
     def ev(roots, env):

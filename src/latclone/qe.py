@@ -12,7 +12,9 @@ lower bounds have the form /\\a /\\ (\\/b)' and its upper bounds
 (/\\a)' \\/ \\/b, each kept as the variable-set pair (a, b). The interval
 is nonempty exactly when every lower bound lies below every upper bound,
 and each such comparison is rewritten without complements by residuation
-rule iii: a /\\ b' <= c' \\/ d iff a /\\ c <= b \\/ d.
+rule iii: a /\\ b' <= c' \\/ d iff a /\\ c <= b \\/ d. Each variable set
+is an int, bit i standing for the i-th variable in sorted-name order, so
+classifying an item is a few bit tests and pairing two bounds is an OR.
 
 Empty variable sets follow the conventions: an empty meet denotes the top
 element and an empty join the bottom element. They arise only inside
@@ -20,6 +22,7 @@ interval bounds; output atoms always have nonempty sides.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import terms
 from .errors import BadSpec, JoinInSemilatticeMode, NotBoolean, NotDistributive
@@ -52,16 +55,34 @@ class IneqSystem:
     mode: str
 
 
-def _clauses(term, split):
-    """Clauses (variable sets) of the term's normal form whose connective is
-    `split`: terms.Join gives the meet-clauses of the disjunctive normal form,
-    terms.Meet the join-clauses of the conjunctive one."""
+def _normal_forms(term, bit):
+    """The meet-clauses of the term's disjunctive and the join-clauses of its
+    conjunctive normal form, each clause as the OR of its variables' bits."""
     if isinstance(term, terms.Var):
-        return frozenset({frozenset({term.name})})
-    left, right = _clauses(term.left, split), _clauses(term.right, split)
-    if isinstance(term, split):
-        return left | right
-    return frozenset({a | b for a in left for b in right})
+        return {bit[term.name]}, {bit[term.name]}
+    (ldnf, lcnf), (rdnf, rcnf) = _normal_forms(term.left, bit), _normal_forms(term.right, bit)
+    if isinstance(term, terms.Join):
+        return ldnf | rdnf, {a | b for a in lcnf for b in rcnf}
+    return {a | b for a in ldnf for b in rdnf}, lcnf | rcnf
+
+
+def _normalise(atoms):
+    """The sorted names of the atoms' variables and the items of their
+    inequality system as pairs (meet bits, join bits), bit i for the i-th
+    name. A meet-only side has one meet-clause and one join-clause per
+    variable, so the clause pairs are also the items of semilattice mode."""
+    names = tuple(sorted(set().union(*(terms.variables(side) for atom in atoms for side in atom))))
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    items = set()
+    for lhs, rhs in atoms:
+        (lhs_dnf, lhs_cnf), (rhs_dnf, rhs_cnf) = _normal_forms(lhs, bit), _normal_forms(rhs, bit)
+        items.update(product(lhs_dnf, rhs_cnf), product(rhs_dnf, lhs_cnf))
+    return names, items
+
+
+def _item_key(item):
+    # bits are numbered in sorted-name order, so this sorts as IneqItem.sort_key
+    return [[i for i in range(bits.bit_length()) if bits >> i & 1] for bits in item]
 
 
 def to_inequalities(atoms, mode) -> IneqSystem:
@@ -76,20 +97,11 @@ def to_inequalities(atoms, mode) -> IneqSystem:
     """
     if mode not in ("lattice", "semilattice"):
         raise BadSpec(f"unknown mode {mode!r}")
-    items = set()
-    for lhs, rhs in atoms:
-        if mode == "semilattice" and (terms.uses_join(lhs) or terms.uses_join(rhs)):
-            raise JoinInSemilatticeMode("inequality normalisation in semilattice mode")
-        for s, t in ((lhs, rhs), (rhs, lhs)):
-            if mode == "lattice":
-                for m in _clauses(s, terms.Join):
-                    for j in _clauses(t, terms.Meet):
-                        items.add(IneqItem(m, j))
-            else:
-                m = frozenset(terms.variables(s))
-                for v in terms.variables(t):
-                    items.add(IneqItem(m, frozenset({v})))
-    return IneqSystem(tuple(sorted(items, key=IneqItem.sort_key)), mode)
+    if mode == "semilattice" and any(terms.uses_join(side) for atom in atoms for side in atom):
+        raise JoinInSemilatticeMode("inequality normalisation in semilattice mode")
+    names, items = _normalise(atoms)
+    return IneqSystem(tuple(IneqItem(*(frozenset(names[i] for i in side) for side in key))
+                            for key in sorted(map(_item_key, items))), mode)
 
 
 def residuate(kind, boolean, *operands):
@@ -128,68 +140,51 @@ def helly_condition(intervals, algebra):
 def _pairings(lower, upper):
     """The complement-free conditions lo <= hi for every lower bound
     /\\la /\\ (\\/lb)' and upper bound (/\\ha)' \\/ \\/hb, given as
-    (la, lb) and (ha, hb) variable-set pairs (residuation rule iii)."""
-    return [IneqItem(la | ha, lb | hb) for la, lb in lower for ha, hb in upper]
+    (la, lb) and (ha, hb) pairs of variable bits (residuation rule iii)."""
+    return [(la | ha, lb | hb) for la, lb in lower for ha, hb in upper]
 
 
-def _items_to_atoms(items):
-    """Canonical atoms for a set of nontrivial inequalities, in sorted order,
-    each item rendered as the equation s = s /\\ t (a semilattice item's
-    join side is one variable)."""
+def _items_to_atoms(items, names):
+    """Canonical atoms for a set of nontrivial items over the bits of names,
+    in sorted order, each item rendered as the equation s = s /\\ t (a
+    semilattice item's join side is one variable)."""
     atoms = []
-    for item in sorted(items, key=IneqItem.sort_key):
-        if not item.meet_vars or not item.join_vars:
+    for meet, join in sorted(map(_item_key, items)):
+        if not meet or not join:
             raise RuntimeError("eliminator produced an empty inequality side")
-        lhs = terms.meet_all(sorted(item.meet_vars))
-        atoms.append((lhs, terms.Meet(lhs, terms.join_all(sorted(item.join_vars)))))
+        lhs = terms.meet_all([names[i] for i in meet])
+        atoms.append((lhs, terms.Meet(lhs, terms.join_all([names[i] for i in join]))))
     return tuple(atoms)
 
 
-def _eliminate_one_boolean(items, u):
+def _eliminate_one(items, u):
+    """The items without u, and the pairings of the bounds the others put on
+    u. In semilattice mode the join side is one variable, so an item with u
+    there and not on the left is a lower bound with an empty join side."""
     survivors, lower, upper = [], [], []
-    for item in items:
-        in_meet = u in item.meet_vars
-        in_join = u in item.join_vars
-        if not in_meet and not in_join:
-            survivors.append(item)
-        elif in_meet and in_join:
-            pass  # a /\ u <= b \/ u always holds
-        elif in_meet:
-            upper.append((item.meet_vars - {u}, item.join_vars))
+    for m, j in items:
+        if m & u:
+            if not j & u:  # else it reads a /\ u <= b \/ u, which always holds
+                upper.append((m ^ u, j))
+        elif j & u:
+            lower.append((m, j ^ u))
         else:
-            lower.append((item.meet_vars, item.join_vars - {u}))
+            survivors.append((m, j))
     return survivors + _pairings(lower, upper)
 
 
-def _eliminate_one_semilattice(items, u):
-    survivors, lower, upper = [], [], []
-    for item in items:
-        target = next(iter(item.join_vars))
-        in_meet = u in item.meet_vars
-        if target == u:
-            if not in_meet:
-                lower.append((item.meet_vars, frozenset()))
-            # with u on the left too the item reads a /\ u <= u: always holds
-        elif in_meet:
-            upper.append((item.meet_vars - {u}, item.join_vars))
-        else:
-            survivors.append(item)
-    return survivors + _pairings(lower, upper)
-
-
-def _eliminate(phi, mode):
+def _eliminate(phi):
     if not phi.bound_vars:
         return phi
     atoms = phi.atoms
-    used = set().union(*(terms.variables(lhs) | terms.variables(rhs) for lhs, rhs in atoms))
-    if not used.isdisjoint(phi.bound_vars):
+    names, items = _normalise(atoms)
+    if not set(names).isdisjoint(phi.bound_vars):
         # a trivial item, with a variable on both sides, only ever yields
         # trivial conditions, so dropping them between steps loses nothing
-        eliminate_one = _eliminate_one_boolean if mode == "lattice" else _eliminate_one_semilattice
-        items = to_inequalities(atoms, mode).items
         for u in reversed(phi.bound_vars):
-            items = {item for item in eliminate_one(items, u) if not item.trivial()}
-        atoms = _items_to_atoms(items)
+            u = 1 << names.index(u) if u in names else 0
+            items = {(m, j) for m, j in _eliminate_one(items, u) if not m & j}
+        atoms = _items_to_atoms(items, names)
     return PPFormula(free_vars=phi.free_vars, bound_vars=(), atoms=atoms)
 
 
@@ -206,7 +201,7 @@ def eliminate_boolean(phi, lattice) -> PPFormula:
     boolean, _ = is_boolean(lattice)
     if not boolean:
         raise NotBoolean("quantifier elimination in lattice mode needs a Boolean lattice")
-    return _eliminate(phi, "lattice")
+    return _eliminate(phi)
 
 
 def eliminate_semilattice(phi, algebra) -> PPFormula:
@@ -225,4 +220,4 @@ def eliminate_semilattice(phi, algebra) -> PPFormula:
         distributive = is_distributive_semilattice(algebra)
     if not distributive:
         raise NotDistributive("semilattice quantifier elimination needs distributivity")
-    return _eliminate(phi, "semilattice")
+    return _eliminate(phi)

@@ -160,10 +160,11 @@ def _verify_negative(witness, structure, mode, limit):
 def _same_relation(phi, psi, structure):
     """Whether two formulas define the same relation over the structure.
 
-    Their masks decide it (over the two-element factor on a Boolean power);
-    neither relation is built.
+    Their masks decide it (over the two-element factor on a Boolean power,
+    as ints on two elements); neither relation is built.
     """
-    return np.array_equal(_defining_mask(phi, structure), _defining_mask(psi, structure))
+    left, right = _defining_mask(phi, structure), _defining_mask(psi, structure)
+    return left == right if isinstance(left, int) else np.array_equal(left, right)
 
 
 def _verify_positive(structure, mode, samples, seed):

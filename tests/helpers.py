@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from latclone import terms
 from latclone.errors import JoinInSemilatticeMode, LimitExceeded
+from latclone.formulas import PPFormula
 from latclone.lattice import FiniteLattice, FiniteSemilattice, join_irreducibles
 from latclone.operations import OpTable, Relation, argument_columns, decode_index
+from latclone.qe import IneqItem
 
 
 def evaluate(term, env, algebra) -> int:
@@ -46,6 +48,127 @@ def slow_eval_formula(phi, algebra):
         if found:
             hits.append(free)
     return Relation(len(phi.free_vars), size, hits)
+
+
+def grid_mask(phi, algebra):
+    """The mask of phi on the numpy grid, one axis per free variable: each
+    variable varies along its own axis, the terms index the meet and join
+    tables as arrays, and the bound axes are folded by "any"."""
+    size = algebra.size
+    names = phi.free_vars + phi.bound_vars
+    axes = len(names)
+    meet = np.array(algebra.meet)
+    join = np.array(algebra.join) if algebra.kind == "lattice" else None
+    env = {name: np.arange(size).reshape((1,) * i + (size,) + (1,) * (axes - 1 - i))
+           for i, name in enumerate(names)}
+
+    def value(term):
+        if isinstance(term, terms.Var):
+            return env[term.name]
+        a, b = value(term.left), value(term.right)
+        if isinstance(term, terms.Meet):
+            return meet[a, b]
+        if join is None:
+            raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+        return join[a, b]
+
+    mask = np.ones((size,) * axes, dtype=bool)
+    for lhs, rhs in phi.atoms:
+        mask &= value(lhs) == value(rhs)
+    if phi.bound_vars:
+        mask = mask.any(axis=tuple(range(len(phi.free_vars), axes)))
+    return mask
+
+
+def bit_cells(mask, n):
+    """The cells of an int mask over {0, 1}^n as a list of bools, cell c at bit c."""
+    return [bool(mask >> c & 1) for c in range(1 << n)]
+
+
+def wide_formula(rng, mode, nfree, nbound, atoms=4, depth=2):
+    """A random formula over free variables x0.. and bound variables u0..,
+    for more variables than random_formula draws."""
+    free = tuple(f"x{i}" for i in range(nfree))
+    bound = tuple(f"u{i}" for i in range(nbound))
+    pool = free + bound
+
+    def term(d):
+        if d == 0 or rng.random() < 0.4:
+            return terms.Var(rng.choice(pool))
+        node = terms.Meet if mode == "semilattice" or rng.random() < 0.5 else terms.Join
+        return node(term(d - 1), term(d - 1))
+
+    pairs = [(term(depth), term(depth)) for _ in range(atoms)]
+    # every variable occurs, so the formula has all of them
+    pairs.append((terms.meet_all(pool), terms.meet_all(pool[::-1])))
+    return PPFormula(free_vars=free, bound_vars=bound, atoms=tuple(pairs))
+
+
+def _clauses(term, split):
+    if isinstance(term, terms.Var):
+        return frozenset({frozenset({term.name})})
+    left, right = _clauses(term.left, split), _clauses(term.right, split)
+    if isinstance(term, split):
+        return left | right
+    return frozenset({a | b for a in left for b in right})
+
+
+def slow_inequalities(atoms, mode):
+    """The items of qe.to_inequalities, built on frozensets of names."""
+    items = set()
+    for lhs, rhs in atoms:
+        for s, t in ((lhs, rhs), (rhs, lhs)):
+            if mode == "lattice":
+                for m in _clauses(s, terms.Join):
+                    for j in _clauses(t, terms.Meet):
+                        items.add(IneqItem(m, j))
+            else:
+                m = frozenset(terms.variables(s))
+                for v in terms.variables(t):
+                    items.add(IneqItem(m, frozenset({v})))
+    return tuple(sorted(items, key=IneqItem.sort_key))
+
+
+def _slow_eliminate_one(items, u, mode):
+    survivors, lower, upper = [], [], []
+    for item in items:
+        if mode == "lattice":
+            in_meet, in_join = u in item.meet_vars, u in item.join_vars
+            if in_meet and not in_join:
+                upper.append((item.meet_vars - {u}, item.join_vars))
+            elif in_join and not in_meet:
+                lower.append((item.meet_vars, item.join_vars - {u}))
+            elif not in_meet:
+                survivors.append(item)
+        elif item.join_vars == {u}:
+            if u not in item.meet_vars:
+                lower.append((item.meet_vars, frozenset()))
+        elif u in item.meet_vars:
+            upper.append((item.meet_vars - {u}, item.join_vars))
+        else:
+            survivors.append(item)
+    return survivors + [IneqItem(la | ha, lb | hb) for la, lb in lower for ha, hb in upper]
+
+
+def slow_eliminate(phi, mode):
+    """qe's eliminator on frozensets of names: the bound variables go innermost
+    first, trivial items are dropped after each step, and the items are
+    rendered as the atoms s = s /\\ t in IneqItem.sort_key order. A formula
+    none of whose atoms uses a bound variable keeps its atoms."""
+    if not phi.bound_vars:
+        return phi
+    atoms = phi.atoms
+    if any(u in terms.variables(side) for atom in atoms for side in atom
+           for u in phi.bound_vars):
+        items = slow_inequalities(atoms, mode)
+        for u in reversed(phi.bound_vars):
+            items = {item for item in _slow_eliminate_one(items, u, mode) if not item.trivial()}
+        atoms = []
+        for item in sorted(items, key=IneqItem.sort_key):
+            lhs = terms.meet_all(sorted(item.meet_vars))
+            atoms.append((lhs, terms.Meet(lhs, terms.join_all(sorted(item.join_vars)))))
+        atoms = tuple(atoms)
+    return PPFormula(free_vars=phi.free_vars, bound_vars=(), atoms=atoms)
 
 
 def brute_distributive(lattice):

@@ -180,6 +180,19 @@ def test_qe_refusal_exit_code(capsys, files):
     assert out == "" and "refused" in err
 
 
+@pytest.mark.parametrize("structure, mode", [("b2", "lattice"), ("c3", "semilattice")])
+def test_qe_refuses_a_sentence_before_eliminating(capsys, files, structure, mode):
+    # eval answers a sentence with the 0-ary relation; qe has no formula to print
+    code, out, _ = run(capsys, ["eval", files[structure], "--mode", mode,
+                                "-e", "exists u . u = u"])
+    assert code == 0 and json.loads(out) == {"arity": 0, "tuples": [[]]}
+    for formula in ("exists u . u = u", "exists u v . u <= v"):
+        code, out, err = run(capsys, ["qe", files[structure], "--mode", mode, "-e", formula])
+        assert code == 1 and out == ""
+        assert err == ("latclone: error: qe needs a formula with free variables: a sentence "
+                       "has no quantifier-free form to print (eval gives its truth value)\n")
+
+
 def test_sdc_verb_and_determinism(capsys, files):
     argv = ["sdc", files["n5"], "--mode", "lattice", "--verify", "3", "--seed", "7"]
     code, first, _ = run(capsys, argv)

@@ -22,10 +22,18 @@ from latclone.formulas import (
     parse_formula,
     random_formula,
 )
-from latclone.lattice import is_boolean, semilattice_to_lattice
+from latclone.lattice import from_covers, is_boolean, semilattice_to_lattice
 from latclone.operations import Relation, relation_from_mask
 
-from helpers import down_set_lattices, intersection_closed_families, permuted, slow_eval_formula
+from helpers import (
+    bit_cells,
+    down_set_lattices,
+    grid_mask,
+    intersection_closed_families,
+    permuted,
+    slow_eval_formula,
+    wide_formula,
+)
 
 C3 = catalog.chain(3)
 B2 = catalog.boolean_lattice(2)
@@ -304,6 +312,35 @@ def test_a_join_over_a_boolean_semilattice_raises_as_on_the_grid(k):
     with pytest.raises(JoinInSemilatticeMode) as grid:
         formulas._grid_mask(phi, reduct)
     assert str(factor.value) == str(grid.value)
+
+
+def _two_element_structures():
+    c2 = catalog.chain(2)
+    yield "C2", c2
+    yield "mC2", catalog.meet_reduct(c2)
+    # index 1 is the bottom here, so meet is OR on element indices
+    yield "C2-top-first", from_covers(["1", "0"], [[1, 0]])
+    yield "mC2-top-first", from_covers(["1", "0"], [[1, 0]], kind="semilattice")
+
+
+@pytest.mark.parametrize("name,algebra", list(_two_element_structures()),
+                         ids=[name for name, _ in _two_element_structures()])
+def test_bit_masks_match_the_numpy_grid_on_two_elements(name, algebra):
+    assert algebra.meet[0][1] == (1 if name.endswith("top-first") else 0)
+    rng = random.Random(f"bit-mask:{name}")
+    for mode in ["lattice", "semilattice"][algebra.kind == "semilattice":]:
+        draws = [random_formula(rng, mode=mode) for _ in range(1000)]
+        assert sum(not phi.bound_vars for phi in draws) >= 100
+        # past 64 cells the mask is a multi-word int
+        draws += [wide_formula(rng, mode, nfree, nbound)
+                  for nfree, nbound in ((7, 0), (6, 1), (4, 3), (1, 6)) for _ in range(5)]
+        for phi in draws:
+            n = len(phi.free_vars)
+            grid = grid_mask(phi, algebra)
+            mask = formulas._defining_mask(phi, algebra)
+            assert isinstance(mask, int) and 0 <= mask < 1 << (1 << n)
+            assert bit_cells(mask, n) == grid.ravel().tolist()
+            assert eval_formula(phi, algebra) == relation_from_mask(grid, n, 2)
 
 
 def _is_boolean_power(structure):

@@ -4,12 +4,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latclone import catalog, terms
+from latclone import catalog, qe, terms
 from latclone.errors import BadSpec, JoinInSemilatticeMode, NotBoolean, NotDistributive
 from latclone.formulas import eval_formula, parse_formula, random_formula
 from latclone.lattice import is_boolean
-from latclone.operations import Relation
+from latclone.operations import Relation, relation_from_mask
 from latclone.qe import (
     IneqItem,
     _pairings,
@@ -20,7 +22,19 @@ from latclone.qe import (
     to_inequalities,
 )
 
-from helpers import evaluate, interval_elements, join_of, meet_of, slow_eval_formula
+from helpers import (
+    down_set_lattices,
+    evaluate,
+    grid_mask,
+    interval_elements,
+    join_of,
+    meet_of,
+    permuted,
+    slow_eliminate,
+    slow_eval_formula,
+    slow_inequalities,
+    wide_formula,
+)
 
 C3 = catalog.chain(3)
 C4 = catalog.chain(4)
@@ -128,15 +142,31 @@ def test_helly_matches_brute_force_on_pentagon():
 
 
 def test_bound_pairings():
-    upper = [(frozenset("c"), frozenset("d"))]  # (/\ c)' \/ d
+    a, b, c, d = 1, 2, 4, 8  # the bits of four variables
+    upper = [(c, d)]  # (/\ c)' \/ d
     # the complemented lower bound a /\ b' is below c' \/ d iff a /\ c <= b \/ d
-    assert _pairings([(frozenset("a"), frozenset("b"))], upper) == \
-        [IneqItem(frozenset("ac"), frozenset("bd"))]
+    assert _pairings([(a, b)], upper) == [(a | c, b | d)]
     # the pure-meet lower bound a, as in semilattice mode
-    assert _pairings([(frozenset("a"), frozenset())], upper) == \
-        [IneqItem(frozenset("ac"), frozenset("d"))]
+    assert _pairings([(a, 0)], upper) == [(a | c, d)]
     # with no lower bound the interval is never empty
     assert _pairings([], upper) == []
+
+
+@pytest.mark.parametrize("mode", ["lattice", "semilattice"])
+def test_normaliser_and_eliminator_match_the_frozenset_oracle(mode):
+    rng = random.Random(f"qe-oracle:{mode}")
+    without_bound = 0
+    for _ in range(1000):
+        phi = random_formula(rng, mode=mode)
+        without_bound += not phi.bound_vars
+        assert to_inequalities(phi.atoms, mode).items == slow_inequalities(phi.atoms, mode)
+        assert qe._eliminate(phi) == slow_eliminate(phi, mode)
+    assert without_bound >= 100
+    for nfree, nbound in ((7, 0), (4, 3), (3, 5)):
+        for _ in range(10):
+            phi = wide_formula(rng, mode, nfree, nbound)
+            assert to_inequalities(phi.atoms, mode).items == slow_inequalities(phi.atoms, mode)
+            assert qe._eliminate(phi) == slow_eliminate(phi, mode)
 
 
 def test_eliminate_boolean_no_bound_vars_is_identity():
@@ -288,6 +318,36 @@ def test_multiple_bound_variables_eliminate_innermost_first():
     expected = Relation(2, 8, [(a, b) for a in range(8) for b in range(8)
                                if B3.leq(a, b)])
     assert eval_formula(phi, B3) == expected
+
+
+def _round_trips_match(structure, mode, rng, draws):
+    """eval_formula gives one relation for each drawn formula and its
+    elimination, and the numpy grid over the structure gives it too."""
+    eliminate = eliminate_boolean if mode == "lattice" else eliminate_semilattice
+    for _ in range(draws):
+        # the grid over 16 elements stays at four variables
+        phi = random_formula(rng, mode=mode, max_bound=2 if structure.size <= 8 else 1)
+        out = eliminate(phi, structure)
+        assert out.bound_vars == ()
+        oracle = relation_from_mask(grid_mask(phi, structure), len(phi.free_vars),
+                                    structure.size)
+        assert eval_formula(out, structure) == eval_formula(phi, structure) == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(down_set_lattices().filter(lambda lattice: is_boolean(lattice)[0]), st.integers(0, 999))
+def test_boolean_round_trips_match_eval_on_generated_lattices(lattice, seed):
+    rng = random.Random(seed)
+    for structure in (lattice, permuted(lattice, rng)):
+        _round_trips_match(structure, "lattice", rng, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(down_set_lattices(), st.integers(0, 999))
+def test_semilattice_round_trips_match_eval_on_distributive_meet_reducts(lattice, seed):
+    rng = random.Random(seed)
+    for structure in (lattice, permuted(lattice, rng)):
+        _round_trips_match(catalog.meet_reduct(structure), "semilattice", rng, 4)
 
 
 REFUSALS = [
