@@ -17,10 +17,11 @@ _HOMES = {
     "lattice": ("BooleanStructure", "FiniteLattice", "FiniteSemilattice", "construct",
                 "forbidden_sublattice", "is_boolean", "is_distributive",
                 "is_distributive_semilattice", "semilattice_to_lattice"),
-    "operations": ("OpTable", "Relation", "centralizer_slice", "clone_slice", "closure_under",
+    "operations": ("OpTable", "centralizer_slice", "clone_slice", "closure_under",
                    "preserves", "projection"),
     "qe": ("IneqItem", "IneqSystem", "eliminate_boolean", "eliminate_semilattice",
            "helly_condition", "residuate", "to_inequalities"),
+    "relations": ("Relation",),
     "sdc": ("SdcVerdict", "decide_sdc", "witness_boolean_gap", "witness_lattice_pair",
             "witness_semilattice"),
 }

@@ -30,7 +30,10 @@ from .lattice import (
 
 # Each command imports the engines it runs when it runs, so a process pays
 # only for its own verb: check and props stay on the lattice layer, and
-# neither they nor qe load numpy. These engine functions stay readable as
+# numpy is loaded only by the verbs that compute with value tables (clone,
+# centralizer, eq, galois, solve --system, and sdc when it verifies a
+# negative verdict); eval, qe, solve -e/-f and a positive sdc run on the
+# bit planes of latclone.formulas. These engine functions stay readable as
 # attributes of this module, as they were when it imported them up front
 # (bench/test_bench.py checks them as binding sites of the tracer); each
 # read returns the engine module's current binding.
@@ -73,7 +76,7 @@ def load_structure(path):
 
 
 def load_relation(path, structure):
-    from .operations import Relation
+    from .relations import Relation
 
     data = _load_json(path)
     if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("tuples"), list)):
@@ -190,36 +193,38 @@ def cmd_centralizer(args):
             "count": len(ops), "operations": [op_json(op) for op in ops]}
 
 
-def _system_from_args(structure, args):
+def _system_from_file(structure, args):
     from .equations import EquationSystem
-    from .formulas import parse_formula
     from .operations import OpTable
 
+    if args.expr is not None or args.file is not None:
+        raise BadSpec("give the system as formulas or as raw tables, not both")
+    data = _load_json(args.system)
+    if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("pairs"), list)):
+        raise BadSpec(f"{args.system} must be an object with 'arity' and a 'pairs' list")
+    arity = as_indices([data["arity"]], "arity")[0]
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
+        raise BadSpec(f"each entry of 'pairs' in {args.system} must be a pair of tables")
+    pairs = [(OpTable(arity, structure.size, lhs), OpTable(arity, structure.size, rhs))
+             for lhs, rhs in data["pairs"]]
+    return EquationSystem(arity, structure.size, pairs)
+
+
+def cmd_solve(args):
+    """Raw tables go to equations.solve; a quantifier-free system in the DSL
+    is a formula, whose relation over its free variables is its solution set."""
+    structure = load_structure(args.structure)
     if args.system is not None:
-        if args.expr is not None or args.file is not None:
-            raise BadSpec("give the system as formulas or as raw tables, not both")
-        data = _load_json(args.system)
-        if not (isinstance(data, dict) and "arity" in data and isinstance(data.get("pairs"), list)):
-            raise BadSpec(f"{args.system} must be an object with 'arity' and a 'pairs' list")
-        arity = as_indices([data["arity"]], "arity")[0]
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
-            raise BadSpec(f"each entry of 'pairs' in {args.system} must be a pair of tables")
-        pairs = [(OpTable(arity, structure.size, lhs), OpTable(arity, structure.size, rhs))
-                 for lhs, rhs in data["pairs"]]
-        return EquationSystem(arity, structure.size, pairs)
+        from .equations import solve
+
+        return relation_json(solve(_system_from_file(structure, args), structure))
+    from .formulas import eval_formula, parse_formula
+
     mode = _structure_mode(structure, args)
     phi = parse_formula(_read_formula_text(args), mode=mode)
     if phi.bound_vars:
         raise BadSpec("an equation system must not contain quantifiers")
-    return EquationSystem.from_terms(phi.atoms, phi.free_vars, structure)
-
-
-def cmd_solve(args):
-    from .equations import solve
-
-    structure = load_structure(args.structure)
-    system = _system_from_args(structure, args)
-    return relation_json(solve(system, structure))
+    return relation_json(eval_formula(phi, structure))
 
 
 def cmd_eq(args):

@@ -13,14 +13,8 @@ import numpy as np
 from . import terms
 from .errors import ArityMismatch, BadSpec, LimitExceeded
 from .lattice import as_count
-from .operations import (
-    DEFAULT_CLONE_LIMIT,
-    Relation,
-    clone_slice,
-    decode_index,
-    relation_from_mask,
-    term_to_op,
-)
+from .operations import DEFAULT_CLONE_LIMIT, clone_slice, decode_index, term_to_op
+from .relations import Relation, relation_from_mask
 
 
 class EquationSystem:
@@ -62,7 +56,7 @@ def _solutions(system) -> Relation:
     mask = np.ones(system.size ** system.arity, dtype=bool)
     for f, g in system.pairs:
         mask &= f.array() == g.array()
-    return relation_from_mask(mask, system.arity, system.size)
+    return relation_from_mask(_packed(mask), system.arity, system.size)
 
 
 def solve(system, algebra) -> Relation:
@@ -133,11 +127,16 @@ class EqTheory:
 
     def closure(self) -> Relation:
         """Tuples at which every block is constant: the solution set of the theory."""
-        return relation_from_mask(self._closure_mask(), self.arity, self.size)
+        return relation_from_mask(_packed(self._closure_mask()), self.arity, self.size)
 
     def __repr__(self):
         sizes = sorted((len(b) for b in self.blocks), reverse=True)
         return f"EqTheory({self.arity}-ary, {len(self.ops)} ops, block sizes {sizes})"
+
+
+def _packed(mask):
+    """A flat boolean mask over the cells of A^n as an int, bit c for cell c."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _cells(relation):

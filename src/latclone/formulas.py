@@ -17,18 +17,18 @@ coordinate order of the relation a formula defines.
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import and_, or_
 
 from . import terms
+from .catalog import chain, meet_reduct
 from .errors import (
     BadSpec,
     FormulaSyntaxError,
     JoinInSemilatticeMode,
     UnknownVariable,
 )
-
-if TYPE_CHECKING:
-    from .operations import Relation
+from .lattice import is_boolean, semilattice_to_lattice
+from .relations import Relation, relation_from_mask
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>/\\|\\/|<=|=|&|\.|\(|\)))")
@@ -52,6 +52,17 @@ class PPFormula:
             stray = (terms.variables(lhs) | terms.variables(rhs)) - declared
             if stray:
                 raise UnknownVariable(f"undeclared variables {sorted(stray)} in atom")
+
+    @classmethod
+    def _trusted(cls, free_vars, bound_vars, atoms):
+        """A formula whose variables are known to be distinct, declared and
+        not both free and bound, as when its atoms are built from its own
+        names: the checks of __post_init__ are skipped."""
+        phi = object.__new__(cls)
+        for name, value in (("free_vars", free_vars), ("bound_vars", bound_vars),
+                            ("atoms", atoms)):
+            object.__setattr__(phi, name, value)
+        return phi
 
     def render(self) -> str:
         """DSL text that parses back to this formula.
@@ -224,24 +235,19 @@ def parse_formula(text, mode="lattice", variables=None) -> PPFormula:
     return PPFormula(free_vars=free, bound_vars=bound, atoms=atoms)
 
 
-def eval_formula(phi, algebra) -> "Relation":
+def eval_formula(phi, algebra) -> Relation:
     """The relation a formula defines, by exhaustive assignment and witness search.
 
     Free variables are assigned in their declared order; bound variables are
     searched existentially over the whole carrier. On a Boolean power 2^k,
-    told by the separating family of its generators (see _boolean_power),
-    the search runs on the two-element factor instead: pp-formulas are
-    preserved by direct products, so a tuple satisfies the formula exactly
-    when each of its k bit slices does over the factor.
-    Only evaluation needs numpy, so it is imported here: parsing and
-    quantifier elimination run without it.
+    told by is_boolean's join-prime images (see _boolean_power), the search
+    runs on the two-element factor instead: pp-formulas are preserved by
+    direct products, so a tuple satisfies the formula exactly when each of
+    its k bit slices does over the factor. Masks and relations are Python
+    ints and tuples, so evaluation runs without numpy.
     """
-    from .operations import relation_from_mask
-
     n = len(phi.free_vars)
     mask = _defining_mask(phi, algebra)
-    if isinstance(mask, int):  # bit c is cell c
-        mask = [bool(mask >> c & 1) for c in range(1 << n)]
     power = _boolean_power(algebra)
     if power is not None:
         mask = power.lift(mask, n)
@@ -249,144 +255,165 @@ def eval_formula(phi, algebra) -> "Relation":
 
 
 def _defining_mask(phi, algebra):
-    """The formula's mask over the free variables: over the two-element
-    factor of a Boolean power, else over the structure itself.
+    """The formula's mask over the free variables, as one int: over the
+    two-element factor of a Boolean power, else over the structure itself.
 
     R -> R^[k] is injective, so two formulas with the same free variables
     define the same relation over the structure exactly when these masks
-    are equal. On more than two elements the mask is the grid. On two it is
-    an int: bit c stands for cell c of {0, 1}^n, in lexicographic order with
-    the first variable most significant. Each variable takes its projection
-    column as value, meet and join on element indices are AND and OR (OR
-    and AND when index 1 is the bottom), and each free cell ORs its block of
-    bound cells.
+    are equal. Bit c stands for cell c of A^n, in lexicographic order with
+    the first variable most significant; the terms are evaluated on the
+    cells of A^(n+b), the bound variables last, and each free cell ORs its
+    block of A^b bound cells. On two elements a term's value is one int,
+    the cells at which it is element 1: each variable takes its projection
+    column, and meet and join are AND and OR (OR and AND when index 1 is
+    the bottom). On any other carrier it is one-hot: a dict from each
+    element the term takes to the int of the cells where it takes it (see
+    _plane_ops).
     """
     power = _boolean_power(algebra)
     algebra = algebra if power is None else power.factor
-    if algebra.size != 2:
-        return _grid_mask(phi, algebra)
-    from operator import and_, or_
-
-    from .operations import term_evaluator
-
-    names = phi.free_vars + phi.bound_vars
-    mask = (1 << (1 << len(names))) - 1
-    # the column of a variable with h = 2^j cells per value, j the number of
-    # variables after it, sets the upper half of every block of 2h cells
-    env = {name: mask // ((1 << h) + 1) << h
-           for name, h in zip(names, (1 << j for j in reversed(range(len(names)))))}
-    ev = term_evaluator(algebra, (and_, or_) if algebra.meet[0][1] == 0 else (or_, and_))
-    for lhs, rhs in phi.atoms:
-        left, right = ev((lhs, rhs), env)
-        mask &= ~(left ^ right)
-    bound = len(phi.bound_vars)
-    if bound:
-        block = (1 << (1 << bound)) - 1
-        mask = sum(1 << f for f in range(1 << len(phi.free_vars)) if mask >> (f << bound) & block)
-    return mask
-
-
-def _grid_mask(phi, algebra):
-    """The formula's mask over the free variables, one axis per variable.
-
-    Each variable has its own axis of the grid, and its values vary along
-    that axis only, so an atom is tabulated over the axes of its own
-    variables and then folded into the mask of the whole grid; the bound
-    axes are then folded by "any".
-    """
-    import numpy as np
-
-    from .operations import term_evaluator
-
     size = algebra.size
     names = phi.free_vars + phi.bound_vars
-    axes = len(names)
-    values = np.arange(size)
-    env = {name: values.reshape((1,) * i + (size,) + (1,) * (axes - 1 - i))
-           for i, name in enumerate(names)}
-    ev = term_evaluator(algebra)
-    mask = np.ones((size,) * axes, dtype=bool)
+    full = (1 << size ** len(names)) - 1
+    # a variable with h cells per value (h = size^j, j the number of variables
+    # after it) repeats a run of h cells per element every size * h cells
+    runs = [(name, size ** j) for name, j in zip(names, reversed(range(len(names))))]
+    if size == 2:
+        env = {name: full // ((1 << h) + 1) << h for name, h in runs}
+        ops = (and_, or_) if algebra.meet[0][1] == 0 else (or_, and_)
+
+        def agree(left, right):
+            return ~(left ^ right)
+    else:
+        env = {}
+        for name, h in runs:
+            at_zero = ((1 << h) - 1) * (full // ((1 << size * h) - 1))
+            env[name] = {x: at_zero << x * h for x in range(size)}
+        ops = _plane_ops(algebra)
+
+        def agree(left, right):
+            # the cells where both take x, for every x: disjoint, so summed
+            return sum(left[x] & right[x] for x in left.keys() & right.keys())
+    ev = terms.term_evaluator(algebra, ops)
+    mask = full
     for lhs, rhs in phi.atoms:
-        left, right = ev((lhs, rhs), env)
-        mask &= left == right
-    n = len(phi.free_vars)
-    if phi.bound_vars:
-        mask = mask.any(axis=tuple(range(n, axes)))
-    return mask
+        mask &= agree(*ev((lhs, rhs), env))
+    return _any_per_block(mask, size ** len(phi.bound_vars))
+
+
+def _plane_ops(algebra):
+    """Meet and join (None over a meet-semilattice) on one-hot values, read
+    off the structure's tables: the cells where a takes x and b takes y go
+    to the plane of x /\\ y, and only nonzero planes are kept."""
+    def on(table):
+        def apply(a, b):
+            out, planes = {}, list(b.items())
+            for x, cells in a.items():
+                row = table[x]
+                for y, other in planes:
+                    both = cells & other
+                    if both:
+                        z = row[y]
+                        if z in out:
+                            out[z] |= both
+                        else:
+                            out[z] = both
+            return out
+        return apply
+
+    return on(algebra.meet), on(algebra.join) if algebra.kind == "lattice" else None
+
+
+def _any_per_block(mask, block):
+    """Bit f set when some bit of f * block .. f * block + block - 1 of the mask is.
+
+    fold holds at each bit p the OR of bits p .. p + width - 1, doubling the
+    width per step, and the widths of block's binary digits are joined end
+    to end; the bits at multiples of block are then read off the binary
+    string, lowest first.
+    """
+    if block == 1:
+        return mask
+    fold, width, hit, span = mask, 1, 0, 0
+    while True:
+        if block & width:
+            hit |= fold >> span
+            span += width
+        if span == block:
+            break
+        fold |= fold >> width
+        width <<= 1
+    return int(format(hit, "b")[::-1][::block][::-1], 2)
 
 
 class _BooleanPower:
     """An isomorphism of a structure onto the k-th power of its two-element factor.
 
     The factor is the two-element lattice, or its meet reduct when the
-    structure is a meet-semilattice. bits[i, x] is bit i of the code of x:
-    True when map i of the separating family sends x to q.
+    structure is a meet-semilattice. images[x] is the code of x: bit i set
+    when the i-th join-prime lies below x.
     """
 
-    def __init__(self, factor, bits):
+    def __init__(self, factor, images):
         self.factor = factor
-        self.bits = bits
+        self.images = images
         self._planes = {}
 
     def plane(self, n):
-        """plane[i, c]: the factor cell, in lexicographic order, of bit slice i
-        of cell c of A^n, narrow. Built once per arity and cached, read-only."""
-        plane = self._planes.get(n)
-        if plane is None:
-            import numpy as np
-
-            k, size = self.bits.shape
-            bits = self.bits.astype(np.min_scalar_type((1 << n) - 1))
-            plane = np.zeros((k,) + (size,) * n, dtype=bits.dtype)
-            for j in range(n):
-                plane += (bits << (n - 1 - j)).reshape([k] + [size if t == j else 1
-                                                              for t in range(n)])
-            plane = plane.reshape(k, -1)
-            plane.flags.writeable = False
-            self._planes[n] = plane
-        return plane
+        """plane[i][f]: the int of the cells of A^n, in lexicographic order,
+        whose bit slice i is the factor cell f. Built once per arity, one
+        coordinate at a time from the last: a cell x * size^m + rest of
+        A^(m+1) has the factor cell b * 2^m + f when x has bit b and rest
+        has f, and the product of the ints of A^m by the int with bit
+        x * size^m for each such x places them without overlap."""
+        planes = self._planes.get(n)
+        if planes is None:
+            size = len(self.images)
+            planes = []
+            for i in range(size.bit_length() - 1):
+                halves = [[x for x, code in enumerate(self.images) if (code >> i & 1) == b]
+                          for b in (0, 1)]
+                cells = [1]
+                for m in range(n):
+                    spread = [sum(1 << x * size ** m for x in half) for half in halves]
+                    cells = [c * spread[b] for b in (0, 1) for c in cells]
+                planes.append(cells)
+            self._planes[n] = planes
+        return planes
 
     def lift(self, factor_mask, n):
-        """The flat mask over A^n of the k-th power of a factor relation,
-        gathered one bit slice at a time: np.take copies its indices to intp."""
-        import numpy as np
-
-        flat = np.ravel(factor_mask)
-        plane = self.plane(n)
-        mask = flat.take(plane[0])
-        for cells in plane[1:]:
-            mask &= flat.take(cells)
+        """The mask over A^n of the k-th power of a factor relation: per bit
+        slice the cells whose slice is in the relation, ANDed over the slices."""
+        hits = [f for f in range(1 << n) if factor_mask >> f & 1]
+        mask = (1 << len(self.images) ** n) - 1
+        for cells in self.plane(n):
+            mask &= sum(cells[f] for f in hits)
         return mask
-
-
-_AND_OR = ([False, False, False, True], [False, True, True, True])  # on (p, p), (p, q), (q, p), (q, q)
 
 
 def _boolean_power(algebra):
     """The structure as a Boolean power 2^k with k >= 2, or None.
 
-    Read off the separating family of its generators (see
-    symmetry.separating_family): the structure is one exactly when the
-    family has k >= 2 maps, the size is 2^k, and the generators act on
-    {p, q} as AND (meet) and OR (join). The maps separate the points, so
-    their code is then a bijective homomorphism onto {p, q}^k, that is, an
-    isomorphism. The size is tested first, so most structures build no
-    generators here. Decided once per structure and cached on it, with the
-    bit planes, like the flat tables of operations._flat_tables.
+    Read off is_boolean on the lattice, or on the completion of a
+    meet-semilattice with a top (the order fixes the meet, so the
+    semilattice is the meet reduct of 2^k exactly when its completion is
+    2^k). Then the k join-primes are the atoms, and x -> [a <= x] for the
+    atoms a sends meet to AND and join to OR: the images of
+    lattice._join_prime_certificate are an isomorphism onto {0, 1}^k. The
+    size is tested first, so most structures are not checked here.
+    Decided once per structure and cached on it, with the bit planes.
     """
     cached = getattr(algebra, "_boolean_power_cache", None)
     if cached is not None:
         return cached[0]
     power, size = None, algebra.size
     if size >= 4 and not size & (size - 1):
-        from .catalog import chain, meet_reduct
-        from .operations import _generator_record, generators
-
-        family = _generator_record(generators(algebra, algebra.kind))[0]
-        if (family is not None and size == 1 << len(family[2])
-                and all(on_pair.tolist() == op for on_pair, op in zip(family[3], _AND_OR))):
+        lattice = algebra
+        if algebra.kind != "lattice":
+            lattice = None if algebra.top is None else semilattice_to_lattice(algebra)
+        if lattice is not None and is_boolean(lattice)[0]:
             factor = chain(2) if algebra.kind == "lattice" else meet_reduct(chain(2))
-            power = _BooleanPower(factor, family[2] == family[1])
+            power = _BooleanPower(factor, lattice._distributive_cache[4])
     algebra._boolean_power_cache = (power,)
     return power
 
@@ -416,4 +443,4 @@ def random_formula(rng, mode="lattice", max_free=3, max_bound=2,
             atoms.append((lhs, terms.Meet(lhs, rhs)))  # lhs <= rhs
         else:
             atoms.append((lhs, rhs))
-    return PPFormula(free_vars=tuple(free), bound_vars=tuple(bound), atoms=tuple(atoms))
+    return PPFormula._trusted(free, bound, tuple(atoms))

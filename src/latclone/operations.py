@@ -7,7 +7,6 @@ generated tables is display metadata and takes no part in comparisons.
 """
 
 from functools import cache, reduce
-from itertools import product
 
 import numpy as np
 
@@ -19,10 +18,10 @@ from .errors import (
     ArityMismatch,
     BadIndex,
     BadSpec,
-    JoinInSemilatticeMode,
     LimitExceeded,
 )
 from .lattice import as_count, as_indices, check_index_dtype
+from .relations import Relation
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
@@ -150,107 +149,6 @@ def _checked_tables(matrix, arity, size, provenances):
     return tables
 
 
-def _checked_rows(array, arity, size):
-    """The rows of a (rows x arity) integer array as tuples, its range checked in one pass."""
-    check_index_dtype(array, "tuple entry")
-    if array.ndim != 2 or array.shape[1] != arity:
-        raise BadSpec(f"tuple array of shape {array.shape} does not have arity {arity}")
-    if array.size and (array.min() < 0 or array.max() >= size):
-        bad = array[((array < 0) | (array >= size)).any(axis=1)][0]
-        raise BadSpec(f"tuple {tuple(bad.tolist())!r} has an entry out of range")
-    return zip(*array.T.tolist()) if arity else [()] * len(array)
-
-
-class Relation:
-    """A set of fixed-arity tuples in canonical sorted, deduplicated form.
-
-    The tuples are kept as a sorted tuple; the set that `in` and issubset
-    read and the array and keys that preserves reads are built on first use.
-    """
-
-    _set = _keyed = None  # built on first use
-
-    def __init__(self, arity, size, tuples):
-        arity, size = as_indices((arity, size), "arity or carrier size")
-        if arity < 0:
-            raise BadSpec("relations must have nonnegative arity")
-        self.arity = arity
-        self.size = size
-        if isinstance(tuples, np.ndarray):
-            normalized = set(_checked_rows(tuples, arity, size))
-        else:
-            normalized = set()
-            for t in tuples:
-                t = as_indices(t, "tuple entry")
-                if len(t) != arity:
-                    raise BadSpec(f"tuple {t!r} does not have arity {arity}")
-                if any(v < 0 or v >= size for v in t):
-                    raise BadSpec(f"tuple {t!r} has an entry out of range")
-                normalized.add(t)
-        self.tuples = tuple(sorted(normalized))
-
-    @classmethod
-    def _trusted(cls, arity, size, tuples):
-        """A relation whose tuples are already a sorted, duplicate-free tuple
-        of int tuples in range."""
-        relation = cls.__new__(cls)
-        relation.arity, relation.size, relation.tuples = arity, size, tuples
-        return relation
-
-    def _members(self):
-        if self._set is None:
-            self._set = frozenset(self.tuples)
-        return self._set
-
-    def _rows_and_keys(self):
-        """The tuples as a narrow (tuples x arity) array and its sorted _row_keys."""
-        if self._keyed is None:
-            rows = np.array(self.tuples, dtype=np.min_scalar_type(self.size - 1))
-            self._keyed = rows, np.sort(_row_keys(rows))
-        return self._keyed
-
-    @classmethod
-    def full(cls, arity, size):
-        return cls(arity, size, product(range(size), repeat=arity))
-
-    def __contains__(self, t):
-        return tuple(t) in self._members()
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __eq__(self, other):
-        return (isinstance(other, Relation)
-                and self.arity == other.arity
-                and self.size == other.size
-                and self.tuples == other.tuples)
-
-    def __hash__(self):
-        return hash((self.arity, self.size, self.tuples))
-
-    def issubset(self, other) -> bool:
-        return self._members() <= other._members()
-
-    def __repr__(self):
-        return f"Relation({self.arity}-ary on {self.size}, {len(self.tuples)} tuples)"
-
-
-def relation_from_mask(mask, arity, size) -> Relation:
-    """The tuples of the grid {0..size-1}^arity at which the mask holds.
-
-    The mask is flat in lexicographic order or already has one axis per
-    coordinate. np.nonzero lists the cells in row-major, that is
-    lexicographic, order, so its rows need no sorting or deduplication.
-    """
-    if arity == 0:
-        return Relation._trusted(0, size, ((),) if np.any(mask) else ())
-    coords = np.nonzero(np.reshape(mask, (size,) * arity))
-    return Relation._trusted(arity, size, tuple(zip(*[c.tolist() for c in coords])))
-
-
 def _flat_tables(algebra):
     """The flat meet table and, over a lattice, the flat join table (else None).
 
@@ -266,45 +164,12 @@ def _flat_tables(algebra):
     return cached
 
 
-def term_evaluator(algebra, ops=None):
-    """ev(roots, env): the values of the terms in roots, as a list, over the
-    values env assigns to their variables.
-
-    Unless ops gives the node operations as functions (meet, join), the
-    values are int arrays and the evaluator indexes the structure's meet
-    and join tables as 2-D arrays, once per node. A root that recurs inside
-    a later root is not evaluated again: "s <= t" stands for the atom
-    s = s /\\ t, and the s inside reads the value of the root s. A join
-    over a meet-semilattice raises JoinInSemilatticeMode.
-    """
-    if ops is None:
-        size = algebra.size
-        tables = [flat if flat is None else flat.reshape(size, size) for flat in _flat_tables(algebra)]
-        ops = (lambda a, b: tables[0][a, b]), (lambda a, b: tables[1][a, b])
-    meet, join = ops
-
-    def value(term, env, done):
-        if isinstance(term, terms.Var):
-            return env[term.name]
-        out = done.get(id(term))
-        if out is None:
-            a, b = value(term.left, env, done), value(term.right, env, done)
-            if isinstance(term, terms.Meet):
-                out = meet(a, b)
-            elif algebra.kind != "lattice":
-                raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
-            else:
-                out = join(a, b)
-        return out
-
-    def ev(roots, env):
-        done, values = {}, []  # done: id of each root evaluated so far -> its value
-        for root in roots:
-            values.append(value(root, env, done))
-            done[id(root)] = values[-1]
-        return values
-
-    return ev
+def _table_ops(algebra):
+    """The node operations of terms.term_evaluator on int arrays of elements:
+    the structure's meet and join tables indexed as 2-D arrays."""
+    size = algebra.size
+    tables = [flat if flat is None else flat.reshape(size, size) for flat in _flat_tables(algebra)]
+    return (lambda a, b: tables[0][a, b]), (lambda a, b: tables[1][a, b])
 
 
 def term_to_op(term, var_order, algebra) -> OpTable:
@@ -315,7 +180,7 @@ def term_to_op(term, var_order, algebra) -> OpTable:
     if missing:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")
     env = dict(zip(var_order, argument_columns(algebra.size, len(var_order))))
-    (values,) = term_evaluator(algebra)((term,), env)
+    (values,) = terms.term_evaluator(algebra, _table_ops(algebra))((term,), env)
     return OpTable(len(var_order), algebra.size, values, provenance=term)
 
 
@@ -372,6 +237,15 @@ def _row_keys(rows):
     return rows.view(key).ravel()
 
 
+def _relation_rows(relation):
+    """The relation's tuples as a narrow (tuples x arity) array and its sorted
+    _row_keys, built once per relation and kept on it."""
+    if relation._keyed is None:
+        rows = np.array(relation.tuples, dtype=np.min_scalar_type(relation.size - 1))
+        relation._keyed = rows, np.sort(_row_keys(rows))
+    return relation._keyed
+
+
 def preserves(f, relation):
     """Is the relation closed under componentwise application of f?
 
@@ -384,7 +258,7 @@ def preserves(f, relation):
         raise ArityMismatch("preservation across different carriers")
     if not len(relation) or not relation.arity:
         return True, None
-    arr, member = relation._rows_and_keys()
+    arr, member = _relation_rows(relation)
     m, r, values = f.arity, len(arr), f.array().astype(arr.dtype)
     step = max(1, BLOCK_CELLS // (m * arr.shape[1]))
     for start in range(0, r ** m, step):
@@ -451,13 +325,26 @@ def _generator_record(generator_ops):
                for g in generator_ops]
         walks = None
         if family is not None:
-            factor = [OpTable(g.arity, 2, bits.view(np.uint8), g.provenance)
-                      for g, bits in zip(generator_ops, family[3])]
-            walks = {} if _record_key(factor) == key else _generator_record(factor)[4]
-        if len(_RECORDS) >= 64:
-            _RECORDS.clear()
-        _RECORDS[key] = family, ops, {}, ({}, {}), walks
+            # the factor's record is built directly: its family is p = 0, q = 1,
+            # the identity map and the same bits, and its tables are the bits
+            factor_ops = [(m, s, bits.view(np.uint8)) for (m, s, _), bits in zip(ops, family[3])]
+            factor = tuple((m, 2, values.tobytes(), g.provenance)
+                           for (m, _, values), g in zip(factor_ops, generator_ops))
+            if factor == key:
+                walks = {}
+            else:
+                if factor not in _RECORDS:
+                    _keep(factor, ((0, 1, np.array([[0, 1]]), family[3]), factor_ops, {},
+                                   ({}, {}), {}))
+                walks = _RECORDS[factor][4]
+        _keep(key, (family, ops, {}, ({}, {}), walks))
     return _RECORDS[key]
+
+
+def _keep(key, record):
+    if len(_RECORDS) >= 64:
+        _RECORDS.clear()
+    _RECORDS[key] = record
 
 
 def _lookup(values, found, size):
@@ -906,6 +793,6 @@ def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
         return relation
     walk_ops = [_gathering(m, s, values, size, h) for m, s, values in _generator_record(ops)[1]]
     # a relation past the limit that is closed already is no refusal
-    rows = _walk(relation._rows_and_keys()[0], walk_ops, max(limit, len(relation)),
+    rows = _walk(_relation_rows(relation)[0], walk_ops, max(limit, len(relation)),
                  f"closure exceeds {limit} tuples")[0]
     return Relation(h, size, rows)

@@ -185,7 +185,7 @@ def _eliminate(phi):
             u = 1 << names.index(u) if u in names else 0
             items = {(m, j) for m, j in _eliminate_one(items, u) if not m & j}
         atoms = _items_to_atoms(items, names)
-    return PPFormula(free_vars=phi.free_vars, bound_vars=(), atoms=atoms)
+    return PPFormula._trusted(phi.free_vars, (), atoms)  # the atoms use free variables only
 
 
 def eliminate_boolean(phi, lattice) -> PPFormula:

@@ -8,7 +8,7 @@ DSL, with meet binding tighter than join.
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BadSpec
+from .errors import BadSpec, JoinInSemilatticeMode
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,43 @@ def _add_variables(term, names):
     else:
         _add_variables(term.left, names)
         _add_variables(term.right, names)
+
+
+def term_evaluator(algebra, ops):
+    """ev(roots, env): the values of the terms in roots, as a list, over the
+    values env assigns to their variables.
+
+    The one tree walk: ops gives the node operations as functions (meet,
+    join) on whatever values env holds, such as int arrays indexing the
+    structure's tables (operations.term_to_op) or bit planes (formulas).
+    A root that recurs inside a later root is not evaluated again: "s <= t"
+    stands for the atom s = s /\\ t, and the s inside reads the value of
+    the root s. A join over a meet-semilattice raises JoinInSemilatticeMode.
+    """
+    meet, join = ops
+
+    def value(term, env, done):
+        if isinstance(term, Var):
+            return env[term.name]
+        out = done.get(id(term))
+        if out is None:
+            a, b = value(term.left, env, done), value(term.right, env, done)
+            if isinstance(term, Meet):
+                out = meet(a, b)
+            elif algebra.kind != "lattice":
+                raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+            else:
+                out = join(a, b)
+        return out
+
+    def ev(roots, env):
+        done, values = {}, []  # done: id of each root evaluated so far -> its value
+        for root in roots:
+            values.append(value(root, env, done))
+            done[id(root)] = values[-1]
+        return values
+
+    return ev
 
 
 def check_distinct(names, what):

@@ -15,7 +15,8 @@ from latclone import terms
 from latclone.errors import JoinInSemilatticeMode, LimitExceeded
 from latclone.formulas import PPFormula
 from latclone.lattice import FiniteLattice, FiniteSemilattice, join_irreducibles
-from latclone.operations import OpTable, Relation, argument_columns, decode_index
+from latclone.operations import OpTable, argument_columns, decode_index
+from latclone.relations import Relation
 from latclone.qe import IneqItem
 
 
@@ -78,6 +79,17 @@ def grid_mask(phi, algebra):
     if phi.bound_vars:
         mask = mask.any(axis=tuple(range(len(phi.free_vars), axes)))
     return mask
+
+
+def mask_int(grid):
+    """A numpy mask over the grid as an int, bit c for cell c in lexicographic order."""
+    return sum(1 << c for c in np.flatnonzero(grid).tolist())
+
+
+def grid_relation(phi, algebra):
+    """The relation of phi read off grid_mask over the structure itself."""
+    return Relation(len(phi.free_vars), algebra.size,
+                    [tuple(t) for t in np.argwhere(grid_mask(phi, algebra)).tolist()])
 
 
 def bit_cells(mask, n):

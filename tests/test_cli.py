@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,7 +14,8 @@ import pytest
 
 from latclone import cli
 from latclone.cli import main
-from latclone.formulas import eval_formula, parse_formula
+from latclone.equations import EquationSystem, solve
+from latclone.formulas import eval_formula, parse_formula, random_formula
 from latclone import catalog
 
 
@@ -113,6 +115,26 @@ def test_solve_inline(capsys, files):
     payload = json.loads(out)
     assert code == 0
     assert payload["arity"] == 2 and len(payload["tuples"]) == 13
+
+
+@pytest.mark.parametrize("name", ["n5", "b2", "c3", "fence"])
+def test_solve_inline_is_the_solution_set_of_its_tables(capsys, files, name):
+    # solve -e evaluates the system as a formula over its free variables;
+    # equations.solve on the tabulated equations is the reference
+    rng = random.Random(name)
+    structure = cli.load_structure(files[name])
+    for _ in range(20):
+        text = random_formula(rng, mode=structure.kind, max_bound=0).render()
+        phi = parse_formula(text, mode=structure.kind)
+        system = EquationSystem.from_terms(phi.atoms, phi.free_vars, structure)
+        code, out, _ = run(capsys, ["solve", files[name], "-e", text])
+        assert code == 0 and json.loads(out) == cli.relation_json(solve(system, structure))
+
+
+def test_solve_inline_refuses_quantifiers(capsys, files):
+    code, out, err = run(capsys, ["solve", files["n5"], "-e", "exists u . x /\\ u = y"])
+    assert (code, out) == (1, "")
+    assert err == "latclone: error: an equation system must not contain quantifiers\n"
 
 
 def test_solve_rejects_both_sources(capsys, files, tmp_path):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latclone import catalog, formulas, terms
 from latclone.errors import (
@@ -23,13 +24,15 @@ from latclone.formulas import (
     random_formula,
 )
 from latclone.lattice import from_covers, is_boolean, semilattice_to_lattice
-from latclone.operations import Relation, relation_from_mask
+from latclone.relations import Relation, relation_from_mask
 
 from helpers import (
     bit_cells,
     down_set_lattices,
     grid_mask,
+    grid_relation,
     intersection_closed_families,
+    mask_int,
     permuted,
     slow_eval_formula,
     wide_formula,
@@ -241,13 +244,6 @@ def test_repeated_variable_names_are_refused():
 
 # ------------------------------------------------- the factor route on 2^k
 
-def _grid_relation(phi, algebra):
-    """The relation of phi by the grid over the structure itself: the oracle
-    of the factor route."""
-    n = len(phi.free_vars)
-    return relation_from_mask(formulas._grid_mask(phi, algebra), n, algebra.size)
-
-
 def _boolean_powers():
     shuffled = permuted(catalog.boolean_lattice(3), random.Random(8))
     for k in (2, 3, 4):
@@ -266,29 +262,33 @@ def test_factor_route_matches_the_grid_on_boolean_powers(name, lattice, mode):
     draws = 6 if algebra.size == 16 else 25
     for _ in range(draws):
         phi = random_formula(rng, mode=mode)
-        assert eval_formula(phi, algebra) == _grid_relation(phi, algebra)
+        assert eval_formula(phi, algebra) == grid_relation(phi, algebra)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_bit_planes_are_narrow_and_lift_as_the_wide_ones(k):
-    # the planes keep one byte per bit slice and cell up to n = 8, where
-    # intp planes kept 8; masks lifted through them stay what wide planes gave
+    # a plane keeps one bit per cell of A^n, one int per bit slice and
+    # factor cell; masks lifted through them stay what wide index planes gave
     lattice = catalog.boolean_lattice(k)
     power = formulas._boolean_power(lattice)
     rng = random.Random(k)
     for n in range(4):
         plane = power.plane(n)
-        assert plane.dtype == np.uint8 and not plane.flags.writeable
+        assert power.plane(n) is plane and len(plane) == k
         cells = list(product(range(lattice.size), repeat=n))
-        wide = [[sum(power.bits[i][x] << (n - 1 - j) for j, x in enumerate(c)) for c in cells]
-                for i in range(k)]
-        assert plane.tolist() == wide
+        wide = [[sum((power.images[x] >> i & 1) << (n - 1 - j) for j, x in enumerate(c))
+                 for c in cells] for i in range(k)]
+        assert all(0 <= cells_of < 1 << len(cells) for slices in plane for cells_of in slices)
+        assert [[[bool(cells_of >> c & 1) for c in range(len(cells))] for cells_of in slices]
+                for slices in plane] == [[[w == f for w in row] for f in range(2 ** n)]
+                                         for row in wide]
         mask = np.array([rng.random() < 0.7 for _ in range(2 ** n)])
-        assert power.lift(mask, n).tolist() == mask[np.array(wide, dtype=np.intp)].all(axis=0).tolist()
+        lifted = mask[np.array(wide, dtype=np.intp)].all(axis=0)
+        assert power.lift(mask_int(mask), n) == mask_int(lifted)
     for phi in ("exists u . x /\\ u = y /\\ z & u \\/ w <= y",
                 "exists u . u /\\ w = x & x /\\ y <= z \\/ w"):
         phi = parse_formula(phi)
-        assert eval_formula(phi, lattice) == _grid_relation(phi, lattice)
+        assert eval_formula(phi, lattice) == grid_relation(phi, lattice)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -297,9 +297,9 @@ def test_an_empty_factor_relation_lifts_to_the_empty_relation(n):
     # empty relation only reaches the lift directly
     lattice = catalog.boolean_lattice(3)
     power = formulas._boolean_power(lattice)
-    mask = power.lift(np.zeros((2,) * n, dtype=bool), n)
+    mask = power.lift(0, n)
     assert relation_from_mask(mask, n, 8) == Relation(n, 8, [])
-    full = power.lift(np.ones((2,) * n, dtype=bool), n)
+    full = power.lift((1 << (1 << n)) - 1, n)
     assert relation_from_mask(full, n, 8) == Relation.full(n, 8)
 
 
@@ -310,7 +310,7 @@ def test_a_join_over_a_boolean_semilattice_raises_as_on_the_grid(k):
     with pytest.raises(JoinInSemilatticeMode) as factor:
         eval_formula(phi, reduct)
     with pytest.raises(JoinInSemilatticeMode) as grid:
-        formulas._grid_mask(phi, reduct)
+        grid_mask(phi, reduct)
     assert str(factor.value) == str(grid.value)
 
 
@@ -340,7 +340,7 @@ def test_bit_masks_match_the_numpy_grid_on_two_elements(name, algebra):
             mask = formulas._defining_mask(phi, algebra)
             assert isinstance(mask, int) and 0 <= mask < 1 << (1 << n)
             assert bit_cells(mask, n) == grid.ravel().tolist()
-            assert eval_formula(phi, algebra) == relation_from_mask(grid, n, 2)
+            assert eval_formula(phi, algebra) == relation_from_mask(mask_int(grid), n, 2)
 
 
 def _is_boolean_power(structure):
@@ -378,10 +378,12 @@ def test_tables_that_break_the_coding_are_not_taken_for_a_boolean_power():
     # coding is a bijection; these checks hold the line on raw tables
     meet = [[a & b for b in range(4)] for a in range(4)]
     join = [[a | b for b in range(4)] for a in range(4)]
-    assert formulas._boolean_power(SimpleNamespace(size=4, kind="lattice",
+    # the recognizer reads is_boolean, which needs the bottom and the top
+    # that every structure has
+    assert formulas._boolean_power(SimpleNamespace(size=4, kind="lattice", bottom=0, top=3,
                                                    meet=meet, join=join)) is not None
-    bad_join = SimpleNamespace(size=4, kind="lattice", meet=meet, join=meet)
-    bad_meet = SimpleNamespace(size=4, kind="semilattice",
+    bad_join = SimpleNamespace(size=4, kind="lattice", bottom=0, top=3, meet=meet, join=meet)
+    bad_meet = SimpleNamespace(size=4, kind="semilattice", top=None,
                                meet=[row[:3] + [0 if a == 3 else row[3]]
                                      for a, row in enumerate(meet)])
     for structure in (bad_join, bad_meet):
@@ -437,3 +439,89 @@ REFUSALS = [
 def test_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+# ------------------------------------------- int masks on every carrier
+
+def _mask_structures():
+    """Every catalog structure in both modes (N5 and M3 as lattices too)."""
+    for name, lattice in [("C1", catalog.chain(1)), ("C2", catalog.chain(2)), ("C3", C3),
+                          ("C4", catalog.chain(4)), ("B2", B2), ("B3", B3),
+                          ("B4", catalog.boolean_lattice(4)), ("N5", N5), ("M3", M3)]:
+        yield f"{name}-lattice", lattice
+        yield f"{name}-semilattice", catalog.meet_reduct(lattice)
+    yield "fence-semilattice", catalog.fence()
+
+
+def _masks_match_the_oracles(phi, algebra, slow_cells=1 << 12, grid_cells=1 << 17):
+    """The int mask is the numpy grid's, over the two-element factor of a
+    Boolean power, else over the structure; eval_formula gives the relation
+    of the nested loops, or of the grid where they would take too long (and
+    is left out where the grid would too)."""
+    power = formulas._boolean_power(algebra)
+    carrier = algebra if power is None else power.factor
+    mask = formulas._defining_mask(phi, algebra)
+    n = len(phi.free_vars)
+    assert isinstance(mask, int) and 0 <= mask < 1 << carrier.size ** n
+    assert mask == mask_int(grid_mask(phi, carrier))
+    cells = algebra.size ** (n + len(phi.bound_vars))
+    if cells <= slow_cells:
+        assert eval_formula(phi, algebra) == slow_eval_formula(phi, algebra)
+    elif cells <= grid_cells:
+        assert eval_formula(phi, algebra) == grid_relation(phi, algebra)
+
+
+@pytest.mark.parametrize("name,algebra", list(_mask_structures()),
+                         ids=[name for name, _ in _mask_structures()])
+def test_int_masks_match_the_grid_and_the_loops_on_every_carrier(name, algebra):
+    mode = name.split("-")[1]
+    rng = random.Random(f"int-mask:{name}")
+    for _ in range(40):
+        # the grid over 16 elements stays at four variables
+        phi = random_formula(rng, mode=mode, max_bound=2 if algebra.size <= 8 else 1)
+        _masks_match_the_oracles(phi, algebra)
+    # seven variables: past 64 cells even over two elements
+    for nfree, nbound in ((7, 0), (5, 2), (3, 4), (1, 6)):
+        if algebra.size ** (nfree + nbound) <= 1 << 17 or formulas._boolean_power(algebra):
+            _masks_match_the_oracles(wide_formula(rng, mode, nfree, nbound), algebra)
+    assert formulas._defining_mask(wide_formula(rng, mode, 7, 0), algebra) >> 64 or algebra.size < 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(down_set_lattices(), st.integers(0, 999))
+def test_int_masks_match_the_grid_on_down_set_lattices_and_shuffled_copies(lattice, seed):
+    rng = random.Random(seed)
+    for structure in (lattice, permuted(lattice, rng)):
+        for mode, algebra in (("lattice", structure),
+                              ("semilattice", catalog.meet_reduct(structure))):
+            for _ in range(3):
+                # the grid over 16 elements stays at four variables
+                phi = random_formula(rng, mode=mode, max_bound=2 if algebra.size <= 8 else 1)
+                _masks_match_the_oracles(phi, algebra)
+
+
+def test_any_per_block_reads_every_block_width():
+    rng = random.Random(3)
+    for block in range(1, 40):
+        count = rng.randint(1, 9)
+        bits = [rng.random() < 0.1 for _ in range(count * block)]
+        mask = sum(1 << c for c, bit in enumerate(bits) if bit)
+        expected = sum(1 << f for f in range(count) if any(bits[f * block:(f + 1) * block]))
+        assert formulas._any_per_block(mask, block) == expected
+
+
+def test_trusted_builders_give_the_checked_formulas():
+    rng = random.Random(12)
+    for mode in ("lattice", "semilattice"):
+        for _ in range(200):
+            phi = random_formula(rng, mode=mode)
+            checked = PPFormula(free_vars=phi.free_vars, bound_vars=phi.bound_vars,
+                                atoms=phi.atoms)
+            assert phi == checked and hash(phi) == hash(checked)
+            assert phi.render() == checked.render()
+    # the constructor itself keeps every check
+    x, q = terms.Var("x"), terms.Var("q")
+    with pytest.raises(UnknownVariable):
+        PPFormula(free_vars=("x",), bound_vars=(), atoms=((x, q),))
+    with pytest.raises(UnknownVariable):
+        PPFormula(free_vars=("x",), bound_vars=("u",), atoms=((x, terms.Meet(x, q)),))

@@ -55,8 +55,51 @@ def test_lattice_and_qe_verbs_run_without_numpy(b2, argv, code):
     assert _python(CLI_THEN_REPORT, verb, b2, *rest)[-1] == f"{code} False"
 
 
-def test_evaluating_verbs_load_numpy(b2):
-    assert _python(CLI_THEN_REPORT, "eval", b2, "-e", "x <= y")[-1] == "0 True"
+@pytest.fixture
+def files(tmp_path, b2):
+    """The structure files B2, N5 and C4, a binary relation and a unary system on B2."""
+    paths = {"b2": b2}
+    for name, elements, covers in (
+            ("n5", ["0", "a", "b", "c", "1"], [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]]),
+            ("c4", ["0", "1", "2", "3"], [[0, 1], [1, 2], [2, 3]])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"elements": elements, "covers": covers}),
+                               encoding="utf-8")
+    paths["rel"] = tmp_path / "rel.json"
+    paths["rel"].write_text(json.dumps({"arity": 2, "tuples": [[0, 1], [1, 0]]}), encoding="utf-8")
+    paths["sys"] = tmp_path / "sys.json"
+    paths["sys"].write_text(json.dumps({"arity": 1, "pairs": [[[0, 1, 1, 3], [0, 1, 2, 3]]]}),
+                            encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+# Formula masks are Python ints on every carrier, so the verbs that evaluate
+# formulas (sdc through its round trips on a positive verdict) load no numpy
+@pytest.mark.parametrize("argv", [
+    ["eval", "b2", "-e", "exists u . x /\\ u = y"],
+    ["eval", "n5", "-e", "exists u . x /\\ u = y /\\ u & x \\/ u = y \\/ u"],
+    ["eval", "c4", "--mode", "semilattice", "-e", "exists u . x /\\ u = y & u <= z"],
+    ["solve", "b2", "-e", "x /\\ y <= z"],
+    ["sdc", "b2"],
+], ids=["eval-b2", "eval-n5", "eval-c4-semilattice", "solve-e-b2", "sdc-b2"])
+def test_evaluating_verbs_run_without_numpy(files, argv):
+    verb, name, *rest = argv
+    assert _python(CLI_THEN_REPORT, verb, files[name], *rest)[-1] == "0 False"
+
+
+# The verbs that compute with value tables still load it: so does sdc on N5,
+# whose negative verdict is verified by a clone slice
+@pytest.mark.parametrize("argv", [
+    ["clone", "b2", "-n", "2"],
+    ["centralizer", "b2", "-k", "1"],
+    ["eq", "b2", "-T", "rel"],
+    ["galois", "b2", "-T", "rel"],
+    ["solve", "b2", "--system", "sys"],
+    ["sdc", "n5"],
+], ids=["clone", "centralizer", "eq", "galois", "solve-system", "sdc-n5"])
+def test_table_verbs_load_numpy(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    assert _python(CLI_THEN_REPORT, *argv)[-1] == "0 True"
 
 
 def test_public_names_are_their_home_module_objects():
@@ -68,11 +111,12 @@ def test_public_names_are_their_home_module_objects():
 
 
 def test_cli_resolves_engine_names_and_refuses_unknown_ones():
-    from latclone import cli, formulas, operations
+    from latclone import cli, equations, formulas, operations, sdc
 
     assert cli.clone_slice is operations.clone_slice
     assert cli.eval_formula is formulas.eval_formula
-    for module in (latclone, cli):
+    assert sdc.is_solution_set is equations.is_solution_set
+    for module in (latclone, cli, sdc):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
     assert not hasattr(latclone, "no_such_name")

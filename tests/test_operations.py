@@ -29,9 +29,9 @@ from latclone.operations import (
     meet_op,
     preserves,
     projection,
-    relation_from_mask,
     term_to_op,
 )
+from latclone.relations import relation_from_mask
 
 from latclone.equations import EqTheory, equations_of
 from latclone.lattice import is_distributive, semilattice_to_lattice
@@ -40,6 +40,7 @@ from helpers import (
     down_set_lattices,
     evaluate,
     intersection_closed_families,
+    mask_int,
     permuted,
     slow_centralizer_slice,
     slow_clone_slice,
@@ -172,7 +173,7 @@ def test_term_evaluator_evaluates_a_recurring_root_once():
     t = terms.Meet(s, x)  # "s <= x" is the atom s = t
     roots = (s, t, terms.Join(t, y), terms.Meet(x, y))  # the last copies a subterm of s
     env = dict(zip("xyz", operations.argument_columns(lat.size, 3)))
-    values = operations.term_evaluator(lat)(roots, env)
+    values = terms.term_evaluator(lat, operations._table_ops(lat))(roots, env)
     assert Counting.calls == 5  # the two nodes of s, one node each of the other three
     for root, got in zip(roots, values):
         assert got.tolist() == [evaluate(root, dict(zip("xyz", t)), lat)
@@ -522,6 +523,27 @@ def test_a_shared_walk_answers_every_limit_without_a_walk(monkeypatch):
                 clone_slice(gens, n, limit=count - 1)
             assert _rendered(clone_slice(gens, n, limit=count)) == _rendered(
                 slow_clone_slice(gens, n, count))
+
+
+def test_the_factor_record_is_what_the_factor_tables_give(monkeypatch):
+    # the two-element factor's record is built from the family it is known to
+    # have: separating_family and the factor's own tables must give the same
+    for structure, mode in [(catalog.boolean_lattice(3), "lattice"), (catalog.chain(4), "lattice"),
+                            (C3, "semilattice"), (M3, "semilattice"), (catalog.fence(), "semilattice")]:
+        monkeypatch.setattr(operations, "_RECORDS", {})
+        gens = generators(structure, mode)
+        family, _, _, _, walks = operations._generator_record(gens)
+        factor = [OpTable(g.arity, 2, bits.view(np.uint8), g.provenance)
+                  for g, bits in zip(gens, family[3])]
+        direct = operations._RECORDS[operations._record_key(factor)]
+        expected = symmetry.separating_family(factor)
+        (p, q, maps, bits), ops = direct[:2]
+        assert (p, q) == expected[:2] and maps.tolist() == expected[2].tolist() == [[0, 1]]
+        assert [b.tolist() for b in bits] == [b.tolist() for b in expected[3]]
+        assert [(m, s, values.dtype, values.tolist()) for m, s, values in ops] == [
+            (g.arity, symmetry.is_symmetric(g), np.uint8, g.array().tolist()) for g in factor]
+        assert direct[2:] == ({}, ({}, {}), {}) and direct[4] is walks
+        assert operations._generator_record(factor) is direct
 
 
 def test_a_refused_walk_memoises_nothing(monkeypatch):
@@ -1300,15 +1322,19 @@ def test_closure_limit():
 
 
 def test_relation_from_mask_decodes_lexicographic_hits():
-    assert relation_from_mask(np.ones(1, dtype=bool), 0, 3).tuples == ((),)
-    assert relation_from_mask(np.ones((), dtype=bool), 0, 3).tuples == ((),)
-    assert relation_from_mask(np.zeros(1, dtype=bool), 0, 3).tuples == ()
-    assert relation_from_mask(np.array([False, True, True]), 1, 3).tuples == ((1,), (2,))
+    # a mask is an int, bit c for cell c; over A^0 the one cell is bit 0
+    assert relation_from_mask(1, 0, 3).tuples == ((),)
+    assert relation_from_mask(mask_int(np.ones((), dtype=bool)), 0, 3).tuples == ((),)
+    assert relation_from_mask(0, 0, 3).tuples == ()
+    assert relation_from_mask(0b110, 1, 3).tuples == ((1,), (2,))
     rng = random.Random(5)
     mask = np.array([rng.random() < 0.3 for _ in range(4 ** 3)])
     expected = [t for i, t in enumerate(product(range(4), repeat=3)) if mask[i]]
-    assert relation_from_mask(mask, 3, 4).tuples == tuple(expected)
-    assert relation_from_mask(mask.reshape(4, 4, 4), 3, 4).tuples == tuple(expected)
+    assert relation_from_mask(mask_int(mask), 3, 4).tuples == tuple(expected)
+    assert relation_from_mask(mask_int(mask.reshape(4, 4, 4)), 3, 4).tuples == tuple(expected)
+    # cells past the highest set bit are not selected, and past 64 cells the int is wide
+    assert relation_from_mask(1 << 63 | 1, 3, 4).tuples == ((0, 0, 0), (3, 3, 3))
+    assert relation_from_mask(1 << 124, 3, 5).tuples == ((4, 4, 4),)
 
 
 def test_relation_from_mask_equals_the_checked_constructor():
@@ -1319,7 +1345,7 @@ def test_relation_from_mask_equals_the_checked_constructor():
                      rng.random(shape) < 0.3, rng.random(shape) < 0.8):
             rows = np.argwhere(mask)
             expected = Relation(arity, size, rows if arity else [()] * len(rows))
-            got = relation_from_mask(mask, arity, size)
+            got = relation_from_mask(mask_int(mask), arity, size)
             assert got == expected and hash(got) == hash(expected)
             assert all(t in got for t in expected) and got.issubset(expected)
             assert all(type(v) is int for t in got for v in t)
@@ -1327,7 +1353,7 @@ def test_relation_from_mask_equals_the_checked_constructor():
 
 def test_relation_answers_before_its_set_is_built():
     def fresh():
-        return (relation_from_mask(np.array([True, False, True, True]), 2, 2),
+        return (relation_from_mask(0b1101, 2, 2),
                 Relation(2, 2, [(1, 1), (0, 0), (1, 0)]))
 
     a, b = fresh()

@@ -11,7 +11,7 @@ from latclone import catalog, qe, terms
 from latclone.errors import BadSpec, JoinInSemilatticeMode, NotBoolean, NotDistributive
 from latclone.formulas import eval_formula, parse_formula, random_formula
 from latclone.lattice import is_boolean
-from latclone.operations import Relation, relation_from_mask
+from latclone.relations import Relation
 from latclone.qe import (
     IneqItem,
     _pairings,
@@ -25,7 +25,7 @@ from latclone.qe import (
 from helpers import (
     down_set_lattices,
     evaluate,
-    grid_mask,
+    grid_relation,
     interval_elements,
     join_of,
     meet_of,
@@ -329,8 +329,7 @@ def _round_trips_match(structure, mode, rng, draws):
         phi = random_formula(rng, mode=mode, max_bound=2 if structure.size <= 8 else 1)
         out = eliminate(phi, structure)
         assert out.bound_vars == ()
-        oracle = relation_from_mask(grid_mask(phi, structure), len(phi.free_vars),
-                                    structure.size)
+        oracle = grid_relation(phi, structure)
         assert eval_formula(out, structure) == eval_formula(phi, structure) == oracle
 
 
