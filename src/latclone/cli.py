@@ -28,12 +28,16 @@ from .lattice import (
     join_irreducibles,
 )
 
-# Each command imports the engines it runs when it runs, so a process pays
-# only for its own verb: check and props stay on the lattice layer, and
-# numpy is loaded only by the verbs that compute with value tables (clone,
-# centralizer, eq, galois, solve --system, and sdc when it verifies a
-# negative verdict); eval, qe, solve -e/-f and a positive sdc run on the
-# bit planes of latclone.formulas. These engine functions stay readable as
+# Each command imports the engines it runs when it runs, and only once its
+# input files are read and checked, so a process pays only for its own
+# verb: check and props stay on the lattice layer; eval, qe, solve -e/-f
+# and a positive sdc run on the bit planes of latclone.formulas; galois and
+# a negative sdc run on the two-element factor (latclone.twovalued) where
+# the structure has a family in the mode, that is lattice mode on a
+# distributive lattice and semilattice mode always. numpy is loaded only by
+# the verbs that compute with value tables: clone, centralizer, eq, solve
+# --system, and galois and a negative sdc on a structure without a family
+# (N5 and M3 in lattice mode). These engine functions stay readable as
 # attributes of this module, as they were when it imported them up front
 # (bench/test_bench.py checks them as binding sites of the tracer); each
 # read returns the engine module's current binding.
@@ -228,15 +232,15 @@ def cmd_solve(args):
 
 
 def cmd_eq(args):
+    structure = load_structure(args.structure)
+    relation = load_relation(args.relation, structure)
+    mode = _structure_mode(structure, args)
+    limit = _default_limit(args)
     from . import terms
     from .equations import equations_of
     from .operations import generators
 
-    structure = load_structure(args.structure)
-    relation = load_relation(args.relation, structure)
-    mode = _structure_mode(structure, args)
-    theory = equations_of(relation, generators(structure, mode),
-                          limit=_default_limit(args))
+    theory = equations_of(relation, generators(structure, mode), limit=limit)
     blocks = [[op_json(theory.ops[i]) for i in block] for block in theory.blocks]
     equations = [[terms.render(f.provenance), terms.render(g.provenance)]
                  for f, g in theory.induced_system()
@@ -246,14 +250,21 @@ def cmd_eq(args):
 
 
 def cmd_galois(args):
-    from .equations import galois_closure, gap_tuple
-    from .operations import generators
-
     structure = load_structure(args.structure)
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
-    closure = galois_closure(relation, generators(structure, mode), limit=_default_limit(args))
-    gap = gap_tuple(closure, relation)
+    limit = _default_limit(args)
+    from .twovalued import two_valued_family
+
+    family = two_valued_family(structure, mode)
+    if family is not None:
+        closure, gap = family.closure(relation)
+    else:
+        from .equations import galois_closure, gap_tuple
+        from .operations import generators
+
+        closure = galois_closure(relation, generators(structure, mode), limit=limit)
+        gap = gap_tuple(closure, relation)
     return {"closure": relation_json(closure), "isSolutionSet": gap is None,
             "gapTuple": None if gap is None else list(gap)}
 

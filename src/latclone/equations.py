@@ -13,7 +13,14 @@ import numpy as np
 from . import terms
 from .errors import ArityMismatch, BadSpec, LimitExceeded
 from .lattice import as_count
-from .operations import DEFAULT_CLONE_LIMIT, clone_slice, decode_index, term_to_op
+from .operations import (
+    DEFAULT_CLONE_LIMIT,
+    _generator_record,
+    _slice_arguments,
+    clone_slice,
+    decode_index,
+    term_to_op,
+)
 from .relations import Relation, relation_from_mask
 
 
@@ -145,6 +152,18 @@ def _cells(relation):
     return rows @ relation.size ** np.arange(relation.arity - 1, -1, -1)
 
 
+def _checked(relation, generator_ops, limit):
+    """The generators as a list and the limit, refused as equations_of and
+    clone_slice refuse them: a malformed limit, then a relation on another
+    carrier, then the generators and arity clone_slice would refuse."""
+    generator_ops = list(generator_ops)
+    limit = as_count(limit, "limit")
+    if generator_ops and generator_ops[0].size != relation.size:
+        raise ArityMismatch(f"a relation on {relation.size} elements with generators "
+                            f"on {generator_ops[0].size}")
+    return _slice_arguments(generator_ops, relation.arity)[0], limit
+
+
 def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory:
     """The equation theory of a tuple set over the clone of the generators.
 
@@ -154,11 +173,7 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     ArityMismatch when the relation and the generators have different
     carriers.
     """
-    generator_ops = list(generator_ops)
-    limit = as_count(limit, "limit")
-    if generator_ops and generator_ops[0].size != relation.size:
-        raise ArityMismatch(f"a relation on {relation.size} elements with generators "
-                            f"on {generator_ops[0].size}")
+    generator_ops, limit = _checked(relation, generator_ops, limit)
     ops = clone_slice(generator_ops, relation.arity, limit=limit)
     matrix = ops[0]._matrix  # the slice's value matrix (see slice_matrix)
     groups = {}  # blocks in order of their first table
@@ -169,12 +184,43 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     return theory
 
 
+_AND, _OR = (False, False, False, True), (False, True, True, True)
+_FACTOR_KINDS = {(_AND,): "semilattice", (_AND, _OR): "lattice"}
+
+
+def _factor_family(generator_ops):
+    """The two-valued family (see latclone.twovalued) of the generators'
+    record, when its maps send the generators to AND and OR on {p, q}, or
+    to AND alone (q as 1), so that they generate the lattice or the
+    semilattice clone of the two-element factor; else None."""
+    family = _generator_record(generator_ops)[0]
+    if family is None:
+        return None
+    p, q, maps, bits = family
+    kind = _FACTOR_KINDS.get(tuple(tuple(b.tolist()) for b in bits))
+    if kind is None:
+        return None
+    from .twovalued import family_of
+
+    codes = ((maps == q).astype(np.int64) << np.arange(len(maps))[:, None]).sum(axis=0)
+    return family_of(kind, tuple(codes.tolist()), len(maps))
+
+
 def galois_closure(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> Relation:
     """Solution set of the equation theory of the given tuple set.
 
     Always a superset of the input; equality means the input is itself the
-    solution set of some system over the clone.
+    solution set of some system over the clone. Where the generators have
+    a separating family onto the two-element lattice or semilattice (see
+    _factor_family), the closure is computed on that factor and builds no
+    clone slice, so the limit, still checked first, cannot refuse it;
+    otherwise it is the closure of equations_of's theory.
     """
+    generator_ops, limit = _checked(relation, generator_ops, limit)
+    family = _factor_family(generator_ops)
+    if family is not None:
+        return relation_from_mask(family.closure_mask(relation)[0], relation.arity,
+                                  relation.size)
     return equations_of(relation, generator_ops, limit=limit).closure()
 
 
@@ -189,16 +235,25 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
     Returns (True, certificate system), (False, gap tuple in the closure but
     not the set), or (None, None) when the clone slice overflows the limit,
     which leaves the question undecided rather than guessed. The gap is the
-    first cell of the closure's mask outside the set; the closure itself is
-    not built as a relation.
+    first cell of the closure outside the set; the closure itself is not
+    built as a relation. A negative answer is read off the two-element
+    factor where galois_closure computes there, with no clone slice, so the
+    limit cannot make it unknown; a positive one still takes the slice,
+    whose induced system is the certificate.
     """
+    generator_ops, limit = _checked(relation, generator_ops, limit)
+    family = _factor_family(generator_ops)
+    gap = None if family is None else family.gap(relation)
+    if gap is not None:
+        return False, gap
     try:
         theory = equations_of(relation, generator_ops, limit=limit)
     except LimitExceeded:
         return None, None
-    outside = theory._closure_mask()
-    outside[_cells(relation)] = False
-    gap = int(outside.argmax())
-    if not outside[gap]:
-        return True, theory.induced_system()
-    return False, decode_index(gap, relation.size, relation.arity)
+    if family is None:
+        outside = theory._closure_mask()
+        outside[_cells(relation)] = False
+        gap = int(outside.argmax())
+        if outside[gap]:
+            return False, decode_index(gap, relation.size, relation.arity)
+    return True, theory.induced_system()

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from operator import and_, or_
 
 from . import terms
-from .catalog import chain, meet_reduct
 from .errors import (
     BadSpec,
     FormulaSyntaxError,
@@ -346,51 +345,6 @@ def _any_per_block(mask, block):
     return int(format(hit, "b")[::-1][::block][::-1], 2)
 
 
-class _BooleanPower:
-    """An isomorphism of a structure onto the k-th power of its two-element factor.
-
-    The factor is the two-element lattice, or its meet reduct when the
-    structure is a meet-semilattice. images[x] is the code of x: bit i set
-    when the i-th join-prime lies below x.
-    """
-
-    def __init__(self, factor, images):
-        self.factor = factor
-        self.images = images
-        self._planes = {}
-
-    def plane(self, n):
-        """plane[i][f]: the int of the cells of A^n, in lexicographic order,
-        whose bit slice i is the factor cell f. Built once per arity, one
-        coordinate at a time from the last: a cell x * size^m + rest of
-        A^(m+1) has the factor cell b * 2^m + f when x has bit b and rest
-        has f, and the product of the ints of A^m by the int with bit
-        x * size^m for each such x places them without overlap."""
-        planes = self._planes.get(n)
-        if planes is None:
-            size = len(self.images)
-            planes = []
-            for i in range(size.bit_length() - 1):
-                halves = [[x for x, code in enumerate(self.images) if (code >> i & 1) == b]
-                          for b in (0, 1)]
-                cells = [1]
-                for m in range(n):
-                    spread = [sum(1 << x * size ** m for x in half) for half in halves]
-                    cells = [c * spread[b] for b in (0, 1) for c in cells]
-                planes.append(cells)
-            self._planes[n] = planes
-        return planes
-
-    def lift(self, factor_mask, n):
-        """The mask over A^n of the k-th power of a factor relation: per bit
-        slice the cells whose slice is in the relation, ANDed over the slices."""
-        hits = [f for f in range(1 << n) if factor_mask >> f & 1]
-        mask = (1 << len(self.images) ** n) - 1
-        for cells in self.plane(n):
-            mask &= sum(cells[f] for f in hits)
-        return mask
-
-
 def _boolean_power(algebra):
     """The structure as a Boolean power 2^k with k >= 2, or None.
 
@@ -399,9 +353,11 @@ def _boolean_power(algebra):
     semilattice is the meet reduct of 2^k exactly when its completion is
     2^k). Then the k join-primes are the atoms, and x -> [a <= x] for the
     atoms a sends meet to AND and join to OR: the images of
-    lattice._join_prime_certificate are an isomorphism onto {0, 1}^k. The
-    size is tested first, so most structures are not checked here.
-    Decided once per structure and cached on it, with the bit planes.
+    lattice._join_prime_certificate are an isomorphism onto {0, 1}^k: a
+    two-valued family (latclone.twovalued) whose k maps are a bijection.
+    The size is tested first, so most structures are not checked here.
+    Decided once per structure and cached on it; the family and its bit
+    planes are shared by every structure with the same codes.
     """
     cached = getattr(algebra, "_boolean_power_cache", None)
     if cached is not None:
@@ -412,8 +368,10 @@ def _boolean_power(algebra):
         if algebra.kind != "lattice":
             lattice = None if algebra.top is None else semilattice_to_lattice(algebra)
         if lattice is not None and is_boolean(lattice)[0]:
-            factor = chain(2) if algebra.kind == "lattice" else meet_reduct(chain(2))
-            power = _BooleanPower(factor, lattice._distributive_cache[4])
+            from .twovalued import family_of
+
+            primes, images = lattice._distributive_cache[3:]
+            power = family_of(algebra.kind, tuple(images), len(primes))
     algebra._boolean_power_cache = (power,)
     return power
 

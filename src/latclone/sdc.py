@@ -6,8 +6,14 @@ For lattices this holds precisely for Boolean lattices; for meet-semilattices
 precisely for distributive ones. Negative verdicts are certified by an
 explicitly constructed witness relation: it is definable by an existential
 formula over single-equation relations (hence closed under the centralizer)
-but its equation-theory closure is strictly larger. Positive verdicts are
-spot-checked by seeded quantifier elimination round-trips.
+but its equation-theory closure is strictly larger. The witness is built
+once per structure and mode. Where the structure has a two-valued family
+(lattice mode on a distributive lattice, semilattice mode always), the gap
+tuple is read off the two-element factor on Python ints
+(latclone.twovalued), and a negative verdict loads no numpy; on N5, M3 and
+other non-distributive lattices in lattice mode it comes from the clone
+slice. Positive verdicts are spot-checked by seeded quantifier elimination
+round-trips, on the int masks of latclone.formulas.
 """
 
 import random
@@ -29,11 +35,12 @@ from .formulas import PPFormula, _defining_mask, eval_formula, random_formula
 from .lattice import as_count, is_boolean, is_distributive, is_distributive_semilattice
 from .qe import eliminate_boolean, eliminate_semilattice
 
-# The clone engines load numpy and only a negative verdict's verification
-# runs them, so they are imported there. is_solution_set stays readable as
-# an attribute of this module, as it was when it was imported up front
-# (bench/test_bench.py checks it as a binding site of the tracer); each read
-# returns the engine module's current binding.
+# The clone engines load numpy, and only the verification of a negative
+# verdict on a structure without a family runs them, so they are imported
+# there. is_solution_set stays readable as an attribute of this module, as
+# it was when it was imported up front (bench/test_bench.py checks it as a
+# binding site of the tracer); each read returns the engine module's
+# current binding.
 _ENGINES = {"is_solution_set": "equations"}
 
 
@@ -159,17 +166,43 @@ def witness_semilattice(structure):
     return eval_formula(_meet_witness_formula(), semilattice)
 
 
-def _verify_negative(witness, structure, mode, limit):
-    from .equations import is_solution_set
-    from .operations import generators
+def _witness(structure, mode, build):
+    """The witness relation build(structure) of a negative verdict, built
+    once per structure and mode and cached on the structure, like the
+    verdict caches of latclone.lattice."""
+    cache = getattr(structure, "_sdc_witness_cache", None)
+    if cache is None:
+        cache = structure._sdc_witness_cache = {}
+    if mode not in cache:
+        cache[mode] = build(structure)
+    return cache[mode]
 
-    gens = generators(structure, mode)
-    verdict, evidence = is_solution_set(witness, gens, limit=limit)
-    if verdict is None:
-        return False, None
-    if verdict:
+
+def _verify_negative(witness, structure, mode, limit):
+    """(verified, gap tuple): the gap read off the two-element factor where
+    the structure has a family in the mode (latclone.twovalued: semilattice
+    mode, or a distributive lattice), else from the clone slice of
+    equations.is_solution_set, which leaves the verdict unproved, (False,
+    None), past the limit. Each route is imported only when it runs."""
+    family = None
+    if mode == "semilattice" or is_distributive(structure)[0]:
+        from .twovalued import two_valued_family
+
+        family = two_valued_family(structure, mode)
+    if family is not None:
+        gap = family.gap(witness)
+    else:
+        from .equations import is_solution_set
+        from .operations import generators
+
+        verdict, gap = is_solution_set(witness, generators(structure, mode), limit=limit)
+        if verdict is None:
+            return False, None
+        if verdict:
+            gap = None
+    if gap is None:
         raise RuntimeError("witness relation is unexpectedly a solution set")
-    return True, evidence
+    return True, gap
 
 
 def _same_relation(phi, psi, structure):
@@ -205,7 +238,9 @@ def decide_sdc(structure, mode, verify=25, seed=0, limit=DEFAULT_CLONE_LIMIT) ->
     verdicts are re-proved by showing the witness is not a solution set (the
     gap tuple is attached) and positive verdicts by that many seeded
     quantifier elimination round-trips. A verify or limit that is not a
-    nonnegative integer is refused (BadSpec).
+    nonnegative integer is refused (BadSpec). The limit bounds the clone
+    slice of a negative verification; the two-element factor builds none,
+    so where the structure has a family the limit cannot leave it unproved.
     """
     verify, limit = as_count(verify, "verify"), as_count(limit, "limit")
     if mode not in ("lattice", "semilattice"):
@@ -217,20 +252,19 @@ def decide_sdc(structure, mode, verify=25, seed=0, limit=DEFAULT_CLONE_LIMIT) ->
             verdict = SdcVerdict(holds=True, route="boolean-lattice", seed=seed)
         elif not is_distributive(structure)[0]:
             verdict = SdcVerdict(holds=False, route="non-distributive-lattice", seed=seed,
-                                 witness=witness_lattice_pair(structure))
+                                 witness=_witness(structure, mode, witness_lattice_pair))
         else:
             verdict = SdcVerdict(holds=False, route="distributive-non-boolean-lattice",
-                                 seed=seed, witness=witness_boolean_gap(structure))
+                                 seed=seed, witness=_witness(structure, mode, witness_boolean_gap))
     else:
         semilattice = structure if structure.kind == "semilattice" else meet_reduct(structure)
         if is_distributive_semilattice(semilattice):
             verdict = SdcVerdict(holds=True, route="distributive-semilattice", seed=seed)
-        elif semilattice.top is None:
-            verdict = SdcVerdict(holds=False, route="no-top-semilattice", seed=seed,
-                                 witness=witness_semilattice(semilattice))
         else:
-            verdict = SdcVerdict(holds=False, route="non-distributive-semilattice", seed=seed,
-                                 witness=witness_semilattice(semilattice))
+            route = ("no-top-semilattice" if semilattice.top is None
+                     else "non-distributive-semilattice")
+            verdict = SdcVerdict(holds=False, route=route, seed=seed,
+                                 witness=_witness(semilattice, mode, witness_semilattice))
         structure = semilattice
     if verify > 0:
         if verdict.holds:

@@ -174,6 +174,33 @@ def test_galois_verb(capsys, files):
     assert len(payload["closure"]["tuples"]) == 25
 
 
+FACTOR_RUNS = [("b2", None), ("b2", "semilattice"), ("c3", None), ("c3", "semilattice"),
+               ("n5", "semilattice"), ("fence", None)]
+
+
+@pytest.mark.parametrize("name, mode", FACTOR_RUNS,
+                         ids=[f"{name}-{mode or 'own'}" for name, mode in FACTOR_RUNS])
+def test_galois_and_sdc_on_the_factor_print_what_the_slice_printed(capsys, files, monkeypatch,
+                                                                      name, mode):
+    # every structure here has a family in the mode; with both family lookups
+    # (the structure's and the generator record's) disabled, the same runs
+    # take the clone slice
+    size = {"b2": 4, "c3": 3, "n5": 5, "fence": 4}[name]
+    rng = random.Random(f"factor-cli-{name}-{mode}")
+    argvs = [["sdc", files[name], "--verify", "2"]]
+    for i, n in enumerate((1, 2, 3, 3)):
+        tuples = [[rng.randrange(size) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        path = files["tmp"] / f"factor-{i}.json"
+        path.write_text(json.dumps({"arity": n, "tuples": tuples}), encoding="utf-8")
+        argvs.append(["galois", files[name], "-T", str(path)])
+    argvs = [argv + (["--mode", mode] if mode else []) for argv in argvs]
+    factor = [run(capsys, argv) for argv in argvs]
+    monkeypatch.setattr("latclone.twovalued.two_valued_family", lambda structure, mode: None)
+    monkeypatch.setattr("latclone.equations._factor_family", lambda generator_ops: None)
+    assert [run(capsys, argv) for argv in argvs] == factor
+    assert all(code == 0 for code, _, _ in factor)
+
+
 def test_eval_and_qe_agree(capsys, files):
     formula = "exists u . (x /\\ u <= y & z <= y \\/ u)"
     code, out, _ = run(capsys, ["eval", files["b2"], "-e", formula])

@@ -3,6 +3,7 @@
 import gc
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -15,11 +16,13 @@ from latclone.equations import (
     EquationSystem,
     equations_of,
     galois_closure,
+    gap_tuple,
     is_solution_set,
     solve,
 )
 from latclone.errors import ArityMismatch, BadSpec, LimitExceeded
 from latclone.formulas import parse_formula, eval_formula
+from latclone.twovalued import two_valued_family
 from latclone.operations import (
     OpTable,
     Relation,
@@ -324,11 +327,123 @@ def test_theory_closure_and_verdict_match_the_oracle(name, structure, mode):
                 assert all(type(v) is int for v in evidence)
 
 
-def test_a_relation_on_another_carrier_is_refused_before_any_work(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("clone_slice called")
+FAMILY_MODES = [(name, structure, mode) for name, structure, mode in CATALOG_MODES
+                if two_valued_family(structure, mode) is not None]
 
-    monkeypatch.setattr(equations, "clone_slice", refused)
+
+def _refused(*args, **kwargs):
+    raise AssertionError("clone_slice called")
+
+
+def test_only_n5_and_m3_in_lattice_mode_have_no_family():
+    assert sorted((name, mode) for name, _, mode in CATALOG_MODES
+                  if two_valued_family(_, mode) is None) == [("M3", "lattice"), ("N5", "lattice")]
+
+
+@pytest.mark.parametrize("name,structure,mode", FAMILY_MODES,
+                         ids=[f"{name}-{mode}" for name, _, mode in FAMILY_MODES])
+def test_the_factor_route_matches_the_oracle_without_a_slice(name, structure, mode, monkeypatch):
+    # the structure's family and the generator record's give the closure and
+    # gap tuple of one table call per table and tuple, and neither builds a slice
+    rng = random.Random(f"factor-{name}-{mode}")
+    gens, size = generators(structure, mode), structure.size
+    family = two_valued_family(structure, mode)
+    slices = {n: slow_clone_slice(gens, n, limit=10_000) for n in (1, 2, 3)}
+    monkeypatch.setattr(equations, "clone_slice", _refused)
+    for n, ops in slices.items():
+        cells = list(product(range(size), repeat=n))
+        relations = [Relation(n, size, []), Relation.full(n, size)]
+        relations += [Relation(n, size, rng.sample(cells, rng.randint(1, min(len(cells), 12))))
+                      for _ in range(6)]
+        for T in relations:
+            closure = slow_galois_closure(ops, slow_equations_of(T, ops), n, size)
+            gap = next((t for t in closure.tuples if t not in T), None)
+            assert family.closure(T) == (closure, gap)
+            assert family.gap(T) == gap
+            assert galois_closure(T, gens) == closure
+            if gap is not None:
+                assert is_solution_set(T, gens) == (False, gap)
+
+
+def _check_factor_route(structure, mode, data):
+    """The factor route's closure, gap and verdict are the slice route's."""
+    n = data.draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(0, structure.size - 1)] * n)
+    T = Relation(n, structure.size, data.draw(st.lists(cell, max_size=6)))
+    gens = generators(structure, mode)
+    closure = equations_of(T, gens).closure()  # the slice route
+    gap = gap_tuple(closure, T)
+    assert two_valued_family(structure, mode).closure(T) == (closure, gap)
+    assert galois_closure(T, gens) == closure
+    verdict, evidence = is_solution_set(T, gens)
+    assert (verdict, evidence if gap else None) == (gap is None, gap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(down_set_lattices(), st.sampled_from(["lattice", "semilattice"]), st.data())
+def test_the_factor_route_matches_the_slice_on_down_set_lattices(one_memo, lattice, mode, data):
+    _check_factor_route(lattice, mode, data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(intersection_closed_families(), st.data())
+def test_the_factor_route_matches_the_slice_on_closure_systems(one_memo, semilattice, data):
+    _check_factor_route(semilattice, "semilattice", data)
+
+
+def test_a_negative_verdict_on_b3_at_arity_5_is_read_off_the_factor():
+    # the slice route built 7,579 tables of 32,768 cells: 9.7 s at 745 MB
+    B3 = catalog.boolean_lattice(3)
+    gens = generators(B3, "lattice")
+    rng = random.Random(5)
+    T = Relation(5, 8, [tuple(rng.randrange(8) for _ in range(5)) for _ in range(20)])
+    gc.collect()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        verdict, gap = is_solution_set(T, gens)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is False and gap not in T
+    assert gap in galois_closure(T, gens)
+    assert elapsed < 1.0, f"is_solution_set took {elapsed:.3f}s"
+    assert peak < 8 << 20, f"is_solution_set peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_the_limit_bounds_only_the_slice():
+    # the factor route builds no slice, so no limit refuses it; a positive
+    # answer still takes the slice for its certificate
+    gens = generators(C3, "lattice")
+    order = Relation(2, 3, [(a, b) for a in range(3) for b in range(3) if a <= b])
+    T = Relation(2, 3, [(0, 1)])
+    assert galois_closure(T, gens, limit=0) == order
+    assert is_solution_set(T, gens, limit=0) == (False, (0, 0))
+    assert is_solution_set(order, gens, limit=0) == (None, None)
+    assert is_solution_set(order, gens)[0] is True
+    with pytest.raises(LimitExceeded):
+        galois_closure(Relation(2, 5, [(0, 1)]), generators(N5, "lattice"), limit=0)
+
+
+def test_only_generators_that_act_as_and_and_or_on_the_factor_take_it(monkeypatch):
+    # join alone acts on its factor as AND, its absorbing top as p, and keeps
+    # the route; a generator list with other bits on the factor takes the slice
+    meet, join = generators(C3, "lattice")
+    T = Relation(2, 3, [(0, 1), (2, 1)])
+    closure = equations_of(T, [join]).closure()
+    assert equations._factor_family([join]) is not None
+    for gens in ([meet, meet], [meet, join, meet]):
+        assert equations._factor_family(gens) is None
+    monkeypatch.setattr(equations, "clone_slice", _refused)
+    assert galois_closure(T, [join]) == closure
+    with pytest.raises(AssertionError, match="clone_slice called"):
+        galois_closure(T, [meet, meet])
+
+
+def test_a_relation_on_another_carrier_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(equations, "clone_slice", _refused)
+    monkeypatch.setattr(equations, "_generator_record", _refused)
     gens = generators(catalog.chain(5), "lattice")
     for T in (Relation(2, 7, [(0, 1), (3, 2)]), Relation(2, 3, [(0, 1), (2, 2)])):
         for decide in (equations_of, galois_closure, is_solution_set):

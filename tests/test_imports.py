@@ -57,16 +57,20 @@ def test_lattice_and_qe_verbs_run_without_numpy(b2, argv, code):
 
 @pytest.fixture
 def files(tmp_path, b2):
-    """The structure files B2, N5 and C4, a binary relation and a unary system on B2."""
+    """The structure files B2, N5, M3 and C4, a binary relation, one with an
+    entry out of range and a unary system on B2."""
     paths = {"b2": b2}
     for name, elements, covers in (
             ("n5", ["0", "a", "b", "c", "1"], [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]]),
+            ("m3", ["0", "a", "b", "c", "1"], [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]),
             ("c4", ["0", "1", "2", "3"], [[0, 1], [1, 2], [2, 3]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"elements": elements, "covers": covers}),
                                encoding="utf-8")
     paths["rel"] = tmp_path / "rel.json"
     paths["rel"].write_text(json.dumps({"arity": 2, "tuples": [[0, 1], [1, 0]]}), encoding="utf-8")
+    paths["bad"] = tmp_path / "bad.json"
+    paths["bad"].write_text(json.dumps({"arity": 2, "tuples": [[0, 9]]}), encoding="utf-8")
     paths["sys"] = tmp_path / "sys.json"
     paths["sys"].write_text(json.dumps({"arity": 1, "pairs": [[[0, 1, 1, 3], [0, 1, 2, 3]]]}),
                             encoding="utf-8")
@@ -74,29 +78,39 @@ def files(tmp_path, b2):
 
 
 # Formula masks are Python ints on every carrier, so the verbs that evaluate
-# formulas (sdc through its round trips on a positive verdict) load no numpy
-@pytest.mark.parametrize("argv", [
-    ["eval", "b2", "-e", "exists u . x /\\ u = y"],
-    ["eval", "n5", "-e", "exists u . x /\\ u = y /\\ u & x \\/ u = y \\/ u"],
-    ["eval", "c4", "--mode", "semilattice", "-e", "exists u . x /\\ u = y & u <= z"],
-    ["solve", "b2", "-e", "x /\\ y <= z"],
-    ["sdc", "b2"],
-], ids=["eval-b2", "eval-n5", "eval-c4-semilattice", "solve-e-b2", "sdc-b2"])
-def test_evaluating_verbs_run_without_numpy(files, argv):
-    verb, name, *rest = argv
-    assert _python(CLI_THEN_REPORT, verb, files[name], *rest)[-1] == "0 False"
+# formulas (sdc through its round trips on a positive verdict) load no
+# numpy. Nor do galois and a negative sdc where the structure has a
+# two-valued family (every semilattice, and a distributive lattice in
+# lattice mode): their closures are ints over the two-element factor. A
+# relation with an entry out of range is refused before any engine loads.
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "b2", "-e", "exists u . x /\\ u = y"], 0),
+    (["eval", "n5", "-e", "exists u . x /\\ u = y /\\ u & x \\/ u = y \\/ u"], 0),
+    (["eval", "c4", "--mode", "semilattice", "-e", "exists u . x /\\ u = y & u <= z"], 0),
+    (["solve", "b2", "-e", "x /\\ y <= z"], 0),
+    (["sdc", "b2"], 0),
+    (["galois", "b2", "-T", "rel"], 0),
+    (["galois", "n5", "--mode", "semilattice", "-T", "rel"], 0),
+    (["sdc", "c4"], 0),
+    (["sdc", "m3", "--mode", "semilattice"], 0),
+    (["galois", "n5", "-T", "bad"], 1),
+], ids=["eval-b2", "eval-n5", "eval-c4-semilattice", "solve-e-b2", "sdc-b2", "galois-b2",
+        "galois-n5-semilattice", "sdc-c4", "sdc-m3-semilattice", "galois-out-of-range"])
+def test_evaluating_verbs_run_without_numpy(files, argv, code):
+    argv = [files.get(a, a) for a in argv]
+    assert _python(CLI_THEN_REPORT, *argv)[-1] == f"{code} False"
 
 
-# The verbs that compute with value tables still load it: so does sdc on N5,
-# whose negative verdict is verified by a clone slice
+# The verbs that compute with value tables still load it: so do galois and
+# sdc on N5 in lattice mode, which has no family, through a clone slice
 @pytest.mark.parametrize("argv", [
     ["clone", "b2", "-n", "2"],
     ["centralizer", "b2", "-k", "1"],
     ["eq", "b2", "-T", "rel"],
-    ["galois", "b2", "-T", "rel"],
     ["solve", "b2", "--system", "sys"],
     ["sdc", "n5"],
-], ids=["clone", "centralizer", "eq", "galois", "solve-system", "sdc-n5"])
+    ["galois", "n5", "-T", "rel"],
+], ids=["clone", "centralizer", "eq", "solve-system", "sdc-n5", "galois-n5"])
 def test_table_verbs_load_numpy(files, argv):
     argv = [files.get(a, a) for a in argv]
     assert _python(CLI_THEN_REPORT, *argv)[-1] == "0 True"

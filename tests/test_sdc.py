@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from latclone import catalog, sdc
-from latclone.equations import galois_closure, is_solution_set
+from latclone import catalog, equations, operations, sdc
+from latclone.equations import equations_of, galois_closure, gap_tuple, is_solution_set
 from latclone.errors import (
     BadSpec,
     IsBoolean,
@@ -450,6 +450,46 @@ def test_no_positive_round_trip_builds_a_relation(monkeypatch, mode):
     for structure in POSITIVE[mode]:
         verdict = decide_sdc(structure, mode)
         assert verdict.holds and verdict.verified and verdict.qe_samples == 25
+
+
+def test_the_witness_is_built_once_per_structure_and_mode(monkeypatch):
+    built = []
+    evaluate = sdc.eval_formula
+    monkeypatch.setattr(sdc, "eval_formula",
+                        lambda phi, algebra: built.append(phi) or evaluate(phi, algebra))
+    for make, mode in ((lambda: catalog.chain(3), "lattice"), (catalog.pentagon, "lattice"),
+                       (catalog.pentagon, "semilattice"), (catalog.fence, "semilattice")):
+        fresh = make()
+        first, second = (decide_sdc(fresh, mode, verify=0) for _ in range(2))
+        assert first.witness is second.witness and len(built) == 1
+        built.clear()
+
+
+FAMILY_NEGATIVES = [(C3, "lattice"), (C4, "lattice"), (N5, "semilattice"), (M3, "semilattice"),
+                    (FENCE, "semilattice")]
+
+
+def test_negative_verdicts_with_a_family_are_verified_without_a_slice(monkeypatch):
+    # the gap is read off the two-element factor, so no slice is built and
+    # even limit 0 leaves the verdict proved; it is the slice route's gap
+    expected = []
+    for structure, mode in FAMILY_NEGATIVES:
+        semilattice = structure if mode == "lattice" else catalog.meet_reduct(structure)
+        witness = decide_sdc(structure, mode, verify=0).witness
+        closure = equations_of(witness, generators(semilattice, mode)).closure()
+        expected.append(gap_tuple(closure, witness))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("clone_slice called")
+
+    monkeypatch.setattr(operations, "clone_slice", refused)
+    monkeypatch.setattr(equations, "clone_slice", refused)
+    for (structure, mode), gap in zip(FAMILY_NEGATIVES, expected):
+        verdict = decide_sdc(structure, mode, limit=0)
+        assert not verdict.holds and verdict.verified
+        assert gap is not None and verdict.gap_tuple == gap
+    with pytest.raises(AssertionError, match="clone_slice called"):
+        decide_sdc(N5, "lattice")
 
 
 @pytest.mark.parametrize("structure, mode, match", [
