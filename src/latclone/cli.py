@@ -31,13 +31,13 @@ from .lattice import (
 # Each command imports the engines it runs when it runs, and only once its
 # input files are read and checked, so a process pays only for its own
 # verb: check and props stay on the lattice layer; eval, qe, solve -e/-f
-# and a positive sdc run on the bit planes of latclone.formulas; galois and
-# a negative sdc run on the two-element factor (latclone.twovalued) where
+# and a positive sdc run on the bit planes of latclone.formulas; galois, a
+# negative sdc, clone, centralizer and eq run on the two-element factor
+# (latclone.twovalued: closures on masks, tables as byte-coded ints) where
 # the structure has a family in the mode, that is lattice mode on a
 # distributive lattice and semilattice mode always. numpy is loaded only by
-# the verbs that compute with value tables: clone, centralizer, eq, solve
-# --system, and galois and a negative sdc on a structure without a family
-# (N5 and M3 in lattice mode). These engine functions stay readable as
+# solve --system and, on a structure without a family (N5 and M3 in lattice
+# mode), by those five verbs. These engine functions stay readable as
 # attributes of this module, as they were when it imported them up front
 # (bench/test_bench.py checks them as binding sites of the tracer); each
 # read returns the engine module's current binding.
@@ -92,12 +92,12 @@ def relation_json(relation):
     return {"arity": relation.arity, "tuples": [list(t) for t in relation]}
 
 
-def op_json(op):
+def op_json(arity, values, term):
     from . import terms
 
-    payload = {"arity": op.arity, "values": list(op.values)}
-    if op.provenance is not None:
-        payload["term"] = terms.render(op.provenance)
+    payload = {"arity": arity, "values": list(values)}
+    if term is not None:
+        payload["term"] = terms.render(term)
     return payload
 
 
@@ -176,25 +176,41 @@ def cmd_props(args):
     return payload
 
 
-def cmd_clone(args):
-    from .operations import clone_slice, generators
+def _slice(structure, mode, verb, arity, limit):
+    """(values, terms) of the verb's slice, each table's, read off the
+    structure's two-valued family where it has one (latclone.twovalued),
+    else computed by latclone.operations."""
+    from . import terms
+    from .twovalued import two_valued_family
 
+    family = two_valued_family(structure, mode)
+    if family is None:
+        from . import operations
+
+        engine = operations.clone_slice if verb == "clone" else operations.centralizer_slice
+        ops = engine(operations.generators(structure, mode), arity, limit=limit)
+        return [op.values for op in ops], [op.provenance for op in ops]
+    if verb == "clone":
+        x1, x2 = terms.Var("x1"), terms.Var("x2")
+        values, provs = family.clone_rows((terms.Meet(x1, x2), terms.Join(x1, x2))[:len(family.ops)],
+                                          arity, limit)
+    else:
+        values = family.centralizer_rows(arity, limit)
+        provs = [None] * (len(values) // structure.size ** arity)
+    cells = structure.size ** arity
+    return [values[i * cells:(i + 1) * cells] for i in range(len(provs))], provs
+
+
+def cmd_clone(args, verb="clone", default=DEFAULT_CLONE_LIMIT):
     structure = load_structure(args.structure)
     mode = _structure_mode(structure, args)
-    ops = clone_slice(generators(structure, mode), args.arity, limit=_default_limit(args))
-    return {"arity": args.arity, "carrier": structure.size,
-            "count": len(ops), "operations": [op_json(op) for op in ops]}
+    rows = _slice(structure, mode, verb, args.arity, _default_limit(args, default))
+    return {"arity": args.arity, "carrier": structure.size, "count": len(rows[0]),
+            "operations": [op_json(args.arity, *row) for row in zip(*rows)]}
 
 
 def cmd_centralizer(args):
-    from .operations import centralizer_slice, generators
-
-    structure = load_structure(args.structure)
-    mode = _structure_mode(structure, args)
-    ops = centralizer_slice(generators(structure, mode), args.arity,
-                            limit=_default_limit(args, DEFAULT_CENTRALIZER_LIMIT))
-    return {"arity": args.arity, "carrier": structure.size,
-            "count": len(ops), "operations": [op_json(op) for op in ops]}
+    return cmd_clone(args, "centralizer", DEFAULT_CENTRALIZER_LIMIT)
 
 
 def _system_from_file(structure, args):
@@ -232,21 +248,26 @@ def cmd_solve(args):
 
 
 def cmd_eq(args):
+    """The clone slice grouped by the tables' values on the relation, blocks
+    in order of their first table, as equations_of groups it, and the
+    induced system: each block's first table equals each other one."""
+    from . import terms
+
     structure = load_structure(args.structure)
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
-    limit = _default_limit(args)
-    from . import terms
-    from .equations import equations_of
-    from .operations import generators
-
-    theory = equations_of(relation, generators(structure, mode), limit=limit)
-    blocks = [[op_json(theory.ops[i]) for i in block] for block in theory.blocks]
-    equations = [[terms.render(f.provenance), terms.render(g.provenance)]
-                 for f, g in theory.induced_system()
-                 if f.provenance is not None and g.provenance is not None]
-    return {"arity": theory.arity, "sliceSize": len(theory.ops),
-            "blocks": blocks, "equations": equations}
+    values, provs = _slice(structure, mode, "clone", relation.arity, _default_limit(args))
+    cells = [sum(v * structure.size ** (relation.arity - 1 - i) for i, v in enumerate(t))
+             for t in relation.tuples]
+    groups = {}
+    for i, row in enumerate(values):
+        groups.setdefault(tuple(row[c] for c in cells), []).append(i)
+    return {"arity": relation.arity, "sliceSize": len(values),
+            "blocks": [[op_json(relation.arity, values[i], provs[i]) for i in block]
+                       for block in groups.values()],
+            "equations": [[terms.render(provs[block[0]]), terms.render(provs[i])]
+                          for block in groups.values() for i in block[1:]
+                          if provs[block[0]] is not None and provs[i] is not None]}
 
 
 def cmd_galois(args):

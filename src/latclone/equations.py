@@ -184,26 +184,12 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     return theory
 
 
-_AND, _OR = (False, False, False, True), (False, True, True, True)
-_FACTOR_KINDS = {(_AND,): "semilattice", (_AND, _OR): "lattice"}
-
-
 def _factor_family(generator_ops):
-    """The two-valued family (see latclone.twovalued) of the generators'
-    record, when its maps send the generators to AND and OR on {p, q}, or
-    to AND alone (q as 1), so that they generate the lattice or the
-    semilattice clone of the two-element factor; else None."""
+    """The generators' two-valued family (see latclone.twovalued) when it
+    sends them to the meet and join of the two-element lattice, or to its
+    meet, so that they generate the factor's clone; else None."""
     family = _generator_record(generator_ops)[0]
-    if family is None:
-        return None
-    p, q, maps, bits = family
-    kind = _FACTOR_KINDS.get(tuple(tuple(b.tolist()) for b in bits))
-    if kind is None:
-        return None
-    from .twovalued import family_of
-
-    codes = ((maps == q).astype(np.int64) << np.arange(len(maps))[:, None]).sum(axis=0)
-    return family_of(kind, tuple(codes.tolist()), len(maps))
+    return family if family is not None and family.kind else None
 
 
 def galois_closure(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> Relation:

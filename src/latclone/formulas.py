@@ -368,10 +368,10 @@ def _boolean_power(algebra):
         if algebra.kind != "lattice":
             lattice = None if algebra.top is None else semilattice_to_lattice(algebra)
         if lattice is not None and is_boolean(lattice)[0]:
-            from .twovalued import family_of
+            from .twovalued import FACTOR_OPS, family_of
 
             primes, images = lattice._distributive_cache[3:]
-            power = family_of(algebra.kind, tuple(images), len(primes))
+            power = family_of(tuple(images), len(primes), FACTOR_OPS[algebra.kind])
     algebra._boolean_power_cache = (power,)
     return power
 

@@ -6,11 +6,9 @@ the deduplication key everywhere; the optional provenance term attached to
 generated tables is display metadata and takes no part in comparisons.
 """
 
-from functools import cache, reduce
-
 import numpy as np
 
-from . import symmetry, terms
+from . import symmetry, terms, twovalued
 from .errors import (
     DEFAULT_CENTRALIZER_LIMIT,
     DEFAULT_CLONE_LIMIT,
@@ -139,7 +137,13 @@ def _checked_tables(matrix, arity, size, provenances):
         raise BadSpec(f"table block of shape {matrix.shape} does not have {size ** arity} columns")
     if matrix.size and (matrix.min() < 0 or matrix.max() >= size):
         raise BadSpec("value table entry out of range")
-    matrix = np.ascontiguousarray(matrix, dtype=np.min_scalar_type(size - 1))
+    return _row_tables(np.ascontiguousarray(matrix, dtype=np.min_scalar_type(size - 1)),
+                       arity, size, provenances)
+
+
+def _row_tables(matrix, arity, size, provenances):
+    """Tables from the rows of a matrix in the narrowest unsigned dtype,
+    which is made read-only: the engines' own matrices, unchecked."""
     matrix.flags.writeable = False
     tables = []
     for row, provenance in enumerate(provenances):
@@ -220,15 +224,6 @@ def projection(n, i, size) -> OpTable:
     return OpTable(n, size, col, provenance=terms.Var(f"x{i}"))
 
 
-def _composer(f):
-    """compose(inner): the term of f applied to the inner terms, or None if f or any has none."""
-    names = [f"x{i + 1}" for i in range(f.arity)]  # f's positional variables
-    if f.provenance is None or not terms.variables(f.provenance) <= set(names):
-        return lambda inner: None
-    return lambda inner: (None if any(p is None for p in inner)
-                          else terms.substitute(f.provenance, dict(zip(names, inner))))
-
-
 def _row_keys(rows):
     """One exact key per row of a contiguous array: its bytes, read as one
     unsigned integer if they fit in eight, else as a void."""
@@ -288,13 +283,10 @@ def _slice_arguments(generator_ops, n):
         raise BadSpec("at least one generator is required")
     if any(g.size != generator_ops[0].size for g in generator_ops):
         raise BadSpec("generators must share a carrier")
-    n = as_indices([n], "slice arity")[0]
-    if n < 1:
-        raise BadSpec("slice arity must be at least 1")
-    return generator_ops, generator_ops[0].size, n
+    return generator_ops, generator_ops[0].size, twovalued.slice_arity(n)
 
 
-_RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged, walks), see _generator_record
+_RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged), see _generator_record
 
 
 def _record_key(generator_ops):
@@ -302,42 +294,20 @@ def _record_key(generator_ops):
 
 
 def _generator_record(generator_ops):
-    """(family, ops, slices, judged, walks), kept once per generator set: the
-    family of symmetry.separating_family or None, per generator (arity,
+    """(family, ops, slices, judged), kept once per generator set: the
+    family of twovalued.find_family or None, per generator (arity,
     symmetric, narrow values), the clone slices found so far, arity ->
-    tables (see clone_slice), the verdicts on subalgebras so far, by member
-    bits and by restricted tables (see symmetry.separating_cells), and with
-    a family the packed walks so far, arity -> derivations and terms (see
-    _packed_walk), else None.
-
-    A packed walk is fixed by the generators' arities, terms and bits on
-    {p, q}, so the walks are those of the factor's record: the generators'
-    bits as tables on {0, 1} with the same terms (C2's generators, for
-    every distributive lattice in lattice mode), and every generator set
-    with that factor shares them. The symmetric flags agree with the
-    factor's: the family embeds the carrier in a power of {p, q}, so a
-    generator is symmetric exactly when its bits are.
+    tables (see clone_slice), and the verdicts on subalgebras so far, by
+    member bits and by restricted tables (see symmetry.separating_cells).
     """
     key = _record_key(generator_ops)
     if key not in _RECORDS:
-        family = symmetry.separating_family(generator_ops)
+        size = generator_ops[0].size  # a family's tables take a byte per cell
+        family = None if size > 256 else twovalued.find_family(
+            size, [(g.arity, g.values) for g in generator_ops])
         ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)))
                for g in generator_ops]
-        walks = None
-        if family is not None:
-            # the factor's record is built directly: its family is p = 0, q = 1,
-            # the identity map and the same bits, and its tables are the bits
-            factor_ops = [(m, s, bits.view(np.uint8)) for (m, s, _), bits in zip(ops, family[3])]
-            factor = tuple((m, 2, values.tobytes(), g.provenance)
-                           for (m, _, values), g in zip(factor_ops, generator_ops))
-            if factor == key:
-                walks = {}
-            else:
-                if factor not in _RECORDS:
-                    _keep(factor, ((0, 1, np.array([[0, 1]]), family[3]), factor_ops, {},
-                                   ({}, {}), {}))
-                walks = _RECORDS[factor][4]
-        _keep(key, (family, ops, {}, ({}, {}), walks))
+        _keep(key, (family, ops, {}, ({}, {})))
     return _RECORDS[key]
 
 
@@ -355,39 +325,6 @@ def _lookup(values, found, size):
         idx *= size
         idx += f
     return values.take(idx)
-
-
-def _gathering(m, symmetric, values, size, cells):
-    """The walk_ops entry (see _walk) of an m-ary table applied by _lookup to rows of
-    cells: per candidate and cell its codes, an argument, their intp copy and a value."""
-    return m, symmetric, lambda found: _lookup(values, found, size), cells * (
-        np.min_scalar_type(len(values) - 1).itemsize + 2 * values.itemsize + 8)
-
-
-@cache
-def _packed_projections(n):
-    """The projections on {p, q}^n as rows of bits, bit c for the cell c (in
-    lexicographic order) in words of 8 to 64 bits. Below n = 3 the bits past
-    2^n are 0 in every projection: they act as copies of the cell (p, ..., p)
-    in every row built bitwise, so no mask is needed."""
-    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]).astype(np.uint8) & 1
-    return np.packbits(bits, axis=1, bitorder="little").view(f"u{min(8, max(1, 2 ** n // 8))}")
-
-
-def _packed(bits, m):
-    """apply(found) on argument rows of bits (1 for q) for a generator with these bits on
-    {p, q}^m: the OR, over the argument patterns it sends to q, of the AND of the arguments
-    or their complements; or the complement of that over those sent to p, when fewer."""
-    ones, zeros = np.flatnonzero(bits).tolist(), np.flatnonzero(~bits).tolist()
-    invert = len(zeros) < len(ones)
-    patterns = [[c >> (m - 1 - i) & 1 for i in range(m)] for c in (zeros if invert else ones)]
-
-    def apply(found):
-        out = [reduce(np.bitwise_and, [f if b else ~f for f, b in zip(found, p)]) for p in patterns]
-        out = reduce(np.bitwise_or, out) if out else np.zeros_like(found[0])
-        return ~out if invert else out
-
-    return apply
 
 
 def _tuples_with(lo, hi, m, symmetric):
@@ -418,22 +355,25 @@ def _tuples_with(lo, hi, m, symmetric):
     return cols[:, keep], at[keep]
 
 
-def _walk(start, walk_ops, limit, refusal):
+def _walk(start, ops, size, limit, refusal):
     """The clone walk from the distinct start rows: the rows in the order found and, after
     the start, the generator and argument rows (padded with 0) that found each first.
     Raises LimitExceeded(refusal) past limit. A block takes the positions from lo up to the
     row count as far as BLOCK_BYTES allows; every generator meets the tuples of _tuples_with,
     and new keys are kept in the sequential walk's (position, generator, tuple) order.
-    walk_ops holds (arity, symmetric, apply, row_bytes): apply(argument rows) builds rows."""
+    ops holds each generator's (arity, symmetric, narrow values), applied by _lookup."""
     count = len(start)
     if count > limit:
         raise LimitExceeded(refusal)
     rows = np.concatenate((start, np.empty((max(count, 16),) + start.shape[1:], start.dtype)))
     by_key = np.argsort(_row_keys(start))  # the tables in the order of their keys
-    width = max(m for m, *_ in walk_ops)
+    width = max(m for m, *_ in ops)
     gens, args = [np.empty(0, dtype=int)], [np.empty((width, 0), dtype=int)]
-    # per tuple: the index columns, positions and ranks, their intp copies in np.take, the rows
-    per = [(m, s, (m + 2) * 8 + 8 * m + b) for m, s, _, b in walk_ops]
+    # per tuple: the index columns, positions and ranks, their intp copies in np.take, and per
+    # cell the candidate's codes, an argument, their intp copy and a value
+    per = [(m, s, (m + 2) * 8 + 8 * m + start.shape[1] * (
+        np.min_scalar_type(len(values) - 1).itemsize + 2 * values.itemsize + 8))
+        for m, s, values in ops]
 
     def below(p, m, s):  # the tuples at the positions below p
         return p * (p + 1) // 2 if s and m == 2 else p ** m
@@ -444,10 +384,10 @@ def _walk(start, walk_ops, limit, refusal):
             ends = np.arange(lo + 1, count + 1.0)  # a block ending at each later position
             cost = sum(b * (below(ends, m, s) - below(lo, m, s)) for m, s, b in per)
             hi = lo + max(1, int(cost.searchsorted(BLOCK_BYTES, side="right")))
-        shapes = {(m, s): _tuples_with(lo, hi, m, s) for m, s, _, _ in walk_ops}  # one per shape
+        shapes = {(m, s): _tuples_with(lo, hi, m, s) for m, s, _ in ops}  # one per shape
         args_of = {shape: rows.take(cols, axis=0) for shape, (cols, _) in shapes.items()}
-        block = [shapes[m, s] for m, s, _, _ in walk_ops]
-        found = np.concatenate([apply(args_of[m, s]) for m, s, apply, _ in walk_ops])
+        block = [shapes[m, s] for m, s, _ in ops]
+        found = np.concatenate([_lookup(values, args_of[m, s], size) for m, s, values in ops])
         known = _row_keys(rows[:count])
         near = np.minimum(known.searchsorted(_row_keys(found), sorter=by_key), count - 1)
         miss = (rows.take(by_key[near], axis=0) != found).any(axis=1).nonzero()[0]
@@ -476,76 +416,48 @@ def _walk(start, walk_ops, limit, refusal):
     return rows[:count], np.concatenate(gens), np.concatenate(args, axis=1)
 
 
-def _terms(generator_ops, first, gens, args):
-    """The terms of a walk's tables: x_(i+1) for each projection i in first,
-    then each derived table's generator term composed from its arguments'."""
-    provs = [terms.Var(f"x{i + 1}") for i in first.tolist()]
-    composers = [(_composer(g), g.arity) for g in generator_ops]
-    for g, tuple_ in zip(gens.tolist(), args.T.tolist()):
-        compose, m = composers[g]
-        provs.append(compose([provs[c] for c in tuple_[:m]]))
-    return provs
-
-
-def _packed_walk(generator_ops, family, ops, walks, n, limit, refusal):
-    """(gens, args, terms) of the walk on {p, q}^n from the n projections, memoised
-    in walks (see _generator_record). A memoised walk of more than limit tables is
-    refused without a walk, and a refused walk memoises nothing."""
-    if n not in walks:
-        start = _packed_projections(n)
-        walk_ops = [(m, s, _packed(bits, m), (m + 2) * start[0].nbytes)
-                    for (m, s, _), bits in zip(ops, family[3])]
-        gens, args = _walk(start, walk_ops, limit, refusal)[1:]
-        walks[n] = gens, args, _terms(generator_ops, np.arange(n), gens, args)
-    elif n + len(walks[n][0]) > limit:
-        raise LimitExceeded(refusal)
-    return walks[n]
-
-
 def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     """The n-ary part of the clone generated by the given operations.
 
     Starts from the n projections; at the table with index pos, each m-ary
     generator meets the m-tuples of tables 0..pos that contain pos, up to a
-    fixpoint, in blocks of positions (see _walk). With a separating family
-    (symmetry.separating_family) the walk runs on {p, q}^n, a table a row
-    of 2^n bits; else on symmetry.separating_cells: a term operation's
-    value at a cell lies in the subalgebra the cell's entries generate, so
-    it is one value when that has one element, and it is read off {p, q}^n
-    when that has a family into a pair on which the generators act as on
-    {p, q}. Keeping a table's values on the other cells commutes with
-    applying a generator cellwise and tells term operations apart, so the
-    walk finds, orders and refuses as a walk on every cell would. The full tables are then replayed from the
-    derivations, one gather per level (the tables found at the positions
-    of the level before). Terms are composed once the walk has ended.
-    Returns tables sorted by values, the rows of one value matrix (see
-    slice_matrix); raises LimitExceeded past the limit, and BadSpec for a
-    limit that is not a nonnegative integer. Memoised in the generator
-    record: the result is a pure function of the generator tables and
-    terms, and the walk refuses exactly when it finds more than limit
-    tables, so a memoised slice longer than the limit is refused. The
-    packed walk and its terms are memoised once per two-element factor
-    (see _generator_record), so a generator set whose factor has walked
-    at this arity only replays, sorts and checks its own tables.
+    fixpoint. With a two-valued family (twovalued.find_family) the walk
+    runs on {0, 1}^n and TwoValuedFamily.clone_rows replays the tables in
+    byte lanes, with no numpy; the walk is memoised per two-element factor
+    and arity. Without one, _walk runs on symmetry.separating_cells, whose
+    values tell term operations apart, so it finds, orders and refuses as a
+    walk on every cell would; the full tables are then replayed from its
+    derivations, one gather per level (the tables found at the positions of
+    the level before), and the terms composed. Returns tables sorted by
+    values, the rows of one value matrix (see slice_matrix); raises
+    LimitExceeded past the limit, and BadSpec for a limit that is not a
+    nonnegative integer. Memoised in the generator record: the walk refuses
+    exactly when it finds more than limit tables, so a memoised slice
+    longer than the limit is refused.
     """
     generator_ops, size, n = _slice_arguments(generator_ops, n)
     limit = as_count(limit, "limit")
-    family, ops, slices, _, walks = _generator_record(generator_ops)
+    family, ops, slices, _ = _generator_record(generator_ops)
     refusal = f"clone slice exceeds {limit} tables"
     if n in slices:
         if len(slices[n]) > limit:
             raise LimitExceeded(refusal)
         return list(slices[n])
+    if family is not None:
+        values, provs = family.clone_rows([g.provenance for g in generator_ops], n, limit)
+        matrix = np.frombuffer(values, dtype=np.uint8).reshape(len(provs), size ** n)
+        tables = _row_tables(matrix, n, size, provs)
+        slices[n] = tuple(tables)
+        return tables
     narrow = np.min_scalar_type(size - 1)
     columns = argument_columns(size, n, narrow)  # the projections
     first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
-    if family is None:
-        cells = symmetry.separating_cells(generator_ops, n)
-        walk_ops = [_gathering(m, s, values, size, len(cells)) for m, s, values in ops]
-        gens, args = _walk(columns[:, cells][first], walk_ops, limit, refusal)[1:]
-        provs = _terms(generator_ops, first, gens, args)
-    else:
-        gens, args, provs = _packed_walk(generator_ops, family, ops, walks, n, limit, refusal)
+    cells = symmetry.separating_cells(generator_ops, n)
+    gens, args = _walk(columns[:, cells][first], ops, size, limit, refusal)[1:]
+    provs = twovalued.derived_terms([g.provenance for g in generator_ops],
+                                    [g.arity for g in generator_ops], first.tolist(),
+                                    [(g, tuple_[:generator_ops[g].arity])
+                                     for g, tuple_ in zip(gens.tolist(), args.T.tolist())])
     done = len(first)
     matrix = np.empty((len(gens) + done, size ** n), dtype=narrow)
     matrix[:done] = columns[first]
@@ -678,105 +590,33 @@ def _plan_search(position, layers, size):
             yield rows[position]
 
 
-def _prefix_steps(high):
-    """Transitions between the prefixes of the elements' bit vectors.
-
-    high is the r x size array of the bits (h_i(x) == q). A prefix is
-    named by the lowest element whose bit vector starts with it; entry
-    [i, b, s] of the result is the name of prefix s of length i extended by
-    bit b, or size if no element's bit vector starts that way. The maps
-    separate the carrier, so the name of a full bit vector is its element.
-    """
-    r, size = high.shape
-    same = np.logical_and.accumulate(high[:, :, None] == high[:, None, :])  # same prefix up to i
-    name = same.argmax(axis=2)
-    before = np.vstack((np.zeros((1, size), dtype=name.dtype), name[:-1]))
-    steps = np.full((r, 2, size), size, dtype=np.min_scalar_type(size))
-    steps[np.arange(r)[:, None], high.astype(np.intp), before] = name
-    return steps
-
-
-def _combine(homs, steps, limit):
-    """The tables f (columns of a cells x tables array) with h_i o f = u_i
-    for an r-tuple u_1..u_r of the homomorphisms homs (bits, cells x homs):
-    one per tuple whose bit vector at every cell is an element's. Raises
-    LimitExceeded once more than limit are found.
-
-    The tuples grow depth first in blocks. At depth i a partial tuple
-    names a prefix at every cell; it fails with a homomorphism when some
-    cell has no extension by that homomorphism's bit, which one boolean
-    matrix product finds for every pair of the block, and only the pairs
-    that pass are built, at most BLOCK_CELLS cells of them at once: the
-    other pairs go back on the stack as (part, hom) indices. A block
-    touches at most BLOCK_CELLS cells unless one row needs more.
-    """
-    ncells, size = len(homs), steps.shape[2]  # size names no prefix
-    take, most = max(1, BLOCK_CELLS // max(1, homs.size)), max(1, BLOCK_CELLS // ncells)
-    found, count = [], 0
-    stack = [(0, np.zeros((ncells, 1), dtype=steps.dtype))]
-    while stack:
-        i, block, *pairs = stack.pop()
-        if pairs:  # pairs of a block not built yet
-            by_p, by_q, part, hom = pairs
-        else:
-            if block.shape[1] > take:
-                stack.append((i, block[:, take:]))
-                block = block[:, :take]
-            by_p, by_q = steps[i][:, block]  # each cell's prefix extended by either bit
-            stuck = ((by_p == size).T @ ~homs) | ((by_q == size).T @ homs)  # block x homs
-            part, hom = np.nonzero(~stuck)
-        if len(part) > most:
-            stack.append((i, None, by_p, by_q, part[most:], hom[most:]))
-            part, hom = part[:most], hom[:most]
-        cols = np.where(homs[:, hom], by_q[:, part], by_p[:, part])
-        if i + 1 < len(steps):
-            if cols.shape[1]:
-                stack.append((i + 1, cols))
-            continue
-        count += cols.shape[1]
-        if count > limit:
-            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
-        found.append(cols)
-    return np.concatenate(found, axis=1) if found else np.empty((ncells, 0), dtype=steps.dtype)
-
-
 def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     """All k-ary operations commuting with every generator, in lexicographic order.
 
     A k-ary f commutes with an m-ary generator g exactly when f is a
     homomorphism A^k -> A for g: f(g(c1, ..., cm)) = g(f(c1), ..., f(cm))
     for all cells c1..cm of A^k, with g applied digitwise on the left.
-    Without a separating family, _plan_search lists them with every value
-    at every branch cell. With two-valued homomorphisms h_1..h_r: A ->
-    {p, q} that separate the carrier, f is one exactly when every h_i o f
-    is a homomorphism A^k -> {p, q} and the bits of (h_i o f(c))_i are an
-    element's at every cell. The first generator is then a semilattice
-    operation, so those homomorphisms H are the constant p and the maps
-    x -> [x >= a] of the principal filters of A^k that commute with the
-    other generators (symmetry.two_valued_homomorphisms; each is a member,
-    so more than limit of them is refused at once), and _combine pairs r
-    of them. Raises LimitExceeded past the limit. The
-    tables are the rows of one value matrix, the search's blocks stacked or
-    the pairs sorted.
+    With a two-valued family, TwoValuedFamily.centralizer_rows combines its
+    homomorphisms A^k -> {0, 1} and counts the tables before it decodes
+    any; without one, _plan_search lists them with every value at every
+    branch cell. Raises LimitExceeded past the limit. The tables are the
+    rows of one value matrix.
     """
     generator_ops, size, k = _slice_arguments(generator_ops, k)
     limit = as_count(limit, "limit")
     family = _generator_record(generator_ops)[0]
-    if family is None:
-        found, count = [], 0
-        for block in _plan_search(*_layer_plan(generator_ops, size, k), size):
-            count += block.shape[1]
-            if count > limit:
-                raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
-            found.append(block.T)
-        matrix = np.concatenate(found)
-        del found
-    else:
-        steps = _prefix_steps(family[2] == family[1])  # the maps' bits, True for q
-        homs = symmetry.two_valued_homomorphisms(generator_ops, family, k, limit)
-        cols = _combine(homs, steps, limit)
-        matrix = cols.T[np.lexsort(cols[::-1])]
-        del cols
+    if family is not None:
+        values = family.centralizer_rows(k, limit)
+        return _row_tables(np.frombuffer(values, dtype=np.uint8).reshape(-1, size ** k), k, size,
+                           [None] * (len(values) // size ** k))
+    found, count = [], 0
+    for block in _plan_search(*_layer_plan(generator_ops, size, k), size):
+        count += block.shape[1]
+        if count > limit:
+            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+        found.append(block.T)
+    matrix = np.concatenate(found)
+    del found
     return _checked_tables(matrix, k, size, [None] * len(matrix))
 
 
@@ -791,8 +631,7 @@ def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:
     size, h = relation.size, relation.arity
     if not len(relation) or not h or not ops:
         return relation
-    walk_ops = [_gathering(m, s, values, size, h) for m, s, values in _generator_record(ops)[1]]
     # a relation past the limit that is closed already is no refusal
-    rows = _walk(_relation_rows(relation)[0], walk_ops, max(limit, len(relation)),
-                 f"closure exceeds {limit} tuples")[0]
+    rows = _walk(_relation_rows(relation)[0], _generator_record(ops)[1], size,
+                 max(limit, len(relation)), f"closure exceeds {limit} tuples")[0]
     return Relation(h, size, rows)

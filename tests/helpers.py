@@ -329,6 +329,69 @@ def permuted(lattice, rng):
     return FiniteLattice([lattice.names[a] for a in order], meet, join)
 
 
+def separating_family(generator_ops):
+    """Two-valued homomorphisms of the generators that separate the carrier, or
+    None: the numpy search that twovalued.find_family replaced, kept as its oracle.
+
+    Each generator is an OpTable or an array of its values with one axis
+    per argument, such as the tables of a subalgebra relabelled 0..s-1.
+    The first generator g, when binary, gives the proposals: p is its
+    least element (g(p, x) = p for every x), q the lowest other index, and
+    the map of a sends x to q when g(a, x) = a (a <= x for a meet) and to
+    p otherwise. A map is kept only if h(g(x, ...)) = g(h(x), ...) holds
+    for every generator and tuple, and only if it splits two elements that
+    the maps kept before it do not. The maps are tried largest up-set
+    first, ties in index order, so a Boolean power 2^k keeps the k maps
+    of its atoms in any order of its elements. Returns (p, q, maps, bits)
+    when the maps tell every two elements apart: maps an r x size array
+    of images, bits each generator's table on {p, q}^m as booleans (value
+    == q). The first generator is then idempotent, commutative and
+    associative, with p its least element.
+    """
+    tables = [g if isinstance(g, np.ndarray) else g.array().reshape((g.size,) * g.arity)
+              for g in generator_ops]
+    first = tables[0]
+    size = len(first)
+    if first.ndim != 2 or size < 2:
+        return None
+    above = first == np.arange(size)[:, None]
+    least = np.flatnonzero(above.all(axis=1))
+    if not len(least):
+        return None
+    p = int(least[0])
+    q = 1 if p == 0 else 0
+    # row a: the map of the up-set of a, as bits (1 for q); g on {p, q}^m by bits
+    bits = above.astype(np.uint8)
+    homomorphic, pair_bits, by_arity = np.ones(size, dtype=bool), [], {}
+    for g in tables:
+        arity, table = g.ndim, g.reshape(-1)
+        if arity not in by_arity:
+            pair_cells = [p, q]
+            args = bits.astype(np.min_scalar_type(2 ** arity - 1))
+            for _ in range(arity - 1):  # per map, the bits of g's arguments mapped, for every tuple
+                pair_cells = [c * size + d for c in pair_cells for d in (p, q)]
+                args = (args[:, :, None] * 2 + bits[:, None, :]).reshape(size, -1)
+            by_arity[arity] = pair_cells, args
+        pair_cells, args = by_arity[arity]
+        on_pair = table[pair_cells]
+        if not ((on_pair == p) | (on_pair == q)).all():
+            return None  # a map onto {p, q} could not commute with g
+        pair_bits.append(on_pair == q)
+        homomorphic &= (above[:, table] == pair_bits[-1][args]).all(axis=1)
+    ups = above.tolist()
+    code, kept = [0] * size, []  # code[x]: the bits of x under the kept maps
+    order = np.argsort(-above.sum(axis=1), kind="stable")
+    for a in order[homomorphic[order]].tolist():
+        up = ups[a]
+        if len(set(zip(code, up))) == len(set(code)):
+            continue  # splits no two elements that the kept maps put together
+        code = [2 * c + u for c, u in zip(code, up)]
+        kept.append(a)
+    if len(set(code)) < size:
+        return None
+    return p, q, np.where(above[kept], q, p), pair_bits
+
+
 def slow_centralizer_slice(generator_ops, k, limit):
     """All k-ary operations commuting with every generator, by constraint propagation.
 

@@ -79,10 +79,11 @@ def files(tmp_path, b2):
 
 # Formula masks are Python ints on every carrier, so the verbs that evaluate
 # formulas (sdc through its round trips on a positive verdict) load no
-# numpy. Nor do galois and a negative sdc where the structure has a
-# two-valued family (every semilattice, and a distributive lattice in
-# lattice mode): their closures are ints over the two-element factor. A
-# relation with an entry out of range is refused before any engine loads.
+# numpy. Nor do galois, a negative sdc, clone, centralizer and eq where the
+# structure has a two-valued family (every semilattice, and a distributive
+# lattice in lattice mode): their closures are ints over the two-element
+# factor, and their tables byte-coded ints. A relation with an entry out of
+# range is refused before any engine loads.
 @pytest.mark.parametrize("argv, code", [
     (["eval", "b2", "-e", "exists u . x /\\ u = y"], 0),
     (["eval", "n5", "-e", "exists u . x /\\ u = y /\\ u & x \\/ u = y \\/ u"], 0),
@@ -94,23 +95,32 @@ def files(tmp_path, b2):
     (["sdc", "c4"], 0),
     (["sdc", "m3", "--mode", "semilattice"], 0),
     (["galois", "n5", "-T", "bad"], 1),
+    (["clone", "b2", "-n", "2"], 0),
+    (["centralizer", "b2", "-k", "1"], 0),
+    (["eq", "b2", "-T", "rel"], 0),
+    (["clone", "n5", "--mode", "semilattice", "-n", "2"], 0),
+    (["centralizer", "n5", "--mode", "semilattice", "-k", "1"], 0),
+    (["eq", "n5", "--mode", "semilattice", "-T", "rel"], 0),
 ], ids=["eval-b2", "eval-n5", "eval-c4-semilattice", "solve-e-b2", "sdc-b2", "galois-b2",
-        "galois-n5-semilattice", "sdc-c4", "sdc-m3-semilattice", "galois-out-of-range"])
+        "galois-n5-semilattice", "sdc-c4", "sdc-m3-semilattice", "galois-out-of-range",
+        "clone-b2", "centralizer-b2", "eq-b2", "clone-n5-semilattice",
+        "centralizer-n5-semilattice", "eq-n5-semilattice"])
 def test_evaluating_verbs_run_without_numpy(files, argv, code):
     argv = [files.get(a, a) for a in argv]
     assert _python(CLI_THEN_REPORT, *argv)[-1] == f"{code} False"
 
 
-# The verbs that compute with value tables still load it: so do galois and
-# sdc on N5 in lattice mode, which has no family, through a clone slice
+# Raw value tables (solve --system) still load it, and so do the table verbs
+# on N5 in lattice mode, which has no family: clone, centralizer and eq, and
+# galois and sdc through a clone slice
 @pytest.mark.parametrize("argv", [
-    ["clone", "b2", "-n", "2"],
-    ["centralizer", "b2", "-k", "1"],
-    ["eq", "b2", "-T", "rel"],
+    ["clone", "n5", "-n", "2"],
+    ["centralizer", "n5", "-k", "1"],
+    ["eq", "n5", "-T", "rel"],
     ["solve", "b2", "--system", "sys"],
     ["sdc", "n5"],
     ["galois", "n5", "-T", "rel"],
-], ids=["clone", "centralizer", "eq", "solve-system", "sdc-n5", "galois-n5"])
+], ids=["clone-n5", "centralizer-n5", "eq-n5", "solve-system", "sdc-n5", "galois-n5"])
 def test_table_verbs_load_numpy(files, argv):
     argv = [files.get(a, a) for a in argv]
     assert _python(CLI_THEN_REPORT, *argv)[-1] == "0 True"
