@@ -257,9 +257,7 @@ def cmd_eq(args):
     relation = load_relation(args.relation, structure)
     mode = _structure_mode(structure, args)
     values, provs = _slice(structure, mode, "clone", relation.arity, _default_limit(args))
-    cells = [sum(v * structure.size ** (relation.arity - 1 - i) for i, v in enumerate(t))
-             for t in relation.tuples]
-    groups = {}
+    cells, groups = relation.cells(), {}
     for i, row in enumerate(values):
         groups.setdefault(tuple(row[c] for c in cells), []).append(i)
     return {"arity": relation.arity, "sliceSize": len(values),

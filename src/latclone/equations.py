@@ -18,10 +18,9 @@ from .operations import (
     _generator_record,
     _slice_arguments,
     clone_slice,
-    decode_index,
     term_to_op,
 )
-from .relations import Relation, relation_from_mask
+from .relations import Relation, decode_index, relation_from_mask
 
 
 class EquationSystem:
@@ -146,12 +145,6 @@ def _packed(mask):
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _cells(relation):
-    """The index of each tuple of the relation in the lexicographic grid of A^n."""
-    rows = np.array(relation.tuples, dtype=np.intp).reshape(len(relation), relation.arity)
-    return rows @ relation.size ** np.arange(relation.arity - 1, -1, -1)
-
-
 def _checked(relation, generator_ops, limit):
     """The generators as a list and the limit, refused as equations_of and
     clone_slice refuse them: a malformed limit, then a relation on another
@@ -177,7 +170,8 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     ops = clone_slice(generator_ops, relation.arity, limit=limit)
     matrix = ops[0]._matrix  # the slice's value matrix (see slice_matrix)
     groups = {}  # blocks in order of their first table
-    for i, key in enumerate(map(bytes, matrix[:, _cells(relation)])):
+    cells = np.array(relation.cells(), dtype=np.intp)
+    for i, key in enumerate(map(bytes, matrix[:, cells])):
         groups.setdefault(key, []).append(i)
     theory = EqTheory(relation.arity, relation.size, ops, groups.values())
     theory._matrix = matrix
@@ -238,7 +232,7 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
         return None, None
     if family is None:
         outside = theory._closure_mask()
-        outside[_cells(relation)] = False
+        outside[np.array(relation.cells(), dtype=np.intp)] = False
         gap = int(outside.argmax())
         if outside[gap]:
             return False, decode_index(gap, relation.size, relation.arity)

@@ -239,11 +239,12 @@ def eval_formula(phi, algebra) -> Relation:
 
     Free variables are assigned in their declared order; bound variables are
     searched existentially over the whole carrier. On a Boolean power 2^k,
-    told by is_boolean's join-prime images (see _boolean_power), the search
-    runs on the two-element factor instead: pp-formulas are preserved by
-    direct products, so a tuple satisfies the formula exactly when each of
-    its k bit slices does over the factor. Masks and relations are Python
-    ints and tuples, so evaluation runs without numpy.
+    told by is_boolean and coded by its two-valued family (see
+    _boolean_power), the search runs on the two-element factor instead:
+    pp-formulas are preserved by direct products, so a tuple satisfies the
+    formula exactly when each of its k bit slices does over the factor.
+    Masks and relations are Python ints and tuples, so evaluation runs
+    without numpy.
     """
     n = len(phi.free_vars)
     mask = _defining_mask(phi, algebra)
@@ -348,16 +349,17 @@ def _any_per_block(mask, block):
 def _boolean_power(algebra):
     """The structure as a Boolean power 2^k with k >= 2, or None.
 
-    Read off is_boolean on the lattice, or on the completion of a
+    Decided by is_boolean on the lattice, or on the completion of a
     meet-semilattice with a top (the order fixes the meet, so the
     semilattice is the meet reduct of 2^k exactly when its completion is
-    2^k). Then the k join-primes are the atoms, and x -> [a <= x] for the
-    atoms a sends meet to AND and join to OR: the images of
-    lattice._join_prime_certificate are an isomorphism onto {0, 1}^k: a
-    two-valued family (latclone.twovalued) whose k maps are a bijection.
-    The size is tested first, so most structures are not checked here.
-    Decided once per structure and cached on it; the family and its bit
-    planes are shared by every structure with the same codes.
+    2^k). Then the maps x -> [a <= x] of the k atoms a send meet to AND and
+    join to OR, and together they are an isomorphism onto {0, 1}^k: the
+    structure's two-valued family in its own kind (latclone.twovalued),
+    whose k maps are a bijection. The size is tested first, so most
+    structures are not checked here, and latclone.twovalued is imported
+    only for a Boolean power. Decided once per structure and cached on it;
+    the family and its bit planes are shared by every structure with the
+    same codes.
     """
     cached = getattr(algebra, "_boolean_power_cache", None)
     if cached is not None:
@@ -368,10 +370,9 @@ def _boolean_power(algebra):
         if algebra.kind != "lattice":
             lattice = None if algebra.top is None else semilattice_to_lattice(algebra)
         if lattice is not None and is_boolean(lattice)[0]:
-            from .twovalued import FACTOR_OPS, family_of
+            from .twovalued import two_valued_family
 
-            primes, images = lattice._distributive_cache[3:]
-            power = family_of(tuple(images), len(primes), FACTOR_OPS[algebra.kind])
+            power = two_valued_family(algebra, algebra.kind)
     algebra._boolean_power_cache = (power,)
     return power
 

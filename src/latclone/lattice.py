@@ -5,9 +5,11 @@ Structures validate their axioms exhaustively at construction time and are
 immutable afterwards, so instances can be shared freely between threads.
 
 Construction accepts either a cover relation (a Hasse diagram) or an
-explicit meet table. From covers, meet and join are computed as greatest
-lower / least upper bounds of the reflexive-transitive order; any validation
-failure raises instead of repairing silently.
+explicit meet table. From covers, the meet is computed as greatest lower
+bounds of the reflexive-transitive order; a lattice's join is then derived
+from the meet table in both cases, the least upper bound of a pair being
+the meet of its upper bounds. Any validation failure raises instead of
+repairing silently.
 """
 
 import sys
@@ -190,24 +192,14 @@ def _glb(leq, size, a, b, names):
     return best[0]
 
 
-def _lub(leq, size, a, b, names):
-    upper = [c for c in range(size) if leq[a][c] and leq[b][c]]
-    best = [c for c in upper if all(leq[c][d] for d in upper)]
-    if not best:
-        raise NotALattice(f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
-    return best[0]
-
-
 def from_covers(names, covers, kind="lattice", max_size=MAX_CARRIER):
-    """Build a validated structure from labels and Hasse-diagram cover pairs."""
+    """Build a validated structure from labels and Hasse-diagram cover pairs:
+    the meet by greatest lower bounds, then as from_meet_table."""
     names = _normalize_names(names)
     size = len(names)
     leq = _order_from_covers(names, covers)
     meet = [[_glb(leq, size, a, b, names) for b in range(size)] for a in range(size)]
-    if kind == "semilattice":
-        return FiniteSemilattice(names, meet, max_size=max_size)
-    join = [[_lub(leq, size, a, b, names) for b in range(size)] for a in range(size)]
-    return FiniteLattice(names, meet, join, max_size=max_size)
+    return from_meet_table(names, meet, kind=kind, max_size=max_size)
 
 
 def from_meet_table(names, meet, kind="lattice", max_size=MAX_CARRIER):

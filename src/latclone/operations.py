@@ -19,7 +19,7 @@ from .errors import (
     LimitExceeded,
 )
 from .lattice import as_count, as_indices, check_index_dtype
-from .relations import Relation
+from .relations import Relation, decode_index  # noqa: F401  (re-exported)
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
@@ -29,14 +29,6 @@ def argument_columns(size, arity, dtype=int):
     """Value of each argument over the lexicographic grid of all tuples: an
     arity x size^arity array, one row per argument."""
     return np.indices((size,) * arity, dtype=dtype).reshape(arity, size ** arity)
-
-
-def decode_index(idx, size, arity):
-    out = []
-    for _ in range(arity):
-        idx, r = divmod(idx, size)
-        out.append(r)
-    return tuple(reversed(out))
 
 
 class OpTable:

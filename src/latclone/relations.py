@@ -31,11 +31,12 @@ class Relation:
     """A set of fixed-arity tuples in canonical sorted, deduplicated form.
 
     The tuples are kept as a sorted tuple; the set that `in` and issubset
-    read is built on first use, and so are the array and keys that
-    operations.preserves reads (see operations._relation_rows).
+    read is built on first use, and so are the cell indices (see cells) and
+    the array and keys that operations.preserves reads (see
+    operations._relation_rows).
     """
 
-    _set = _keyed = None  # built on first use
+    _set = _keyed = _indices = None  # built on first use
 
     def __init__(self, arity, size, tuples):
         arity, size = as_indices((arity, size), "arity or carrier size")
@@ -70,6 +71,20 @@ class Relation:
             self._set = frozenset(self.tuples)
         return self._set
 
+    def cells(self):
+        """The index of each tuple in the grid {0..size-1}^arity, in order:
+        cell c in lexicographic order, the first coordinate most significant
+        (decode_index inverts it)."""
+        if self._indices is None:
+            size, indices = self.size, []
+            for t in self.tuples:
+                c = 0
+                for v in t:
+                    c = c * size + v
+                indices.append(c)
+            self._indices = tuple(indices)
+        return self._indices
+
     @classmethod
     def full(cls, arity, size):
         return cls(arity, size, product(range(size), repeat=arity))
@@ -97,6 +112,15 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({self.arity}-ary on {self.size}, {len(self.tuples)} tuples)"
+
+
+def decode_index(idx, size, arity):
+    """The tuple at cell idx of the grid {0..size-1}^arity (see Relation.cells)."""
+    out = []
+    for _ in range(arity):
+        idx, r = divmod(idx, size)
+        out.append(r)
+    return tuple(reversed(out))
 
 
 def relation_from_mask(mask, arity, size) -> Relation:

@@ -34,7 +34,7 @@ from operator import and_
 from . import lattice, terms
 from .catalog import chain, meet_reduct
 from .errors import BadSpec, LimitExceeded
-from .relations import relation_from_mask
+from .relations import decode_index, relation_from_mask
 
 # The meet and join of {0, 1} as bits of their tables, bit c for the cell c of {0, 1}^2
 AND, OR = 0b1000, 0b1110
@@ -420,12 +420,8 @@ def _combine(images, width, homs, cells, placed, limit, refusal):
 
 def _mask(relation):
     """The relation's tuples as a mask over A^n."""
-    size = relation.size
-    bits = bytearray((size ** relation.arity + 7) >> 3)
-    for t in relation.tuples:
-        c = 0
-        for v in t:
-            c = c * size + v
+    bits = bytearray((relation.size ** relation.arity + 7) >> 3)
+    for c in relation.cells():
         bits[c >> 3] |= 1 << (c & 7)
     return int.from_bytes(bits, "little")
 
@@ -434,11 +430,7 @@ def _first_cell(mask, relation):
     """The tuple of the lowest cell of a mask over A^n, or None if it is 0."""
     if not mask:
         return None
-    c, out = (mask & -mask).bit_length() - 1, []
-    for _ in range(relation.arity):
-        c, v = divmod(c, relation.size)
-        out.append(v)
-    return tuple(reversed(out))
+    return decode_index((mask & -mask).bit_length() - 1, relation.size, relation.arity)
 
 
 @lru_cache(maxsize=64)
@@ -491,27 +483,19 @@ def find_family(size, tables):
 
 
 def two_valued_family(structure, mode):
-    """The structure's family in the mode, or None: the join-primes of
-    is_distributive's certificate in lattice mode (None when the lattice is
-    not distributive), and in semilattice mode find_family's principal
-    filters of the meet (one element has the empty family). Decided once
-    per structure and mode and cached on the structure (a lattice without
-    one only by is_distributive)."""
-    # read off the module at call time: this module is imported when first
-    # needed, so a name bound at import could be a wrapper installed since
-    # (bench/spans.py patches lattice.is_distributive at its binding sites)
-    if mode == "lattice" and not lattice.is_distributive(structure)[0]:
-        return None
+    """The structure's family in the mode, or None: find_family on its
+    meet, and in lattice mode its join too, so that a lattice has one
+    exactly when it is distributive (one element has the empty family).
+    Decided once per structure and mode and cached on the structure."""
     cache = getattr(structure, "_two_valued_cache", None)
     if cache is None:
         cache = structure._two_valued_cache = {}
     if mode not in cache:
-        if mode == "lattice":
-            primes, images = structure._distributive_cache[3:]
-            family = family_of(tuple(images), len(primes), FACTOR_OPS["lattice"])
-        elif structure.size == 1:
-            family = family_of((0,), 0, FACTOR_OPS["semilattice"])
+        if structure.size == 1:
+            family = family_of((0,), 0, FACTOR_OPS[mode])
         else:
-            family = find_family(structure.size, [(2, [v for row in structure.meet for v in row])])
+            ops = (structure.meet, structure.join) if mode == "lattice" else (structure.meet,)
+            family = find_family(structure.size,
+                                 [(2, [v for row in op for v in row]) for op in ops])
         cache[mode] = family
     return cache[mode]

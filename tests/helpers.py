@@ -12,12 +12,21 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from latclone import terms
-from latclone.errors import JoinInSemilatticeMode, LimitExceeded
+from latclone.errors import JoinInSemilatticeMode, LimitExceeded, NotALattice
 from latclone.formulas import PPFormula
-from latclone.lattice import FiniteLattice, FiniteSemilattice, join_irreducibles
+from latclone.lattice import (
+    FiniteLattice,
+    FiniteSemilattice,
+    _glb,
+    _join_prime_certificate,
+    _order_from_covers,
+    is_distributive,
+    join_irreducibles,
+)
 from latclone.operations import OpTable, argument_columns, decode_index
 from latclone.relations import Relation
 from latclone.qe import IneqItem
+from latclone.twovalued import FACTOR_OPS, family_of
 
 
 def evaluate(term, env, algebra) -> int:
@@ -294,6 +303,33 @@ def brute_lub(leq, size, a, b):
     upper = [c for c in range(size) if leq[a][c] and leq[b][c]]
     best = [c for c in upper if all(leq[c][d] for d in upper)]
     return best[0] if best else None
+
+
+def lub_from_covers(names, covers):
+    """The lattice of a Hasse diagram with its join taken as least upper
+    bounds of the order, the meet as lattice.from_covers takes it; NotALattice
+    for the first pair in row-major order without a least upper bound. The
+    route from_covers took before it derived the join from the meet."""
+    names = tuple(str(n) for n in names)
+    size = len(names)
+    leq = _order_from_covers(names, covers)
+    meet = [[_glb(leq, size, a, b, names) for b in range(size)] for a in range(size)]
+    join = [[brute_lub(leq, size, a, b) for b in range(size)] for a in range(size)]
+    for a, b in product(range(size), repeat=2):
+        if join[a][b] is None:
+            raise NotALattice(f"elements {names[a]!r} and {names[b]!r} have no least upper bound")
+    return FiniteLattice(names, meet, join)
+
+
+def join_prime_family(lattice):
+    """The lattice's two-valued family in lattice mode read off the
+    join-prime certificate, code bit i for the i-th join-prime in index
+    order, or None when the lattice is not distributive: the route
+    twovalued.two_valued_family took before it called find_family."""
+    if not is_distributive(lattice)[0]:
+        return None
+    primes, images = _join_prime_certificate(lattice)
+    return family_of(tuple(images), len(primes), FACTOR_OPS["lattice"])
 
 
 def order_matrix(structure):

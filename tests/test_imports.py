@@ -57,8 +57,8 @@ def test_lattice_and_qe_verbs_run_without_numpy(b2, argv, code):
 
 @pytest.fixture
 def files(tmp_path, b2):
-    """The structure files B2, N5, M3 and C4, a binary relation, one with an
-    entry out of range and a unary system on B2."""
+    """The structure files B2, N5, M3, C4, the fence and B3, a binary
+    relation, one with an entry out of range and a unary system on B2."""
     paths = {"b2": b2}
     for name, elements, covers in (
             ("n5", ["0", "a", "b", "c", "1"], [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]]),
@@ -67,6 +67,14 @@ def files(tmp_path, b2):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"elements": elements, "covers": covers}),
                                encoding="utf-8")
+    paths["fence"] = tmp_path / "fence.json"
+    paths["fence"].write_text(json.dumps({"elements": ["0", "a", "b", "c"], "kind": "semilattice",
+                                          "covers": [[0, 1], [1, 3], [0, 2]]}), encoding="utf-8")
+    paths["b3"] = tmp_path / "b3.json"
+    paths["b3"].write_text(json.dumps({"elements": ["0", "a", "b", "ab", "c", "ac", "bc", "abc"],
+                                       "covers": [[0, 1], [0, 2], [0, 4], [1, 3], [1, 5], [2, 3],
+                                                  [2, 6], [4, 5], [4, 6], [3, 7], [5, 7], [6, 7]]}),
+                           encoding="utf-8")
     paths["rel"] = tmp_path / "rel.json"
     paths["rel"].write_text(json.dumps({"arity": 2, "tuples": [[0, 1], [1, 0]]}), encoding="utf-8")
     paths["bad"] = tmp_path / "bad.json"
@@ -108,6 +116,22 @@ def files(tmp_path, b2):
 def test_evaluating_verbs_run_without_numpy(files, argv, code):
     argv = [files.get(a, a) for a in argv]
     assert _python(CLI_THEN_REPORT, *argv)[-1] == f"{code} False"
+
+
+# eval reads a carrier of 2^k elements on the two-element factor only when
+# is_boolean says it is a Boolean power: on C4 and the fence, which are not,
+# it loads neither numpy nor the family module, and on B3 the family alone.
+@pytest.mark.parametrize("argv, loaded", [
+    (["eval", "c4", "-e", "exists u . x /\\ u = y & u <= z"], "False False"),
+    (["eval", "c4", "--mode", "semilattice", "-e", "exists u . x /\\ u = y"], "False False"),
+    (["eval", "fence", "-e", "exists u . x /\\ u = y & u <= z"], "False False"),
+    (["eval", "b3", "-e", "exists u . x /\\ u = y & x \\/ u = z"], "False True"),
+], ids=["eval-c4", "eval-c4-semilattice", "eval-fence", "eval-b3"])
+def test_eval_loads_the_family_module_only_for_a_boolean_power(files, argv, loaded):
+    argv = [files.get(a, a) for a in argv]
+    report = CLI_THEN_REPORT.replace("'numpy' in sys.modules)",
+                                     "'numpy' in sys.modules, 'latclone.twovalued' in sys.modules)")
+    assert _python(report, *argv)[-1] == f"0 {loaded}"
 
 
 # Raw value tables (solve --system) still load it, and so do the table verbs

@@ -42,6 +42,7 @@ from helpers import (
     brute_lub,
     down_set_lattices,
     intersection_closed_families,
+    lub_from_covers,
     slow_birkhoff_embed,
     slow_complements,
     slow_completion_join,
@@ -93,6 +94,54 @@ def test_missing_lub_is_not_a_lattice():
     # a valid meet table whose order has no top cannot yield joins
     with pytest.raises(NotALattice):
         from_meet_table(FENCE.names, FENCE.meet, kind="lattice")
+
+
+def _assert_join_from_the_meet_matches_least_upper_bounds(names, covers):
+    """from_covers gives the tables, bottom and top that least upper bounds
+    give (lub_from_covers), or the same NotALattice message."""
+    try:
+        oracle = lub_from_covers(names, covers)
+    except NotALattice as refusal:
+        with pytest.raises(NotALattice) as raised:
+            from_covers(names, covers)
+        assert str(raised.value) == str(refusal)
+        return
+    built = from_covers(names, covers)
+    assert ((built.meet, built.join, built.bottom, built.top)
+            == (oracle.meet, oracle.join, oracle.bottom, oracle.top))
+
+
+def test_join_from_the_meet_matches_least_upper_bounds_on_the_catalog():
+    for structure in [*LATTICES, catalog.chain(1), catalog.chain(6), catalog.fence()]:
+        _assert_join_from_the_meet_matches_least_upper_bounds(structure.names, cover_pairs(structure))
+        if structure.kind == "lattice":
+            assert from_covers(structure.names, cover_pairs(structure)).join == structure.join
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(down_set_lattices())
+def test_join_from_the_meet_matches_least_upper_bounds_on_down_set_lattices(lat):
+    _assert_join_from_the_meet_matches_least_upper_bounds(lat.names, cover_pairs(lat))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(intersection_closed_families())
+def test_join_from_the_meet_matches_least_upper_bounds_on_closure_systems(semilattice):
+    # with a top the completion's diagram; without one the family's own
+    # diagram read as a lattice, which two maximal members refuse
+    structure = semilattice if semilattice.top is None else semilattice_to_lattice(semilattice)
+    _assert_join_from_the_meet_matches_least_upper_bounds(structure.names, cover_pairs(structure))
+
+
+@pytest.mark.parametrize("names, covers, message", [
+    (catalog.fence().names, cover_pairs(catalog.fence()), "elements 'a' and 'b'"),
+    (["0", "a", "b"], [(0, 1), (0, 2)], "elements 'a' and 'b'"),
+    (["0", "a", "b", "c", "d"], [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)], "elements 'b' and 'd'"),
+], ids=["fence", "two-atom-V", "two-maximal"])
+def test_a_pair_without_an_upper_bound_keeps_its_message(names, covers, message):
+    with pytest.raises(NotALattice, match=f"^{message} have no least upper bound$"):
+        from_covers(names, covers)
+    _assert_join_from_the_meet_matches_least_upper_bounds(names, covers)
 
 
 def test_bad_specs():
@@ -156,6 +205,10 @@ REFUSALS = [
     (lambda: from_covers([str(i) for i in range(MAX_CARRIER + 1)],
                          [(0, i) for i in range(1, MAX_CARRIER + 1)], kind="semilattice"),
      BadSpec, f"carrier of size {MAX_CARRIER + 1} exceeds the cap {MAX_CARRIER}"),
+    # the cap is checked before the join is derived, as from a meet table
+    (lambda: from_covers([str(i) for i in range(MAX_CARRIER + 1)],
+                         [(0, i) for i in range(1, MAX_CARRIER + 1)]),
+     BadSpec, f"carrier of size {MAX_CARRIER + 1} exceeds the cap {MAX_CARRIER}"),
     (lambda: from_covers(["a", "b"], [(0, 1), ("b", 1)]), BadSpec, "relates an element to itself"),
     (lambda: construct(["a"], covers=[], kind="poset"), BadSpec, "unknown kind 'poset'"),
     (lambda: BooleanStructure(B2, (3, 2, 1)), BadSpec, "complement map has the wrong length"),
@@ -168,7 +221,7 @@ REFUSALS = [
 
 @pytest.mark.parametrize("build, error, match", REFUSALS, ids=[
     "rows", "columns", "entry-range", "associativity", "absorption-meet", "absorption-join",
-    "order-agreement", "semilattice-cap", "self-cover", "unknown-kind", "complement-length",
+    "order-agreement", "semilattice-cap", "lattice-cap", "self-cover", "unknown-kind", "complement-length",
     "complement-range", "float-array", "2d-array"])
 def test_refusals(build, error, match):
     with pytest.raises(error, match=match):

@@ -31,6 +31,7 @@ from latclone.operations import (
     projection,
     term_to_op,
 )
+from latclone.relations import decode_index as relations_decode_index
 from latclone.relations import relation_from_mask
 
 from latclone.equations import EqTheory, equations_of
@@ -40,6 +41,7 @@ from helpers import (
     down_set_lattices,
     evaluate,
     intersection_closed_families,
+    join_prime_family,
     mask_int,
     permuted,
     separating_family,
@@ -593,15 +595,26 @@ def test_malformed_limits_are_refused_before_any_memo(bad, monkeypatch):
     assert len(clone_slice(gens, 2, limit=np.int64(4))) == 4
 
 
+def _shared_verdicts():
+    """The families and Boolean powers cached on the structures that the
+    tests of this module share, so that a check run without a family can
+    be shown to leave none of its own on them."""
+    shared = [structure for _, structure, _ in CATALOG_MODES]
+    return [(dict(getattr(s, "_two_valued_cache", {})), getattr(s, "_boolean_power_cache", None))
+            for s in shared]
+
+
 def _with_and_without_family(monkeypatch):
     """Run a check as given, then again with no separating family, neither
     for the carrier nor for any subalgebra, so that every slice walks every
     cell whose entries generate more than one element (or one cell if none
     does)."""
     yield
+    shared = _shared_verdicts()
     monkeypatch.setattr(twovalued, "find_family", lambda size, tables: None)
     monkeypatch.setattr(operations, "_RECORDS", {})
     yield
+    assert _shared_verdicts() == shared
 
 
 def test_small_slices_match_oracle_on_two_valued_and_on_all_cells(monkeypatch):
@@ -726,6 +739,39 @@ def test_separating_family_exists_iff_distributive_on_the_catalog():
         for structure in [lattice] + [permuted(lattice, random.Random(seed)) for seed in (1, 2, 3)]:
             for mode in ("lattice", "semilattice"):
                 assert _family(generators(structure, mode)).width == k, (k, mode)
+
+
+def _maps(family):
+    """The family's maps as a set of tuples, each map's bit at every element."""
+    return {tuple(code >> i & 1 for code in family.images) for i in range(family.width)}
+
+
+def _assert_family_is_the_join_primes(lattice):
+    """two_valued_family in lattice mode keeps exactly the maps of the
+    join-prime certificate (join_prime_family), the codes possibly in
+    another order, and is the family the generators' record holds."""
+    family, oracle = twovalued.two_valued_family(lattice, "lattice"), join_prime_family(lattice)
+    assert family is operations._generator_record(generators(lattice, "lattice"))[0]
+    assert (family is None) == (oracle is None)
+    if family is not None:
+        assert _maps(family) == _maps(oracle) and family.width == oracle.width
+        assert family.ops == oracle.ops == twovalued.FACTOR_OPS["lattice"]
+
+
+def test_two_valued_family_is_the_join_prime_family_on_the_catalog():
+    for _, structure, mode in CATALOG_MODES:
+        if mode == "lattice":
+            _assert_family_is_the_join_primes(structure)
+    assert twovalued.two_valued_family(N5, "lattice") is None
+    assert twovalued.two_valued_family(M3, "lattice") is None
+    one = catalog.chain(1)  # the empty family, which find_family does not give
+    assert twovalued.two_valued_family(one, "lattice") is join_prime_family(one)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(down_set_lattices())
+def test_two_valued_family_is_the_join_prime_family_on_down_set_lattices(lat):
+    _assert_family_is_the_join_primes(lat)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -1129,7 +1175,7 @@ def test_family_slices_need_no_layer_plan(monkeypatch):
     # principal filters; the plan search gives the expected tables
     cases = [(catalog.chain(6), "lattice", 3, 10), (catalog.boolean_lattice(3), "lattice", 2, 100_000),
              (M3, "semilattice", 2, 100_000)]
-    expected = []
+    expected, shared = [], _shared_verdicts()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(twovalued, "find_family", lambda size, tables: None)
         mp.setattr(operations, "_RECORDS", {})
@@ -1138,6 +1184,7 @@ def test_family_slices_need_no_layer_plan(monkeypatch):
                 expected.append([f.values for f in centralizer_slice(generators(structure, mode), k, limit)])
             except LimitExceeded:
                 expected.append(None)
+    assert _shared_verdicts() == shared
     assert expected[0] is None and len(expected[1]) == 512 and len(expected[2]) == 2576
 
     def unused(*args):
@@ -1220,10 +1267,11 @@ def _engine_matches_numpy(gens, ns, ks, limit=100_000):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operations, "_RECORDS", {})
         mp.setattr(twovalued, "_WALKS", {})
-        engine = slices()
+        engine, shared = slices(), _shared_verdicts()
         mp.setattr(twovalued, "find_family", lambda size, tables: None)
         mp.setattr(operations, "_RECORDS", {})
         assert slices() == engine
+    assert _shared_verdicts() == shared
 
 
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
@@ -1438,6 +1486,20 @@ def test_relation_from_mask_decodes_lexicographic_hits():
     # cells past the highest set bit are not selected, and past 64 cells the int is wide
     assert relation_from_mask(1 << 63 | 1, 3, 4).tuples == ((0, 0, 0), (3, 3, 3))
     assert relation_from_mask(1 << 124, 3, 5).tuples == ((4, 4, 4),)
+
+
+def test_decode_index_inverts_the_cell_indices_of_a_relation():
+    rng = random.Random(13)
+    for size in range(1, 5):
+        for arity in range(4):
+            grid = list(product(range(size), repeat=arity))
+            assert Relation.full(arity, size).cells() == tuple(range(len(grid)))
+            relation = Relation(arity, size, rng.sample(grid, rng.randint(0, len(grid))))
+            assert relation.cells() == tuple(grid.index(t) for t in relation.tuples)
+            decoded = [relations_decode_index(c, size, arity) for c in relation.cells()]
+            assert decoded == list(relation.tuples)
+            assert relation.cells() is relation.cells()  # computed once
+    assert decode_index is relations_decode_index
 
 
 def test_relation_from_mask_equals_the_checked_constructor():
