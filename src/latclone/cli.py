@@ -177,9 +177,9 @@ def cmd_props(args):
 
 
 def _slice(structure, mode, verb, arity, limit):
-    """(values, terms) of the verb's slice, each table's, read off the
-    structure's two-valued family where it has one (latclone.twovalued),
-    else computed by latclone.operations."""
+    """(values, terms) of the verb's slice, each table's: bytes rows read
+    off the structure's two-valued family where it has one
+    (latclone.twovalued), else value tuples computed by latclone.operations."""
     from . import terms
     from .twovalued import two_valued_family
 
@@ -192,13 +192,10 @@ def _slice(structure, mode, verb, arity, limit):
         return [op.values for op in ops], [op.provenance for op in ops]
     if verb == "clone":
         x1, x2 = terms.Var("x1"), terms.Var("x2")
-        values, provs = family.clone_rows((terms.Meet(x1, x2), terms.Join(x1, x2))[:len(family.ops)],
-                                          arity, limit)
-    else:
-        values = family.centralizer_rows(arity, limit)
-        provs = [None] * (len(values) // structure.size ** arity)
-    cells = structure.size ** arity
-    return [values[i * cells:(i + 1) * cells] for i in range(len(provs))], provs
+        return family.clone_rows((terms.Meet(x1, x2), terms.Join(x1, x2))[:len(family.ops)],
+                                 arity, limit)
+    rows = family.centralizer_rows(arity, limit)
+    return rows, [None] * len(rows)
 
 
 def cmd_clone(args, verb="clone", default=DEFAULT_CLONE_LIMIT):

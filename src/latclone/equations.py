@@ -8,6 +8,8 @@ T is the solution set of that theory; T is a solution set of some system iff
 the closure adds nothing.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 from . import terms
@@ -20,7 +22,7 @@ from .operations import (
     clone_slice,
     term_to_op,
 )
-from .relations import Relation, decode_index, relation_from_mask
+from .relations import Relation, first_cell, relation_from_mask, relation_mask
 
 
 class EquationSystem:
@@ -86,7 +88,7 @@ class EqTheory:
         if any(op.arity != arity or op.size != size for op in self.ops):
             raise ArityMismatch(f"the slice of a theory of {arity}-ary tables on {size} "
                                 "elements holds a table of another arity or carrier")
-        self._matrix = None  # the ops' values, one row each; see _values
+        self._array = None  # the ops' values, one row each; see _values
 
     def satisfies(self, f, g) -> bool:
         """Is f = g an equation of the theory (same block)? Raises ArityMismatch
@@ -117,12 +119,11 @@ class EqTheory:
         return EquationSystem(self.arity, self.size, pairs)
 
     def _values(self):
-        """The (ops x cells) matrix of the ops' values: the slice's memoised
-        matrix for a theory from equations_of, else stacked once from the ops."""
-        if self._matrix is None:
-            self._matrix = np.array([op.array() for op in self.ops]).reshape(
+        """The ops' values as an (ops x cells) uint8 array, copied once from their bytes."""
+        if self._array is None:
+            self._array = np.array(memoryview(b"".join(op._values for op in self.ops))).reshape(
                 len(self.ops), self.size ** self.arity)
-        return self._matrix
+        return self._array
 
     def _closure_mask(self):
         """The flat mask of the cells of A^n at which every block is constant."""
@@ -161,21 +162,19 @@ def equations_of(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT) -> EqTheory
     """The equation theory of a tuple set over the clone of the generators.
 
     Operations are grouped by their value vectors on the tuples of the set,
-    read in one gather from the slice's memoised value matrix; the induced
-    pair set is the largest system whose solutions include it. Raises
+    read off each table's bytes by one itemgetter of the tuples' cells; the
+    induced pair set is the largest system whose solutions include it. Raises
     ArityMismatch when the relation and the generators have different
     carriers.
     """
     generator_ops, limit = _checked(relation, generator_ops, limit)
     ops = clone_slice(generator_ops, relation.arity, limit=limit)
-    matrix = ops[0]._matrix  # the slice's value matrix (see slice_matrix)
+    cells = relation.cells()
+    key = itemgetter(*cells) if cells else lambda row: ()  # itemgetter takes one cell or more
     groups = {}  # blocks in order of their first table
-    cells = np.array(relation.cells(), dtype=np.intp)
-    for i, key in enumerate(map(bytes, matrix[:, cells])):
-        groups.setdefault(key, []).append(i)
-    theory = EqTheory(relation.arity, relation.size, ops, groups.values())
-    theory._matrix = matrix
-    return theory
+    for i, op in enumerate(ops):
+        groups.setdefault(key(op._values), []).append(i)
+    return EqTheory(relation.arity, relation.size, ops, groups.values())
 
 
 def _factor_family(generator_ops):
@@ -231,9 +230,7 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
     except LimitExceeded:
         return None, None
     if family is None:
-        outside = theory._closure_mask()
-        outside[np.array(relation.cells(), dtype=np.intp)] = False
-        gap = int(outside.argmax())
-        if outside[gap]:
-            return False, decode_index(gap, relation.size, relation.arity)
+        gap = first_cell(_packed(theory._closure_mask()) & ~relation_mask(relation), relation)
+        if gap is not None:
+            return False, gap
     return True, theory.induced_system()

@@ -34,13 +34,13 @@ def argument_columns(size, arity, dtype=int):
 class OpTable:
     """An operation {0..size-1}^arity -> {0..size-1} as an explicit table.
 
-    The values are one row of a read-only matrix in the narrowest unsigned
-    dtype: the tables of a slice are the rows of its value matrix, and a
-    table built by hand holds a one-row matrix of its own. `values` builds
-    a tuple of ints from the row on each access and keeps none.
+    The values are one immutable bytes object, a byte per cell, so the
+    carrier has at most 256 elements: the tables of a slice hold the rows
+    its engine built. `values` builds a tuple of ints from them on each
+    access and keeps none.
     """
 
-    __slots__ = ("arity", "size", "provenance", "_matrix", "_row", "_array")
+    __slots__ = ("arity", "size", "provenance", "_values", "_array")
 
     def __init__(self, arity, size, values, provenance=None):
         arity, size = as_indices((arity, size), "arity or carrier size")
@@ -48,6 +48,8 @@ class OpTable:
             raise BadSpec("operations must have arity at least 1")
         if size < 1:
             raise BadSpec("carrier must be nonempty")
+        if size > 256:
+            raise BadSpec(f"carrier of size {size} exceeds the cap 256 of a value table")
         if isinstance(values, np.ndarray):
             if values.ndim != 1:
                 raise BadSpec("expected a list of value table entry values, "
@@ -59,25 +61,28 @@ class OpTable:
             raise BadSpec(f"value table must have {size ** arity} entries")
         if isinstance(values, np.ndarray):
             lo, hi = values.min(), values.max()
+            values = values.astype(np.uint8).tobytes()
         else:
             lo, hi = min(values), max(values)
         if lo < 0 or hi >= size:
             raise BadSpec("value table entry out of range")
-        # a copy, so that the caller's array stays theirs to change
-        matrix = np.array(values, dtype=np.min_scalar_type(size - 1)).reshape(1, -1)
-        matrix.flags.writeable = False
-        self._bind(arity, size, matrix, 0, provenance)
-
-    def _bind(self, arity, size, matrix, row, provenance):
         self.arity, self.size, self.provenance = arity, size, provenance
-        self._matrix, self._row, self._array = matrix, row, None
+        self._values, self._array = bytes(values), None
+
+    @classmethod
+    def _of_rows(cls, arity, size, rows, provenances):
+        """Tables of an engine's rows, bytes objects already in range, unchecked."""
+        new, tables = cls.__new__, []
+        for row, provenance in zip(rows, provenances):
+            op = new(cls)
+            op.arity, op.size, op.provenance = arity, size, provenance
+            op._values, op._array = row, None
+            tables.append(op)
+        return tables
 
     @property
     def values(self):
-        return tuple(self._matrix[self._row].tolist())
-
-    def _bytes(self):
-        return self._matrix[self._row].tobytes()
+        return tuple(self._values)
 
     def index(self, args) -> int:
         if len(args) != self.arity:
@@ -93,12 +98,12 @@ class OpTable:
         return idx
 
     def __call__(self, *args) -> int:
-        return self._matrix.item(self._row, self.index(args))
+        return self._values[self.index(args)]
 
     def array(self):
         """The values as a read-only int64 array, built on first use and kept."""
         if self._array is None:
-            self._array = self._matrix[self._row].astype(np.int64)
+            self._array = np.array(memoryview(self._values), dtype=np.int64)
             self._array.flags.writeable = False
         return self._array
 
@@ -106,43 +111,15 @@ class OpTable:
         return (isinstance(other, OpTable)
                 and self.arity == other.arity
                 and self.size == other.size
-                and self._bytes() == other._bytes())
+                and self._values == other._values)
 
     def __hash__(self):
-        return hash((self.arity, self.size, self._bytes()))
+        return hash((self.arity, self.size, self._values))
 
     def __repr__(self):
         if self.provenance is not None:
             return f"OpTable({self.arity}-ary, {terms.render(self.provenance)})"
         return f"OpTable({self.arity}-ary on {self.size}, {list(self.values)})"
-
-
-def _checked_tables(matrix, arity, size, provenances):
-    """Tables from the rows of a (tables x size^arity) integer matrix, whose
-    dtype, shape and range are checked once for the whole matrix.
-
-    The tables share the matrix, read-only in the narrowest unsigned dtype:
-    the given one unless it has another dtype, which is converted.
-    """
-    check_index_dtype(matrix, "value table entry")
-    if matrix.ndim != 2 or matrix.shape[1] != size ** arity:
-        raise BadSpec(f"table block of shape {matrix.shape} does not have {size ** arity} columns")
-    if matrix.size and (matrix.min() < 0 or matrix.max() >= size):
-        raise BadSpec("value table entry out of range")
-    return _row_tables(np.ascontiguousarray(matrix, dtype=np.min_scalar_type(size - 1)),
-                       arity, size, provenances)
-
-
-def _row_tables(matrix, arity, size, provenances):
-    """Tables from the rows of a matrix in the narrowest unsigned dtype,
-    which is made read-only: the engines' own matrices, unchecked."""
-    matrix.flags.writeable = False
-    tables = []
-    for row, provenance in enumerate(provenances):
-        op = OpTable.__new__(OpTable)
-        op._bind(arity, size, matrix, row, provenance)
-        tables.append(op)
-    return tables
 
 
 def _flat_tables(algebra):
@@ -260,14 +237,6 @@ def preserves(f, relation):
     return True, None
 
 
-def _lex_order(matrix):
-    """The order that sorts the rows of an unsigned integer matrix
-    lexicographically: their entries big-endian, compared as void bytes."""
-    if matrix.itemsize > 1:
-        matrix = matrix.astype(matrix.dtype.newbyteorder(">"))
-    return np.argsort(matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel())
-
-
 def _slice_arguments(generator_ops, n):
     """The generators as a list, their carrier size and the slice arity, checked."""
     generator_ops = list(generator_ops)
@@ -282,7 +251,7 @@ _RECORDS = {}  # generator tables and terms -> (family, ops, slices, judged), se
 
 
 def _record_key(generator_ops):
-    return tuple((g.arity, g.size, g._bytes(), g.provenance) for g in generator_ops)
+    return tuple((g.arity, g.size, g._values, g.provenance) for g in generator_ops)
 
 
 def _generator_record(generator_ops):
@@ -294,10 +263,9 @@ def _generator_record(generator_ops):
     """
     key = _record_key(generator_ops)
     if key not in _RECORDS:
-        size = generator_ops[0].size  # a family's tables take a byte per cell
-        family = None if size > 256 else twovalued.find_family(
-            size, [(g.arity, g.values) for g in generator_ops])
-        ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.min_scalar_type(g.size - 1)))
+        family = twovalued.find_family(generator_ops[0].size,
+                                       [(g.arity, g._values) for g in generator_ops])
+        ops = [(g.arity, symmetry.is_symmetric(g), g.array().astype(np.uint8))
                for g in generator_ops]
         _keep(key, (family, ops, {}, ({}, {})))
     return _RECORDS[key]
@@ -421,7 +389,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     walk on every cell would; the full tables are then replayed from its
     derivations, one gather per level (the tables found at the positions of
     the level before), and the terms composed. Returns tables sorted by
-    values, the rows of one value matrix (see slice_matrix); raises
+    values, each holding its row of the engine's bytes; raises
     LimitExceeded past the limit, and BadSpec for a limit that is not a
     nonnegative integer. Memoised in the generator record: the walk refuses
     exactly when it finds more than limit tables, so a memoised slice
@@ -436,13 +404,11 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
             raise LimitExceeded(refusal)
         return list(slices[n])
     if family is not None:
-        values, provs = family.clone_rows([g.provenance for g in generator_ops], n, limit)
-        matrix = np.frombuffer(values, dtype=np.uint8).reshape(len(provs), size ** n)
-        tables = _row_tables(matrix, n, size, provs)
+        tables = OpTable._of_rows(n, size, *family.clone_rows(
+            [g.provenance for g in generator_ops], n, limit))
         slices[n] = tuple(tables)
         return tables
-    narrow = np.min_scalar_type(size - 1)
-    columns = argument_columns(size, n, narrow)  # the projections
+    columns = argument_columns(size, n, np.uint8)  # the projections
     first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
     cells = symmetry.separating_cells(generator_ops, n)
     gens, args = _walk(columns[:, cells][first], ops, size, limit, refusal)[1:]
@@ -451,7 +417,7 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
                                     [(g, tuple_[:generator_ops[g].arity])
                                      for g, tuple_ in zip(gens.tolist(), args.T.tolist())])
     done = len(first)
-    matrix = np.empty((len(gens) + done, size ** n), dtype=narrow)
+    matrix = np.empty((len(gens) + done, size ** n), dtype=np.uint8)
     matrix[:done] = columns[first]
     # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
     width, step = len(args), max(1, BLOCK_CELLS // size ** n)
@@ -466,18 +432,11 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
                 idx = idx * size + matrix.take(a, axis=0)
             matrix[s:s + len(idx)] = table.take(idx)
         hi = end
-    order = _lex_order(matrix)
-    tables = _checked_tables(matrix[order], n, size, [provs[i] for i in order.tolist()])
+    rows = [row.tobytes() for row in matrix]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    tables = OpTable._of_rows(n, size, [rows[i] for i in order], [provs[i] for i in order])
     slices[n] = tuple(tables)
     return tables
-
-
-def slice_matrix(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
-    """The values of clone_slice(generator_ops, n, limit) as a read-only
-    (tables x size^n) matrix in the narrowest dtype, one row per table in the
-    same order: the matrix the slice's tables are rows of.
-    """
-    return clone_slice(generator_ops, n, limit)[0]._matrix
 
 
 # The cells defined after branching on x1..xj form the subalgebra of A^k
@@ -498,7 +457,7 @@ def _layer_plan(generator_ops, size, k):
     """
     ncells = size ** k
     pos_type = np.min_scalar_type(ncells - 1)
-    digits = argument_columns(size, k, np.min_scalar_type(size - 1)).T  # each cell's digits
+    digits = argument_columns(size, k, np.uint8).T  # each cell's digits
     weights = size ** np.arange(k - 1, -1, -1)
     position, cells = np.full((2, ncells), -1)  # cells: the cell at each position
     ops = _generator_record(generator_ops)[1]
@@ -549,9 +508,8 @@ def _plan_search(position, layers, size):
     Cells below a branch cell are defined before it, and the values are
     tried in ascending order, so the tables come out in lexicographic order.
     """
-    narrow = np.min_scalar_type(size - 1)
-    values = np.arange(size, dtype=narrow)
-    stack = [(0, np.empty((0, 1), dtype=narrow))]  # (layer to expand, its block)
+    values = np.arange(size, dtype=np.uint8)
+    stack = [(0, np.empty((0, 1), dtype=np.uint8))]  # (layer to expand, its block)
     while stack:
         j, block = stack.pop()
         stop, tuples, rounds = layers[j]
@@ -559,7 +517,7 @@ def _plan_search(position, layers, size):
         if block.shape[1] > take:
             stack.append((j, block[:, take:]))
             block = block[:, :take]
-        rows = np.empty((stop, block.shape[1] * size), dtype=narrow)
+        rows = np.empty((stop, block.shape[1] * size), dtype=np.uint8)
         rows[:len(block)].reshape(len(block), block.shape[1], size)[...] = block[:, :, None]
         rows[len(block)].reshape(-1, size)[...] = values
         for defines, checks in rounds:
@@ -591,25 +549,20 @@ def centralizer_slice(generator_ops, k, limit=DEFAULT_CENTRALIZER_LIMIT):
     With a two-valued family, TwoValuedFamily.centralizer_rows combines its
     homomorphisms A^k -> {0, 1} and counts the tables before it decodes
     any; without one, _plan_search lists them with every value at every
-    branch cell. Raises LimitExceeded past the limit. The tables are the
-    rows of one value matrix.
+    branch cell. Raises LimitExceeded past the limit.
     """
     generator_ops, size, k = _slice_arguments(generator_ops, k)
     limit = as_count(limit, "limit")
     family = _generator_record(generator_ops)[0]
     if family is not None:
-        values = family.centralizer_rows(k, limit)
-        return _row_tables(np.frombuffer(values, dtype=np.uint8).reshape(-1, size ** k), k, size,
-                           [None] * (len(values) // size ** k))
-    found, count = [], 0
-    for block in _plan_search(*_layer_plan(generator_ops, size, k), size):
-        count += block.shape[1]
-        if count > limit:
-            raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
-        found.append(block.T)
-    matrix = np.concatenate(found)
-    del found
-    return _checked_tables(matrix, k, size, [None] * len(matrix))
+        rows = family.centralizer_rows(k, limit)
+    else:
+        rows = []
+        for block in _plan_search(*_layer_plan(generator_ops, size, k), size):
+            if len(rows) + block.shape[1] > limit:
+                raise LimitExceeded(f"centralizer slice exceeds {limit} tables")
+            rows += [row.tobytes() for row in block.T]
+    return OpTable._of_rows(k, size, rows, [None] * len(rows))
 
 
 def closure_under(relation, ops, limit=DEFAULT_CLOSURE_LIMIT) -> Relation:

@@ -123,6 +123,21 @@ def decode_index(idx, size, arity):
     return tuple(reversed(out))
 
 
+def relation_mask(relation):
+    """The relation's tuples as a mask over its grid: an int, bit c for cell c."""
+    bits = bytearray((relation.size ** relation.arity + 7) >> 3)
+    for c in relation.cells():
+        bits[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(bits, "little")
+
+
+def first_cell(mask, relation):
+    """The tuple of the lowest cell of a mask over the relation's grid, or None if it is 0."""
+    if not mask:
+        return None
+    return decode_index((mask & -mask).bit_length() - 1, relation.size, relation.arity)
+
+
 def relation_from_mask(mask, arity, size) -> Relation:
     """The tuples of the grid {0..size-1}^arity at which the mask holds.
 

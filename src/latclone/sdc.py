@@ -183,12 +183,10 @@ def _verify_negative(witness, structure, mode, limit):
     the structure has a family in the mode (latclone.twovalued: semilattice
     mode, or a distributive lattice), else from the clone slice of
     equations.is_solution_set, which leaves the verdict unproved, (False,
-    None), past the limit. Each route is imported only when it runs."""
-    family = None
-    if mode == "semilattice" or is_distributive(structure)[0]:
-        from .twovalued import two_valued_family
+    None), past the limit, and imported only then."""
+    from .twovalued import two_valued_family
 
-        family = two_valued_family(structure, mode)
+    family = two_valued_family(structure, mode)
     if family is not None:
         gap = family.gap(witness)
     else:

@@ -34,7 +34,7 @@ from operator import and_
 from . import lattice, terms
 from .catalog import chain, meet_reduct
 from .errors import BadSpec, LimitExceeded
-from .relations import decode_index, relation_from_mask
+from .relations import first_cell, relation_from_mask, relation_mask
 
 # The meet and join of {0, 1} as bits of their tables, bit c for the cell c of {0, 1}^2
 AND, OR = 0b1000, 0b1110
@@ -98,7 +98,7 @@ class TwoValuedFamily:
         n = relation.arity
         if n < 1:
             raise BadSpec("slice arity must be at least 1")
-        held = _mask(relation)
+        held = relation_mask(relation)
         patterns = {f for cells in self.plane(n) for f, at in enumerate(cells) if held & at}
         patterns |= {0, (1 << n) - 1}
         if self.kind == "semilattice":
@@ -113,18 +113,18 @@ class TwoValuedFamily:
         tuple of the closure outside the relation, or None."""
         mask, held = self.closure_mask(relation)
         return (relation_from_mask(mask, relation.arity, relation.size),
-                _first_cell(mask & ~held, relation))
+                first_cell(mask & ~held, relation))
 
     def gap(self, relation):
         """The gap tuple alone, with no closure built as a relation."""
         mask, held = self.closure_mask(relation)
-        return _first_cell(mask & ~held, relation)
+        return first_cell(mask & ~held, relation)
 
     def clone_rows(self, generator_terms, n, limit):
         """The n-ary clone slice of the generators with these terms as
-        (values, terms): the tables over A^n end to end in one bytearray,
-        one byte per cell, in lexicographic order, and each one's term.
-        Raises LimitExceeded past limit tables."""
+        (rows, terms): the tables over A^n as bytes, one byte per cell, in
+        sorted order, and each one's term. Raises LimitExceeded past limit
+        tables."""
         n, size = slice_arity(n), len(self.images)
         walked = n if size > 1 else 1  # the projections on one element are all x1
         derivations, provs = _factor_walk(self.ops, tuple(generator_terms), walked, limit)
@@ -145,15 +145,11 @@ class TwoValuedFamily:
             tables[i] = None  # a table at a time, so that ints and rows never both hold all
             rows.append(self.decode(table.to_bytes(cells * lane, "little")))
         order = sorted(range(len(rows)), key=rows.__getitem__)
-        values = bytearray(len(rows) * cells)
-        for j, i in enumerate(order):
-            values[j * cells:(j + 1) * cells] = rows[i]
-            rows[i] = None
-        return values, [provs[i] for i in order]
+        return [rows[i] for i in order], [provs[i] for i in order]
 
     def centralizer_rows(self, k, limit):
         """The k-ary centralizer slice of the generators: its tables over
-        A^k end to end, one byte per cell, in lexicographic order. Each is
+        A^k as bytes, one byte per cell, in sorted order. Each is
         r homomorphisms A^k -> F (_homomorphisms) that _combine pairs and
         counts before any table is decoded. Raises LimitExceeded past limit
         tables."""
@@ -162,7 +158,7 @@ class TwoValuedFamily:
         if size == 1:
             if limit < 1:
                 raise LimitExceeded(refusal)
-            return b"\0"
+            return [b"\0"]
         cells, homs, lanes = size ** k, self._homomorphisms(k, limit, refusal), {}
 
         def placed(h, i):  # h's bit at each cell, as bit i of the cell's lane
@@ -180,7 +176,7 @@ class TwoValuedFamily:
         tails, rows = {h: placed(h, self.width - 1) for h in met}, []
         for head, ends in combined:
             rows += [(head | tails[h]).to_bytes(cells * self.lane, "little") for h in ends]
-        return b"".join(sorted(map(self.decode, rows)))
+        return sorted(map(self.decode, rows))
 
     @cached_property
     def decode(self):
@@ -416,21 +412,6 @@ def _combine(images, width, homs, cells, placed, limit, refusal):
 
     descend(0, [(0, (1 << cells) - 1)], 0)
     return found
-
-
-def _mask(relation):
-    """The relation's tuples as a mask over A^n."""
-    bits = bytearray((relation.size ** relation.arity + 7) >> 3)
-    for c in relation.cells():
-        bits[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _first_cell(mask, relation):
-    """The tuple of the lowest cell of a mask over A^n, or None if it is 0."""
-    if not mask:
-        return None
-    return decode_index((mask & -mask).bit_length() - 1, relation.size, relation.arity)
 
 
 @lru_cache(maxsize=64)

@@ -476,8 +476,7 @@ def test_equations_of_on_a_large_relation_over_b4_is_one_gather():
     rng = random.Random(1985)
     cells = rng.sample(range(16 ** 4), 1985)
     T = Relation(4, 16, [(c >> 12, c >> 8 & 15, c >> 4 & 15, c & 15) for c in cells])
-    assert len(clone_slice(gens, 4)) == 166
-    operations.slice_matrix(gens, 4)  # the slice with its value matrix, built before the clock
+    assert len(clone_slice(gens, 4)) == 166  # the slice, built before the clock
     gc.collect()  # so that no collection owed by earlier work lands inside the clock
     started = time.perf_counter()
     theory = equations_of(T, gens)

@@ -475,8 +475,6 @@ def test_a_memoised_slice_answers_every_limit_without_a_walk(monkeypatch):
             assert all(a is b for a, b in zip(again, tables)) and len(again) == count
             with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
                 clone_slice(gens, n, limit=count - 1)
-            with pytest.raises(LimitExceeded, match=f"clone slice exceeds {count - 1} tables"):
-                operations.slice_matrix(gens, n, limit=count - 1)
 
 
 # Structures whose generators act alike on {p, q}: the distributive lattices in
@@ -894,25 +892,26 @@ def test_separating_cells_walk_matches_oracle_on_completions(lattice):
 @pytest.mark.parametrize("name,structure,mode", CATALOG_MODES,
                          ids=[f"{name}-{mode}" for name, _, mode in CATALOG_MODES])
 def test_slice_matrix_holds_the_slice_values(monkeypatch, name, structure, mode):
+    # the slice read as a matrix, a row of values per table: distinct rows in
+    # sorted order, for the clone and the centralizer, on and off the family
     monkeypatch.setattr(operations, "_RECORDS", {})
     gens = generators(structure, mode)
-    cases = [(n, matrix_first) for n in (1, 2, 3) for matrix_first in (True, False)]
-    if name == "B3":
-        cases.append((4, False))  # 2^4 two-valued cells rebuilt to 4,096
-    for n, matrix_first in cases:
-        operations._RECORDS.clear()
-        matrix = operations.slice_matrix(gens, n) if matrix_first else None
-        tables = clone_slice(gens, n)
-        if matrix is None:
-            matrix = operations.slice_matrix(gens, n)
-        assert matrix.tolist() == [list(t.values) for t in tables]
-        assert matrix.dtype == np.min_scalar_type(structure.size - 1)
-        assert not matrix.flags.writeable
-        assert operations.slice_matrix(iter(gens), np.int64(n)) is matrix
+    slices = [(clone_slice, n) for n in ((1, 2, 3, 4) if name == "B3" else (1, 2, 3))]
+    slices += [(centralizer_slice, k) for k in (1, 2)]
+    for engine, n in slices:
+        try:
+            tables = engine(gens, n)
+        except LimitExceeded:
+            assert (name, mode, engine, n) == ("B3", "semilattice", centralizer_slice, 2)
+            continue
+        rows = [t.values for t in tables]
+        assert all(len(row) == structure.size ** n for row in rows)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert [t.values for t in engine(iter(gens), np.int64(n))] == rows
     with pytest.raises(BadSpec):
-        operations.slice_matrix(gens, True)
+        clone_slice(gens, True)
     with pytest.raises(LimitExceeded):
-        operations.slice_matrix(gens, 3, limit=1)
+        clone_slice(gens, 3, limit=1)
 
 
 def _same_as_a_table_built_by_hand(tables, lookup_in):
@@ -948,10 +947,6 @@ def test_slice_tables_are_rows_that_behave_as_tables_built_by_hand(monkeypatch, 
         theory = equations_of(Relation(n, structure.size, []), gens)
         _same_as_a_table_built_by_hand(tables, theory.ops.index)
         assert [t.values for t in clone_slice(gens, n)] == [t.values for t in tables]
-        matrix = operations.slice_matrix(gens, n)
-        assert matrix.tolist() == [list(t.values) for t in tables]
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 0
     for k in (1, 2):
         try:
             tables = centralizer_slice(gens, k)
@@ -1627,32 +1622,6 @@ def test_bad_arrays_are_refused_with_the_list_wording():
         Relation(2, 2, np.array([[0, 1], [0, 2]]))
 
 
-def test_slice_tables_are_checked_once_per_block():
-    matrix = np.array([[0, 1, 1, 0], [1, 1, 1, 0]], dtype=np.uint8)
-    tables = operations._checked_tables(matrix, 2, 2, [None, None])
-    assert tables == [OpTable(2, 2, (0, 1, 1, 0)), OpTable(2, 2, (1, 1, 1, 0))]
-    assert type(tables[0].values[0]) is int
-    assert not matrix.flags.writeable  # the tables are its rows
-    wide = operations._checked_tables(np.array([[0, 1, 1, 0]]), 2, 2, [None])
-    assert wide == tables[:1] and wide[0].array().dtype == np.int64
-    for bad in (np.array([[0, 1, 1, 2]]), np.array([[0, -1, 1, 0]]), np.array([[0, 1, 1]]),
-                np.array([0, 1, 1, 0]), np.array([[0.0, 1.0, 1.0, 0.0]])):
-        with pytest.raises(BadSpec):
-            operations._checked_tables(bad, 2, 2, [None])
-
-
-def test_slice_rows_sort_in_lexicographic_order():
-    rng = np.random.default_rng(5)
-    for dtype, high in ((np.uint8, 256), (np.uint16, 65_536), (np.uint32, 1 << 32)):
-        for cells in (1, 3, 8):
-            matrix = rng.integers(0, high, size=(200, cells), dtype=np.uint64).astype(dtype)
-            matrix[100:] = matrix[:100]
-            matrix[100:, -1] = rng.integers(0, 2, size=100)  # rows that share a long prefix
-            order = operations._lex_order(matrix).tolist()
-            expected = sorted(range(200), key=lambda i: matrix[i].tolist())
-            assert [matrix[i].tolist() for i in order] == [matrix[i].tolist() for i in expected]
-
-
 def test_numpy_integers_are_accepted_as_indices():
     assert OpTable(1, 2, np.array([1, 0])).values == (1, 0)
     assert Relation(2, 2, np.array([[0, 1]])).tuples == ((0, 1),)
@@ -1669,6 +1638,8 @@ X, Y = terms.Var("x"), terms.Var("y")
 REFUSALS = [
     (lambda: OpTable(0, 2, [0]), BadSpec, "operations must have arity at least 1"),
     (lambda: OpTable(1, 0, []), BadSpec, "carrier must be nonempty"),
+    (lambda: OpTable(1, 300, range(300)), BadSpec, "carrier of size 300 exceeds the cap 256"),
+    (lambda: projection(1, 1, 300), BadSpec, "carrier of size 300 exceeds the cap 256"),
     (lambda: OpTable(2, 2, [0, 1, 1]), BadSpec, "value table must have 4 entries"),
     (lambda: Relation(-1, 2, []), BadSpec, "relations must have nonnegative arity"),
     (lambda: Relation(2, 2, [(0, 1), (1,)]), BadSpec, r"tuple \(1,\) does not have arity 2"),
@@ -1688,9 +1659,9 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("build, error, match", REFUSALS, ids=[
-    "optable-arity", "optable-size", "optable-length", "relation-arity", "tuple-arity",
-    "tuple-range", "undeclared-variable", "bad-mode", "preserves-carrier", "closure-carrier",
-    "no-generators", "generator-carriers", "slice-arity"])
+    "optable-arity", "optable-size", "optable-cap", "projection-cap", "optable-length",
+    "relation-arity", "tuple-arity", "tuple-range", "undeclared-variable", "bad-mode",
+    "preserves-carrier", "closure-carrier", "no-generators", "generator-carriers", "slice-arity"])
 def test_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()
