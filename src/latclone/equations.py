@@ -5,12 +5,11 @@ term operations that agree everywhere on T. Two operations form an equation
 satisfied by T exactly when they share a block, so the partition is the
 whole theory without materialising quadratically many pairs. The closure of
 T is the solution set of that theory; T is a solution set of some system iff
-the closure adds nothing.
+the closure adds nothing. Tables are compared as the ints of their bytes, with
+no numpy: two tables XOR to zero in the byte lanes of the cells where they agree.
 """
 
 from operator import itemgetter
-
-import numpy as np
 
 from . import terms
 from .errors import ArityMismatch, BadSpec, LimitExceeded
@@ -59,12 +58,21 @@ class EquationSystem:
         return f"EquationSystem({self.arity}-ary, {len(self.pairs)} equations)"
 
 
+def _agreeing_cells(groups, cells):
+    """The mask of the cells at which the tables of every group agree, an int,
+    bit c for cell c: the zero byte lanes of the OR of each XOR with the first."""
+    differ = 0
+    for first, *rest in groups:
+        first = int.from_bytes(first._values, "little")
+        for g in rest:
+            differ |= first ^ int.from_bytes(g._values, "little")
+    return int(differ.to_bytes(cells, "big").translate(b"1" + b"0" * 255), 2)
+
+
 def _solutions(system) -> Relation:
     """The grid points at which both sides of every equation agree."""
-    mask = np.ones(system.size ** system.arity, dtype=bool)
-    for f, g in system.pairs:
-        mask &= f.array() == g.array()
-    return relation_from_mask(_packed(mask), system.arity, system.size)
+    mask = _agreeing_cells(system.pairs, system.size ** system.arity)
+    return relation_from_mask(mask, system.arity, system.size)
 
 
 def solve(system, algebra) -> Relation:
@@ -88,7 +96,6 @@ class EqTheory:
         if any(op.arity != arity or op.size != size for op in self.ops):
             raise ArityMismatch(f"the slice of a theory of {arity}-ary tables on {size} "
                                 "elements holds a table of another arity or carrier")
-        self._array = None  # the ops' values, one row each; see _values
 
     def satisfies(self, f, g) -> bool:
         """Is f = g an equation of the theory (same block)? Raises ArityMismatch
@@ -118,32 +125,18 @@ class EqTheory:
                 pairs.append((rep, self.ops[other]))
         return EquationSystem(self.arity, self.size, pairs)
 
-    def _values(self):
-        """The ops' values as an (ops x cells) uint8 array, copied once from their bytes."""
-        if self._array is None:
-            self._array = np.array(memoryview(b"".join(op._values for op in self.ops))).reshape(
-                len(self.ops), self.size ** self.arity)
-        return self._array
-
     def _closure_mask(self):
-        """The flat mask of the cells of A^n at which every block is constant."""
-        members = [i for block in self.blocks for i in block[1:]]
-        reps = [block[0] for block in self.blocks for _ in block[1:]]
-        values = self._values()
-        return (values[members] == values[reps]).all(axis=0)
+        """The mask of the cells of A^n at which every block is constant."""
+        blocks = [[self.ops[i] for i in block] for block in self.blocks if len(block) > 1]
+        return _agreeing_cells(blocks, self.size ** self.arity)
 
     def closure(self) -> Relation:
         """Tuples at which every block is constant: the solution set of the theory."""
-        return relation_from_mask(_packed(self._closure_mask()), self.arity, self.size)
+        return relation_from_mask(self._closure_mask(), self.arity, self.size)
 
     def __repr__(self):
         sizes = sorted((len(b) for b in self.blocks), reverse=True)
         return f"EqTheory({self.arity}-ary, {len(self.ops)} ops, block sizes {sizes})"
-
-
-def _packed(mask):
-    """A flat boolean mask over the cells of A^n as an int, bit c for cell c."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _checked(relation, generator_ops, limit):
@@ -230,7 +223,7 @@ def is_solution_set(relation, generator_ops, limit=DEFAULT_CLONE_LIMIT):
     except LimitExceeded:
         return None, None
     if family is None:
-        gap = first_cell(_packed(theory._closure_mask()) & ~relation_mask(relation), relation)
+        gap = first_cell(theory._closure_mask() & ~relation_mask(relation), relation)
         if gap is not None:
             return False, gap
     return True, theory.induced_system()

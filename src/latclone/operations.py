@@ -16,10 +16,11 @@ from .errors import (
     ArityMismatch,
     BadIndex,
     BadSpec,
+    JoinInSemilatticeMode,
     LimitExceeded,
 )
 from .lattice import as_count, as_indices, check_index_dtype
-from .relations import Relation, decode_index  # noqa: F401  (re-exported)
+from .relations import Relation, decode_index, projection_rows  # noqa: F401  (re-exported)
 
 BLOCK_CELLS = 1 << 18  # cells one block of work may touch; one row may exceed it
 BLOCK_BYTES = 1 << 20  # bytes the candidates of one block of the clone walk may take
@@ -43,13 +44,7 @@ class OpTable:
     __slots__ = ("arity", "size", "provenance", "_values", "_array")
 
     def __init__(self, arity, size, values, provenance=None):
-        arity, size = as_indices((arity, size), "arity or carrier size")
-        if arity < 1:
-            raise BadSpec("operations must have arity at least 1")
-        if size < 1:
-            raise BadSpec("carrier must be nonempty")
-        if size > 256:
-            raise BadSpec(f"carrier of size {size} exceeds the cap 256 of a value table")
+        arity, size = self._checked_shape(arity, size)
         if isinstance(values, np.ndarray):
             if values.ndim != 1:
                 raise BadSpec("expected a list of value table entry values, "
@@ -68,6 +63,18 @@ class OpTable:
             raise BadSpec("value table entry out of range")
         self.arity, self.size, self.provenance = arity, size, provenance
         self._values, self._array = bytes(values), None
+
+    @staticmethod
+    def _checked_shape(arity, size):
+        """The arity and carrier size of a table as ints, refused as a table refuses them."""
+        arity, size = as_indices((arity, size), "arity or carrier size")
+        if arity < 1:
+            raise BadSpec("operations must have arity at least 1")
+        if size < 1:
+            raise BadSpec("carrier must be nonempty")
+        if size > 256:
+            raise BadSpec(f"carrier of size {size} exceeds the cap 256 of a value table")
+        return arity, size
 
     @classmethod
     def _of_rows(cls, arity, size, rows, provenances):
@@ -122,48 +129,51 @@ class OpTable:
         return f"OpTable({self.arity}-ary on {self.size}, {list(self.values)})"
 
 
-def _flat_tables(algebra):
-    """The flat meet table and, over a lattice, the flat join table (else None).
+def _apply(g, rows, lanes=None):
+    """The m-ary table g applied cell by cell to m bytes rows of one length, as bytes.
 
-    Built once per structure and cached on it read-only, like the verdict
-    caches of latclone.lattice.
-    """
-    cached = getattr(algebra, "_flat_tables", None)
-    if cached is None:
-        tables = [algebra.meet] + ([algebra.join] if algebra.kind == "lattice" else [])
-        flat = np.array(tables, dtype=np.int64).reshape(len(tables), -1)
-        flat.flags.writeable = False
-        cached = algebra._flat_tables = (flat[0], flat[1] if len(tables) == 2 else None)
-    return cached
-
-
-def _table_ops(algebra):
-    """The node operations of terms.term_evaluator on int arrays of elements:
-    the structure's meet and join tables indexed as 2-D arrays."""
-    size = algebra.size
-    tables = [flat if flat is None else flat.reshape(size, size) for flat in _flat_tables(algebra)]
-    return (lambda a, b: tables[0][a, b]), (lambda a, b: tables[1][a, b])
+    Read as little-endian ints (lanes, if given, holds them, kept by the
+    caller), lanes = lanes * size + next per row leaves each cell's index
+    into g's table in its byte lane, with no carry while size^m <= 256, and
+    translate reads g's values off them. A wider table is indexed cell by cell."""
+    size, values = g.size, g._values
+    if len(values) <= 256:
+        index = 0
+        for lane in lanes or [int.from_bytes(row, "little") for row in rows]:
+            index = index * size + lane
+        return index.to_bytes(len(rows[0]), "little").translate(values.ljust(256, b"\0"))
+    index = rows[0]
+    for row in rows[1:]:
+        index = [i * size + v for i, v in zip(index, row)]
+    return bytes(map(values.__getitem__, index))
 
 
 def term_to_op(term, var_order, algebra) -> OpTable:
-    """Tabulate a term over all assignments to the given variable order."""
+    """Tabulate a term over all assignments to the given variable order: the term
+    tree walk on the projection rows, the structure's meet and join applied by _apply."""
     var_order = tuple(var_order)
     terms.check_distinct(var_order, "variable")
     missing = terms.variables(term) - set(var_order)
     if missing:
         raise BadSpec(f"term uses variables outside the declared order: {sorted(missing)}")
-    env = dict(zip(var_order, argument_columns(algebra.size, len(var_order))))
-    (values,) = terms.term_evaluator(algebra, _table_ops(algebra))((term,), env)
-    return OpTable(len(var_order), algebra.size, values, provenance=term)
+    meet, *join = generators(algebra, algebra.kind)  # a semilattice's join is never applied
+    ops = (lambda a, b: _apply(meet, (a, b))), (lambda a, b: _apply(join[0], (a, b)))
+    rows = projection_rows([bytes((x,)) for x in range(algebra.size)], len(var_order))
+    (values,) = terms.term_evaluator(algebra, ops)((term,), dict(zip(var_order, rows)))
+    return OpTable._of_rows(len(var_order), algebra.size, [values], [term])[0]
 
 
 def meet_op(algebra) -> OpTable:
     """The meet of the structure as a binary table with term provenance."""
-    return term_to_op(terms.Meet(terms.Var("x1"), terms.Var("x2")), ("x1", "x2"), algebra)
+    return OpTable(2, algebra.size, [v for row in algebra.meet for v in row],
+                   provenance=terms.Meet(terms.Var("x1"), terms.Var("x2")))
 
 
 def join_op(lattice) -> OpTable:
-    return term_to_op(terms.Join(terms.Var("x1"), terms.Var("x2")), ("x1", "x2"), lattice)
+    if lattice.kind != "lattice":
+        raise JoinInSemilatticeMode("join term evaluated over a meet-semilattice")
+    return OpTable(2, lattice.size, [v for row in lattice.join for v in row],
+                   provenance=terms.Join(terms.Var("x1"), terms.Var("x2")))
 
 
 def generators(structure, mode) -> list:
@@ -189,8 +199,9 @@ def projection(n, i, size) -> OpTable:
     n, i, size = as_indices((n, i, size), "projection arity, index or carrier size")
     if not 1 <= i <= n:
         raise BadIndex(f"projection index {i} outside 1..{n}")
-    col = argument_columns(size, n)[i - 1]
-    return OpTable(n, size, col, provenance=terms.Var(f"x{i}"))
+    n, size = OpTable._checked_shape(n, size)  # refused before any row is built
+    row = projection_rows([bytes((x,)) for x in range(size)], n)[i - 1]
+    return OpTable._of_rows(n, size, [row], [terms.Var(f"x{i}")])[0]
 
 
 def _row_keys(rows):
@@ -387,8 +398,8 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
     and arity. Without one, _walk runs on symmetry.separating_cells, whose
     values tell term operations apart, so it finds, orders and refuses as a
     walk on every cell would; the full tables are then replayed from its
-    derivations, one gather per level (the tables found at the positions of
-    the level before), and the terms composed. Returns tables sorted by
+    derivations as bytes rows, one derivation at a time by _apply from the
+    projection rows, and the terms composed. Returns tables sorted by
     values, each holding its row of the engine's bytes; raises
     LimitExceeded past the limit, and BadSpec for a limit that is not a
     nonnegative integer. Memoised in the generator record: the walk refuses
@@ -408,31 +419,19 @@ def clone_slice(generator_ops, n, limit=DEFAULT_CLONE_LIMIT):
             [g.provenance for g in generator_ops], n, limit))
         slices[n] = tuple(tables)
         return tables
-    columns = argument_columns(size, n, np.uint8)  # the projections
-    first = np.arange(n if size > 1 else 1)  # the projections, which on one element are all x1
+    walked = n if size > 1 else 1  # the projections on one element are all x1
     cells = symmetry.separating_cells(generator_ops, n)
-    gens, args = _walk(columns[:, cells][first], ops, size, limit, refusal)[1:]
+    start = argument_columns(size, n, np.uint8)[:walked].take(cells, axis=1)  # the projections
+    gens, args = _walk(start, ops, size, limit, refusal)[1:]
+    derivations = [(g, tuple_[:generator_ops[g].arity])
+                   for g, tuple_ in zip(gens.tolist(), args.T.tolist())]
     provs = twovalued.derived_terms([g.provenance for g in generator_ops],
-                                    [g.arity for g in generator_ops], first.tolist(),
-                                    [(g, tuple_[:generator_ops[g].arity])
-                                     for g, tuple_ in zip(gens.tolist(), args.T.tolist())])
-    done = len(first)
-    matrix = np.empty((len(gens) + done, size ** n), dtype=np.uint8)
-    matrix[:done] = columns[first]
-    # every generator as a len(args)-ary one ignoring its last arguments, the tables end to end
-    width, step = len(args), max(1, BLOCK_CELLS // size ** n)
-    table = np.concatenate([np.repeat(values, size ** (width - m)) for m, _, values in ops])
-    found_at, hi = args.max(axis=0), done
-    while hi < len(matrix):
-        end = done + int(found_at.searchsorted(hi))  # the level after the one ending at hi
-        for s in range(hi, end, step):
-            level = slice(s - done, min(s + step, end) - done)
-            idx = gens[level, None].astype(np.min_scalar_type(len(table) - 1))
-            for a in args[:, level]:
-                idx = idx * size + matrix.take(a, axis=0)
-            matrix[s:s + len(idx)] = table.take(idx)
-        hi = end
-    rows = [row.tobytes() for row in matrix]
+                                    [g.arity for g in generator_ops], range(walked), derivations)
+    rows = projection_rows([bytes((x,)) for x in range(size)], n)[:walked]
+    lanes = [int.from_bytes(row, "little") for row in rows]  # each row's int, read once
+    for g, tuple_ in derivations:
+        rows.append(_apply(generator_ops[g], [rows[a] for a in tuple_], [lanes[a] for a in tuple_]))
+        lanes.append(int.from_bytes(rows[-1], "little"))
     order = sorted(range(len(rows)), key=rows.__getitem__)
     tables = OpTable._of_rows(n, size, [rows[i] for i in order], [provs[i] for i in order])
     slices[n] = tuple(tables)

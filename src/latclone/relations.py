@@ -123,6 +123,14 @@ def decode_index(idx, size, arity):
     return tuple(reversed(out))
 
 
+def projection_rows(lanes, n):
+    """The n projections of A^n as bytes rows, cells in lexicographic order,
+    from the lane of bytes each element of A takes in a cell: projection i
+    holds each lane size^(n-1-i) times in turn, all that size^i times."""
+    size = len(lanes)
+    return [b"".join(lane * size ** (n - 1 - i) for lane in lanes) * size ** i for i in range(n)]
+
+
 def relation_mask(relation):
     """The relation's tuples as a mask over its grid: an int, bit c for cell c."""
     bits = bytearray((relation.size ** relation.arity + 7) >> 3)

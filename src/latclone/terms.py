@@ -51,8 +51,8 @@ def term_evaluator(algebra, ops):
     values env assigns to their variables.
 
     The one tree walk: ops gives the node operations as functions (meet,
-    join) on whatever values env holds, such as int arrays indexing the
-    structure's tables (operations.term_to_op) or bit planes (formulas).
+    join) on whatever values env holds, such as bytes rows of elements over
+    the grid (operations.term_to_op) or int masks (latclone.formulas).
     A root that recurs inside a later root is not evaluated again: "s <= t"
     stands for the atom s = s /\\ t, and the s inside reads the value of
     the root s. A join over a meet-semilattice raises JoinInSemilatticeMode.

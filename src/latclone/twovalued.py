@@ -34,7 +34,7 @@ from operator import and_
 from . import lattice, terms
 from .catalog import chain, meet_reduct
 from .errors import BadSpec, LimitExceeded
-from .relations import first_cell, relation_from_mask, relation_mask
+from .relations import first_cell, projection_rows, relation_from_mask, relation_mask
 
 # The meet and join of {0, 1} as bits of their tables, bit c for the cell c of {0, 1}^2
 AND, OR = 0b1000, 0b1110
@@ -133,11 +133,8 @@ class TwoValuedFamily:
         if self.kind is None:
             full = int.from_bytes(((1 << self.width) - 1).to_bytes(lane, "little") * cells, "little")
         apply = [_applier(m, bits, full) for m, bits in self.ops]
-        tables = []  # projection i: each code size^(n-1-i) times in turn, that size^i times
-        for i in range(walked):
-            block = b"".join(code.to_bytes(lane, "little") * size ** (n - 1 - i)
-                             for code in self.images)
-            tables.append(int.from_bytes(block * size ** i, "little"))
+        tables = [int.from_bytes(row, "little") for row in projection_rows(
+            [code.to_bytes(lane, "little") for code in self.images], n)[:walked]]
         for g, args in derivations:
             tables.append(apply[g]([tables[a] for a in args]))
         rows = []

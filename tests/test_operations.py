@@ -35,7 +35,7 @@ from latclone.relations import decode_index as relations_decode_index
 from latclone.relations import relation_from_mask
 
 from latclone.equations import EqTheory, equations_of
-from latclone.lattice import is_distributive, semilattice_to_lattice
+from latclone.lattice import from_covers, is_distributive, semilattice_to_lattice
 
 from helpers import (
     down_set_lattices,
@@ -82,6 +82,38 @@ def test_projections():
         projection(2, 3, 2)
     with pytest.raises(BadIndex):
         projection(2, 0, 2)
+
+
+def test_projection_refuses_a_carrier_over_the_cap_before_building_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadSpec, match="carrier of size 1000 exceeds the cap 256"):
+            projection(2, 1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def _wide_applications(monkeypatch):
+    """Record the tables operations._apply meets with more than 256 argument
+    combinations, which it indexes cell by cell."""
+    wide, apply = [], operations._apply
+    monkeypatch.setattr(operations, "_apply", lambda g, *rest: (
+        wide.append(g) if len(g.values) > 256 else None) or apply(g, *rest))
+    return wide
+
+
+def test_term_to_op_over_seventeen_elements_matches_scalar_evaluation(monkeypatch):
+    c17 = from_covers([str(i) for i in range(17)], [(i, i + 1) for i in range(16)], max_size=17)
+    wide = _wide_applications(monkeypatch)
+    rng = random.Random(17)
+    for _ in range(5):
+        term = random_term(rng, ["x", "y"], "lattice", 3)
+        op = term_to_op(term, ("x", "y"), c17)
+        assert op.values == tuple(evaluate(term, {"x": a, "y": b}, c17)
+                                  for a, b in product(range(17), repeat=2))
+    assert wide  # 17^2 = 289 argument pairs
 
 
 def random_term(rng, names, mode, depth):
@@ -145,42 +177,23 @@ def test_generators_are_built_once_per_structure():
     assert generators(catalog.fence(), "semilattice") == [meet_op(catalog.fence())]
 
 
-@pytest.mark.parametrize("structure", [B2, N5, catalog.fence()])
-def test_term_evaluator_reads_read_only_tables_built_once(structure):
-    flat_meet, flat_join = operations._flat_tables(structure)
-    assert operations._flat_tables(structure)[0] is flat_meet
-    assert flat_meet.tolist() == [v for row in structure.meet for v in row]
-    assert not flat_meet.flags.writeable
-    if structure.kind == "lattice":
-        assert flat_join.tolist() == [v for row in structure.join for v in row]
-        assert not flat_join.flags.writeable
-    else:
-        assert flat_join is None
-    with pytest.raises(ValueError):
-        flat_meet[0] = 1
-
-
 def test_term_evaluator_evaluates_a_recurring_root_once():
-    class Counting(np.ndarray):
-        """A table that counts how often it is indexed."""
-        calls = 0
-
-        def __getitem__(self, key):
-            Counting.calls += 1
-            return np.asarray(self)[key]
-
     lat = catalog.boolean_lattice(2)
-    lat._flat_tables = tuple(t.view(Counting) for t in operations._flat_tables(lat))
+    calls = []
+
+    def counting(table):  # a node operation on elements that counts its calls
+        return lambda a, b: calls.append(table) or table[a][b]
+
     x, y, z = terms.Var("x"), terms.Var("y"), terms.Var("z")
     s = terms.Join(terms.Meet(x, y), z)
     t = terms.Meet(s, x)  # "s <= x" is the atom s = t
     roots = (s, t, terms.Join(t, y), terms.Meet(x, y))  # the last copies a subterm of s
-    env = dict(zip("xyz", operations.argument_columns(lat.size, 3)))
-    values = terms.term_evaluator(lat, operations._table_ops(lat))(roots, env)
-    assert Counting.calls == 5  # the two nodes of s, one node each of the other three
-    for root, got in zip(roots, values):
-        assert got.tolist() == [evaluate(root, dict(zip("xyz", t)), lat)
-                                for t in product(range(lat.size), repeat=3)]
+    ev = terms.term_evaluator(lat, (counting(lat.meet), counting(lat.join)))
+    for point in product(range(lat.size), repeat=3):
+        calls.clear()
+        env = dict(zip("xyz", point))
+        assert ev(roots, env) == [evaluate(root, env, lat) for root in roots]
+        assert len(calls) == 5  # the two nodes of s, one node each of the other three
 
 
 def test_join_term_over_a_semilattice_is_refused():
@@ -1017,6 +1030,17 @@ def test_projection_generator_on_seven_elements_matches_oracle():
     for n in (1, 2, 3, 4):  # 2,401 cells at n=4, all but the 7 constant ones walked
         _same_clone_as_oracle([first], n)
         assert clone_slice([first], n) == [projection(n, i, 7) for i in range(1, n + 1)]
+
+
+def test_ternary_generator_on_seven_elements_matches_oracle(monkeypatch):
+    # x - y + z mod 7: 343 argument triples, so the replay indexes cell by cell
+    malcev = OpTable(3, 7, [(x - y + z) % 7 for x, y, z in product(range(7), repeat=3)])
+    assert _family([malcev]) is None
+    wide = _wide_applications(monkeypatch)
+    for n, limit in ((1, 3), (2, 10), (2, 6)):  # n = 2: the 7 maps a*x1 + (1 - a)*x2
+        monkeypatch.setattr(operations, "_RECORDS", {})
+        _same_clone_as_oracle([malcev], n, limit)
+    assert wide
 
 
 def test_centralizer_unary_on_two_elements():
